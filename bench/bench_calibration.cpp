@@ -57,7 +57,7 @@ measuredMsmRow(const char *name, std::size_t n, double frac_zero,
 
     ec::MsmStats st;
     auto t0 = std::chrono::steady_clock::now();
-    auto r = ec::msmPippengerOpt(scalars, points, opts, &st);
+    auto r = ec::msmPippenger(scalars, points, opts, &st);
     (void)r;
     double total_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
@@ -87,13 +87,11 @@ main()
                     "total ms", "recode", "bucket", "fold", "model ms",
                     "ratio", "ns/add");
         const ec::MsmOptions def{};
-        const ec::MsmOptions uns{.signedDigits = false, .batchAffine = false};
-        const ec::MsmOptions sig{.signedDigits = true, .batchAffine = false};
+        const ec::MsmOptions sig{.batchAffine = false};
         measuredMsmRow("dense 2^12 batched-aff", 1u << 12, 0, 0, def, cpu1);
         measuredMsmRow("dense 2^14 batched-aff", 1u << 14, 0, 0, def, cpu1);
         measuredMsmRow("dense 2^16 batched-aff", 1u << 16, 0, 0, def, cpu1);
         measuredMsmRow("dense 2^14 signed-jac", 1u << 14, 0, 0, sig, cpu1);
-        measuredMsmRow("dense 2^14 unsigned", 1u << 14, 0, 0, uns, cpu1);
         measuredMsmRow("sparse 2^16 batched-aff", 1u << 16, 0.60, 0.30, def,
                        cpu1);
     }

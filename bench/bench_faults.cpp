@@ -68,10 +68,12 @@ makeFixture(unsigned mu, bool jellyfish, std::uint64_t seed)
 }
 
 /** The load's schedule: every compiled-in site armed, tuned so the load
- *  still mostly completes. The bench-sized circuits never reach the
- *  chunk.producer / msm.accum sites (their streamed paths only engage for
- *  large tables) — the per-site hits/fires diagnostics make that visible
- *  rather than silently claiming coverage. */
+ *  still mostly completes. msm.accum is hit by every MSM (a one-shot MSM
+ *  is a one-chunk accumulator), so its one nth = 2 fault lands in an
+ *  early job's MSM, and that job retries degraded. The bench-sized circuits
+ *  never reach chunk.producer (its streamed path only engages for large
+ *  tables) — the per-site hits/fires diagnostics make that visible rather
+ *  than silently claiming coverage. */
 void
 armFaultSchedule()
 {
@@ -135,7 +137,7 @@ runLoad(const std::string &name, bool withFaults,
 
     // streamThreshold=1 puts every table on the slab store; the tiny chunk
     // makes the bench-sized tables span multiple chunks, so the streamed
-    // commit pipeline (chunk.producer / msm.accum sites) sees traffic too.
+    // commit pipeline sees traffic too.
     engine::ProverContext ctx(
         sharedSrs(),
         {.threads = 2, .streamThreshold = 1, .streamChunk = 64});

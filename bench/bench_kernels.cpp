@@ -262,12 +262,11 @@ BM_MsmPippenger(benchmark::State &state)
 BENCHMARK(BM_MsmPippenger)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ---------------------------------------------------------------------------
-// BM_Msm family: the MSM pipeline variants head to head — unsigned digits
-// (the pre-overhaul kernel), signed digits with Jacobian buckets, signed
-// digits with batched-affine buckets (the default hot path), and the
-// multi-column msmBatch against k independent MSMs on the witness-commit
-// shape. Points are a tiled pool of random points so the 2^18 fixtures
-// build quickly; every variant sees identical inputs.
+// BM_Msm family: the MSM pipeline variants head to head — Jacobian buckets,
+// batched-affine buckets without the GLV split, the full default pipeline,
+// and the multi-column msmBatch against k independent MSMs on the
+// witness-commit shape. Points are a tiled pool of random points so the
+// 2^18 fixtures build quickly; every variant sees identical inputs.
 // ---------------------------------------------------------------------------
 
 static const std::vector<ec::G1Affine> &
@@ -305,23 +304,16 @@ msmVariantBench(benchmark::State &state, const ec::MsmOptions &opts)
     const auto &points = msmBenchPoints(n);
     const std::vector<Fr> scalars = msmBenchScalars(n, 22);
     for (auto _ : state) {
-        auto r = ec::msmPippengerOpt(scalars, points, opts);
+        auto r = ec::msmPippenger(scalars, points, opts);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
 
 static void
-BM_Msm_Unsigned(benchmark::State &state)
-{
-    msmVariantBench(state,
-                    {.signedDigits = false, .batchAffine = false});
-}
-
-static void
 BM_Msm_Signed(benchmark::State &state)
 {
-    msmVariantBench(state, {.signedDigits = true, .batchAffine = false});
+    msmVariantBench(state, {.batchAffine = false});
 }
 
 static void
@@ -338,7 +330,6 @@ BM_Msm_Glv(benchmark::State &state)
     msmVariantBench(state, {});
 }
 
-BENCHMARK(BM_Msm_Unsigned)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_Msm_Signed)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_Msm_SignedBatchAffine)
     ->RangeMultiplier(4)
@@ -566,9 +557,9 @@ BM_MsmPippengerThreads(benchmark::State &state)
         scalars.push_back(Fr::random(rng));
         points.push_back(i % 8 == 0 ? ec::randomG1(rng) : base);
     }
+    rt::ScopedConfig scope(rt::Config{.threads = threads});
     for (auto _ : state) {
-        auto r = ec::msmPippengerParallel(scalars, points,
-                                          rt::Config{.threads = threads});
+        auto r = ec::msmPippenger(scalars, points);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations() * n);

@@ -23,58 +23,54 @@ msmNaive(std::span<const Fr> scalars, std::span<const G1Affine> points)
     return acc;
 }
 
-unsigned
-pippengerAutoWindow(std::size_t n)
+namespace {
+
+/**
+ * Per-MSM cost of window width c in Fq-multiplication units (prices in
+ * ec::msm_cost, shared with sim::CpuModel): every dense point pays one
+ * bucket add per window, and each of the 2^(c-1) buckets one mixed + one
+ * full aggregation add in the suffix sum, once per chunk. The cost depends
+ * only on (n, scalar_bits, batch_affine, num_chunks) — never on per-column
+ * dense counts — so a batch run and each column's solo run always agree
+ * on c.
+ */
+double
+windowCost(std::size_t n, std::size_t scalar_bits, unsigned c,
+           bool batch_affine, std::size_t num_chunks)
 {
-    unsigned bits = 1;
-    while ((std::size_t(1) << bits) < n)
-        ++bits;
-    int c = int(bits) - 3;
-    if (c < 1)
-        c = 1;
-    if (c > 16)
-        c = 16;
-    return unsigned(c);
+    const double bucket_add =
+        batch_affine ? msm_cost::kBatchAffineAdd : msm_cost::kMixedAdd;
+    const double nw = double(signedDigitWindows(scalar_bits, c));
+    const double buckets = double(std::size_t(1) << (c - 1));
+    return nw * (double(n) * bucket_add +
+                 double(num_chunks) * buckets * msm_cost::kAggPerBucket);
 }
+
+} // namespace
 
 unsigned
 pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
-                              bool batch_affine)
+                              bool batch_affine, std::size_t num_chunks)
 {
-    // Argmin of the per-window cost in Fq-multiplication units (prices in
-    // ec::msm_cost, re-fit to the fixed-limb kernel overhaul and shared
-    // with sim::CpuModel): every dense point pays one bucket add per
-    // window and each of the 2^(c-1) buckets one mixed + one full
-    // aggregation add in the suffix sum. Wider windows mean fewer passes
-    // over the points but more aggregation work; the halved bucket count
-    // shifts the optimum ~1 bit wider than the unsigned choice. The cost
-    // depends only on (n, scalar_bits, batch_affine) — never on per-column
-    // dense counts — so a batch run and each column's solo run always
-    // agree on c. The GLV caller passes (2n, glv::kHalfBits): the point
-    // term doubles while the window count per c roughly halves, which
-    // nudges the optimum ~1 bit wider than the full-width choice at the
-    // same n.
-    const double bucket_add_cost =
-        batch_affine ? msm_cost::kBatchAffineAdd : msm_cost::kMixedAdd;
+    // Wider windows mean fewer passes over the points but more aggregation
+    // work; the halved bucket count of signed digits shifts the optimum ~1
+    // bit wider than unsigned slicing would pick. The GLV caller passes
+    // (2n, glv::kHalfBits): the point term doubles while the window count
+    // per c roughly halves, which nudges the optimum ~1 bit wider than the
+    // full-width choice at the same n. At the default 2^20-element stream
+    // chunk the chunk term leaves the optimum at the one-shot width until
+    // chunks get tiny.
     double best_cost = 0;
     unsigned best = 2;
     for (unsigned c = 2; c <= 16; ++c) {
-        double nw = double(signedDigitWindows(scalar_bits, c));
-        double buckets = double(std::size_t(1) << (c - 1));
-        double cost = nw * (double(n) * bucket_add_cost +
-                            buckets * msm_cost::kAggPerBucket);
+        const double cost =
+            windowCost(n, scalar_bits, c, batch_affine, num_chunks);
         if (best_cost == 0 || cost < best_cost) {
             best_cost = cost;
             best = c;
         }
     }
     return best;
-}
-
-unsigned
-pippengerAutoWindowSigned(std::size_t n, bool batch_affine)
-{
-    return pippengerAutoWindowSignedBits(n, Fr::modulusBits(), batch_affine);
 }
 
 bool
@@ -86,15 +82,10 @@ msmGlvProfitable(std::size_t n, bool batch_affine)
     // from widening past ceil((128+16)/16) = 9 windows, so beyond ~2^20
     // points the plain 255-bit slicing (16 passes over n) beats GLV's 9
     // passes over 2n, and the split turns itself off.
-    const double bucket_add =
-        batch_affine ? msm_cost::kBatchAffineAdd : msm_cost::kMixedAdd;
     const auto total = [&](std::size_t pts, std::size_t bits) {
         const unsigned c =
             pippengerAutoWindowSignedBits(pts, bits, batch_affine);
-        const double nw = double(signedDigitWindows(bits, c));
-        const double buckets = double(std::size_t(1) << (c - 1));
-        return nw * (double(pts) * bucket_add +
-                     buckets * msm_cost::kAggPerBucket) +
+        return windowCost(pts, bits, c, batch_affine, 1) +
                double(bits) * msm_cost::kDouble;
     };
     // + n prices the one-time phi(P) materialization (one Fq mul/point).
@@ -280,277 +271,16 @@ windowSumBatchAffine(std::span<const G1Affine> points,
     }
 }
 
-/**
- * Shared multi-column Pippenger core. Column j's result equals an
- * independent single-column run exactly: per-column state (trivial
- * accumulator, bucket sets, window fold) never mixes across columns; only
- * the point walk, the digit slab, and the batch inversions are shared.
- */
-std::vector<G1Jacobian>
-msmBatchCore(std::span<const std::span<const Fr>> cols,
-             std::span<const G1Affine> points, const MsmOptions &opts,
-             MsmStats *stats)
-{
-    using Clock = std::chrono::steady_clock;
-    const std::size_t k = cols.size();
-    const std::size_t n = points.size();
-    std::vector<G1Jacobian> out(k, G1Jacobian::identity());
-    if (k == 0 || n == 0)
-        return out;
-#ifndef NDEBUG
-    for (const auto &col : cols)
-        assert(col.size() == n && "column/point length mismatch");
-#endif
-
-    const bool sgn = opts.signedDigits;
-    // GLV rides on the signed-digit pipeline: each dense scalar splits into
-    // two ~128-bit halves (k = k1 + lambda*k2), the walk covers 2n points
-    // (phi(P_i) materialized once at index n + i), and the window count per
-    // pass halves. Degrades transparently if the parameter self-checks fail
-    // or the op-count model says the split loses at this size (the window
-    // cap makes plain slicing cheaper past ~2^20 points).
-    const bool use_glv = sgn && opts.glv && glv::available() &&
-                         msmGlvProfitable(n, opts.batchAffine);
-    const std::size_t n_ext = use_glv ? 2 * n : n;
-    const unsigned c =
-        opts.windowBits ? opts.windowBits
-        : sgn           ? pippengerAutoWindowSignedBits(
-                  n_ext, use_glv ? glv::kHalfBits : Fr::modulusBits(),
-                  opts.batchAffine)
-                        : pippengerAutoWindow(n);
-    assert(c >= 1 && c <= 16);
-    const std::size_t scalar_bits =
-        use_glv ? glv::kHalfBits : Fr::modulusBits();
-    const std::size_t num_windows = sgn
-                                        ? signedDigitWindows(scalar_bits, c)
-                                        : (scalar_bits + c - 1) / c;
-    const std::size_t num_buckets = sgn ? (std::size_t(1) << (c - 1))
-                                        : (std::size_t(1) << c) - 1;
-
-    // Phase 1: classify every scalar and recode dense ones into the
-    // window-major digit slab (digit of point i, column j, window w at
-    // (w*n_ext + i)*k + j, so a window reads one contiguous slab and a
-    // point's k digits sit together). Trivial {0,1} scalars keep all-zero
-    // digits. Under GLV the k1 half recodes into point row i and the k2
-    // half into the phi row n + i.
-    auto t0 = Clock::now();
-    std::vector<std::int32_t> digits(num_windows * n_ext * k);
-    std::vector<std::uint8_t> klass(n * k); // 0 = zero, 1 = one, 2 = dense
-    const std::size_t stride = n_ext * k;
-    rt::parallelFor(
-        0, n,
-        [&](std::size_t i) {
-            for (std::size_t j = 0; j < k; ++j) {
-                const Fr &s = cols[j][i];
-                // zkphire-lint: ct-exempt(trivial-scalar skip is the Pippenger win; scalar-shaped timing is inherent to bucket MSM)
-                const std::uint8_t kl = s.isZero() ? 0 : s.isOne() ? 1 : 2;
-                klass[i * k + j] = kl;
-                if (kl != 2)
-                    continue;
-                const auto big = s.toBig();
-                std::int32_t *dst = &digits[i * k + j];
-                if (use_glv) {
-                    ff::BigInt<4> k1, k2;
-                    glv::decompose(big, k1, k2);
-                    recodeSignedDigits(k1, c, num_windows, dst, stride);
-                    recodeSignedDigits(k2, c, num_windows,
-                                       &digits[(n + i) * k + j], stride);
-                } else if (sgn) {
-                    recodeSignedDigits(big, c, num_windows, dst, stride);
-                } else {
-                    for (std::size_t w = 0; w < num_windows; ++w) {
-                        const std::size_t lo = w * c;
-                        const unsigned width = unsigned(
-                            std::min<std::size_t>(c, scalar_bits - lo));
-                        dst[w * stride] = std::int32_t(big.bits(lo, width));
-                    }
-                }
-            }
-        },
-        /*grain=*/0, /*minGrain=*/256);
-
-    // Serial sweep keeps each column's trivial accumulator in index order
-    // (and so its exact Jacobian representation) at every thread count. A
-    // point enters the shared walk list if ANY column is dense there.
-    std::vector<G1Jacobian> trivial(k, G1Jacobian::identity());
-    std::vector<std::size_t> col_dense(k, 0);
-    std::vector<std::uint32_t> dense_orig; // original indices with any dense
-    dense_orig.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        bool any_dense = false;
-        for (std::size_t j = 0; j < k; ++j) {
-            switch (klass[i * k + j]) {
-            case 0:
-                if (stats)
-                    ++stats->trivialScalars;
-                break;
-            case 1:
-                trivial[j] = trivial[j].addMixed(points[i]);
-                if (stats) {
-                    ++stats->trivialScalars;
-                    ++stats->pointAdds;
-                }
-                break;
-            default:
-                any_dense = true;
-                // The batch-affine floor compares bucket-add entries, of
-                // which a GLV-split scalar contributes two.
-                col_dense[j] += use_glv ? 2 : 1;
-                if (stats)
-                    ++stats->denseScalars;
-                break;
-            }
-        }
-        if (any_dense)
-            dense_orig.push_back(std::uint32_t(i));
-    }
-
-    // The bucket walk list over extended indices, and (GLV only) the
-    // extended point array: original points first, phi points at n + i —
-    // filled only where some column is dense (one Fq mul each).
-    std::vector<std::uint32_t> dense_idx;
-    std::vector<G1Affine> ext_points;
-    std::span<const G1Affine> walk_points = points;
-    if (use_glv) {
-        dense_idx.resize(2 * dense_orig.size());
-        for (std::size_t d = 0; d < dense_orig.size(); ++d) {
-            dense_idx[2 * d] = dense_orig[d];
-            dense_idx[2 * d + 1] = std::uint32_t(n + dense_orig[d]);
-        }
-        ext_points.resize(2 * n);
-        std::copy(points.begin(), points.end(), ext_points.begin());
-        rt::parallelFor(
-            0, dense_orig.size(),
-            [&](std::size_t d) {
-                const std::uint32_t i = dense_orig[d];
-                ext_points[n + i] = glv::endomorphism(points[i]);
-            },
-            /*grain=*/0, /*minGrain=*/512);
-        walk_points = ext_points;
-    } else {
-        dense_idx = std::move(dense_orig);
-    }
-    if (stats)
-        stats->recodeMs += msSince(t0);
-
-    // Phase 2: bucket accumulation per window, windows in parallel. Each
-    // window's sums are computed by exactly the serial per-window sequence,
-    // and the fold below replays the serial double-and-add order, so the
-    // result is bit-identical to a single-threaded run. Per-window stats
-    // are summed in window order for the same reason. The batched-affine
-    // path pays one true inversion per reduction round per window, which
-    // only amortizes over enough dense points.
-    t0 = Clock::now();
-    // Path selection is per COLUMN on the column's own dense count, so a
-    // sparse column inside a dense batch takes exactly the path (and so
-    // produces exactly the Jacobian representation) its solo run would.
-    std::vector<std::uint32_t> ba_cols, jac_cols;
-    for (std::size_t j = 0; j < k; ++j) {
-        if (sgn && opts.batchAffine &&
-            col_dense[j] >= opts.batchAffineMinPoints)
-            ba_cols.push_back(std::uint32_t(j));
-        else
-            jac_cols.push_back(std::uint32_t(j));
-    }
-    std::vector<G1Jacobian> sums(num_windows * k);
-    std::vector<WindowAcc> wacc(num_windows);
-    // Below ~256 dense points the per-window work is microseconds and pool
-    // dispatch would dominate (mKZG's opening loop issues many shrinking
-    // MSMs down to n = 1), so run the window loop inline.
-    rt::ScopedThreads serialSmall(dense_idx.size() < 256 ? 1u : 0u);
-    // Serial path: round-synchronize the batch inversion across windows by
-    // reducing every window in ONE segmented batched-affine call — each
-    // pairwise round then pays a single true inversion instead of one per
-    // window (bit-identical; see windowSumBatchAffine). Below the entry
-    // cap this is a measured 1.2-1.6x on the small MSMs of mKZG opening
-    // chains (n <= ~2^11: ~200 inversions collapse to ~7); above it the
-    // combined scatter's working set outgrows the cache and the per-round
-    // inversions are noise next to the bucket adds, so windows reduce
-    // independently (which is also what the parallel path needs).
-    constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
-    const bool combine_windows =
-        !ba_cols.empty() && num_windows > 1 && rt::currentThreads() <= 1 &&
-        num_windows * dense_idx.size() * ba_cols.size() <=
-            kCombineMaxEntries;
-    if (combine_windows) {
-        windowSumBatchAffine(walk_points, dense_idx, digits.data(), stride,
-                             num_windows, k, ba_cols, num_buckets,
-                             sums.data(), wacc[0]);
-        for (std::size_t w = 0; w < num_windows && !jac_cols.empty(); ++w)
-            for (std::uint32_t j : jac_cols)
-                sums[w * k + j] = windowSumJacobian(
-                    walk_points, dense_idx, digits.data() + w * stride + j,
-                    k, num_buckets, wacc[w]);
-    } else {
-        rt::parallelFor(
-            0, num_windows,
-            [&](std::size_t w) {
-                const std::int32_t *wdig = digits.data() + w * stride;
-                if (!ba_cols.empty())
-                    windowSumBatchAffine(walk_points, dense_idx, wdig,
-                                         stride, /*num_win=*/1, k, ba_cols,
-                                         num_buckets, &sums[w * k], wacc[w]);
-                for (std::uint32_t j : jac_cols)
-                    sums[w * k + j] = windowSumJacobian(
-                        walk_points, dense_idx, wdig + j, k, num_buckets,
-                        wacc[w]);
-            },
-            /*grain=*/1);
-    }
-    if (stats) {
-        for (const WindowAcc &a : wacc) {
-            stats->pointAdds += a.pointAdds;
-            stats->affineAdds += a.affineAdds;
-            stats->batchInversions += a.batchInversions;
-        }
-        stats->bucketMs += msSince(t0);
-    }
-
-    // Phase 3: fold windows from most significant down, c doublings between,
-    // independently per column.
-    t0 = Clock::now();
-    for (std::size_t j = 0; j < k; ++j) {
-        G1Jacobian result = G1Jacobian::identity();
-        for (std::size_t w = num_windows; w-- > 0;) {
-            // zkphire-lint: ct-exempt(skips doublings only while the fold accumulator is still the identity)
-            if (!result.isIdentity() || w + 1 != num_windows) {
-                for (unsigned d = 0; d < c; ++d) {
-                    result = result.dbl();
-                    if (stats)
-                        ++stats->pointDoubles;
-                }
-            }
-            result = result.add(sums[w * k + j]);
-            if (stats)
-                ++stats->pointAdds;
-        }
-        out[j] = result.add(trivial[j]);
-    }
-    if (stats)
-        stats->foldMs += msSince(t0);
-    return out;
-}
-
 } // namespace
 
 G1Jacobian
-msmPippengerOpt(std::span<const Fr> scalars, std::span<const G1Affine> points,
-                const MsmOptions &opts, MsmStats *stats)
+msmPippenger(std::span<const Fr> scalars, std::span<const G1Affine> points,
+             const MsmOptions &opts, MsmStats *stats)
 {
     assert(scalars.size() == points.size());
     const std::span<const Fr> col = scalars;
-    return msmBatchCore(std::span<const std::span<const Fr>>(&col, 1), points,
-                        opts, stats)[0];
-}
-
-G1Jacobian
-msmPippenger(std::span<const Fr> scalars, std::span<const G1Affine> points,
-             unsigned window_bits, MsmStats *stats)
-{
-    MsmOptions opts = currentMsmOptions();
-    if (window_bits != 0)
-        opts.windowBits = window_bits;
-    return msmPippengerOpt(scalars, points, opts, stats);
+    return msmBatch(std::span<const std::span<const Fr>>(&col, 1), points,
+                    opts, stats)[0];
 }
 
 std::vector<G1Jacobian>
@@ -558,62 +288,43 @@ msmBatch(std::span<const std::span<const Fr>> cols,
          std::span<const G1Affine> points, const MsmOptions &opts,
          MsmStats *stats)
 {
-    return msmBatchCore(cols, points, opts, stats);
+    const std::size_t k = cols.size();
+    const std::size_t n = points.size();
+    if (k == 0 || n == 0)
+        return std::vector<G1Jacobian>(k, G1Jacobian::identity());
+    MsmAccumulator acc(n, k, opts, stats);
+    acc.add(cols, points);
+    return acc.finalize();
 }
 
 MsmAccumulator::MsmAccumulator(std::size_t total_points, std::size_t num_cols,
                                const MsmOptions &opts, MsmStats *stats,
                                std::size_t chunk_hint)
-    : opts_(opts), stats_(stats), totalN_(total_points), k_(num_cols),
-      sgn_(opts.signedDigits)
+    : opts_(opts), stats_(stats), totalN_(total_points), k_(num_cols)
 {
     assert(total_points > 0 && num_cols > 0);
     // Structural choices (GLV split, window width) are fixed from the TOTAL
-    // point count, exactly like a one-shot run over the concatenated chunks
-    // would fix them — per-point bucket work is then identical; streaming
-    // only adds the per-chunk window-sum merges.
-    useGlv_ = sgn_ && opts.glv && glv::available() &&
+    // point count, so per-point bucket work is the same however the points
+    // are chunked; streaming only adds the per-chunk aggregations and
+    // window-sum merges. GLV splits each dense scalar into two ~128-bit
+    // halves (k = k1 + lambda*k2), the walk covers 2n points (phi(P_i)
+    // materialized at index n + i of each chunk), and the window count per
+    // pass halves. It degrades transparently if the parameter self-checks
+    // fail or the op-count model says the split loses at this size (the
+    // window cap makes plain slicing cheaper past ~2^20 points).
+    useGlv_ = opts.glv && glv::available() &&
               msmGlvProfitable(total_points, opts.batchAffine);
-    const std::size_t n_ext = useGlv_ ? 2 * total_points : total_points;
     scalarBits_ = useGlv_ ? glv::kHalfBits : Fr::modulusBits();
-    if (opts.windowBits != 0) {
-        c_ = opts.windowBits;
-    } else if (!sgn_) {
-        c_ = pippengerAutoWindow(total_points);
-    } else {
-        // Chunked variant of pippengerAutoWindowSignedBits' argmin: the
-        // suffix-sum aggregation runs once per CHUNK per window (its
-        // per-chunk sums are then merged), so its term scales with the
-        // chunk count. At the default 2^20-element chunk this leaves the
-        // optimum at the one-shot width until chunks get tiny, and the
-        // added aggregation stays a low-double-digit-percent overhead.
-        const std::size_t num_chunks =
-            chunk_hint != 0
-                ? (total_points + chunk_hint - 1) / chunk_hint
-                : 1;
-        const double bucket_add = opts.batchAffine
-                                      ? msm_cost::kBatchAffineAdd
-                                      : msm_cost::kMixedAdd;
-        double best_cost = 0;
-        unsigned best = 2;
-        for (unsigned c = 2; c <= 16; ++c) {
-            const double nw = double(signedDigitWindows(scalarBits_, c));
-            const double buckets = double(std::size_t(1) << (c - 1));
-            const double cost =
-                nw * (double(n_ext) * bucket_add +
-                      double(num_chunks) * buckets * msm_cost::kAggPerBucket);
-            if (best_cost == 0 || cost < best_cost) {
-                best_cost = cost;
-                best = c;
-            }
-        }
-        c_ = best;
-    }
+    const std::size_t n_ext = useGlv_ ? 2 * total_points : total_points;
+    const std::size_t num_chunks =
+        chunk_hint != 0 ? (total_points + chunk_hint - 1) / chunk_hint : 1;
+    c_ = opts.windowBits;
+    if (c_ == 0)
+        c_ = pippengerAutoWindowSignedBits(n_ext, scalarBits_,
+                                           opts.batchAffine, num_chunks);
     assert(c_ >= 1 && c_ <= 16);
-    numWindows_ = sgn_ ? signedDigitWindows(scalarBits_, c_)
-                       : (scalarBits_ + c_ - 1) / c_;
-    numBuckets_ = sgn_ ? (std::size_t(1) << (c_ - 1))
-                       : (std::size_t(1) << c_) - 1;
+    numWindows_ = signedDigitWindows(scalarBits_, c_);
+    numBuckets_ = std::size_t(1) << (c_ - 1);
     windowSums_.assign(numWindows_ * k_, G1Jacobian::identity());
     trivial_.assign(k_, G1Jacobian::identity());
 }
@@ -636,24 +347,24 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
         assert(col.size() == n && "column/point length mismatch");
 #endif
     assert(seen_ + n <= totalN_ && "more points than announced at ctor");
+    const bool first_chunk = seen_ == 0;
     seen_ += n;
 
-    // Phase 1 (per chunk): classify + recode into the reused digit slab,
-    // same layout as msmBatchCore's but chunk-sized. Only the region this
-    // chunk uses is re-zeroed.
+    // Phase 1: classify every scalar and recode dense ones into the
+    // window-major digit slab (digit of point i, column j, window w at
+    // (w*n_ext + i)*k + j, so a window reads one contiguous slab and a
+    // point's k digits sit together). Trivial {0,1} scalars keep all-zero
+    // digits. Under GLV the k1 half recodes into point row i and the k2
+    // half into the phi row n + i.
     auto t0 = Clock::now();
-    const std::size_t n_ext = useGlv_ ? 2 * n : n;
-    const std::size_t stride = n_ext * k;
-    const std::size_t slab = numWindows_ * stride;
-    if (digits_.size() < slab)
-        digits_.resize(slab);
-    std::fill_n(digits_.begin(), slab, 0);
-    if (klass_.size() < n * k)
-        klass_.resize(n * k);
     const bool use_glv = useGlv_;
     const unsigned c = c_;
     const std::size_t num_windows = numWindows_;
-    const std::size_t scalar_bits = scalarBits_;
+    const std::size_t n_ext = use_glv ? 2 * n : n;
+    const std::size_t stride = n_ext * k;
+    digits_.assign(num_windows * stride, 0);
+    if (klass_.size() < n * k)
+        klass_.resize(n * k); // 0 = zero, 1 = one, 2 = dense
     rt::parallelFor(
         0, n,
         [&](std::size_t i) {
@@ -672,25 +383,21 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
                     recodeSignedDigits(k1, c, num_windows, dst, stride);
                     recodeSignedDigits(k2, c, num_windows,
                                        &digits_[(n + i) * k + j], stride);
-                } else if (sgn_) {
-                    recodeSignedDigits(big, c, num_windows, dst, stride);
                 } else {
-                    for (std::size_t w = 0; w < num_windows; ++w) {
-                        const std::size_t lo = w * c;
-                        const unsigned width = unsigned(
-                            std::min<std::size_t>(c, scalar_bits - lo));
-                        dst[w * stride] = std::int32_t(big.bits(lo, width));
-                    }
+                    recodeSignedDigits(big, c, num_windows, dst, stride);
                 }
             }
         },
         /*grain=*/0, /*minGrain=*/256);
 
-    // Serial in-order sweep, and chunks arrive in index order, so each
-    // column's trivial accumulator sees the points in the exact global
-    // order of the one-shot kernel.
+    // Serial in-order sweep keeps each column's trivial accumulator in
+    // index order (and so its exact Jacobian representation) at every
+    // thread count; chunks arrive in index order, so that is the global
+    // order. A point enters the shared walk list if ANY column is dense
+    // there.
     std::vector<std::size_t> col_dense(k, 0);
     denseOrig_.clear();
+    denseOrig_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         bool any_dense = false;
         for (std::size_t j = 0; j < k; ++j) {
@@ -708,6 +415,8 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
                 break;
             default:
                 any_dense = true;
+                // The batch-affine floor compares bucket-add entries, of
+                // which a GLV-split scalar contributes two.
                 col_dense[j] += use_glv ? 2 : 1;
                 if (stats_)
                     ++stats_->denseScalars;
@@ -718,6 +427,9 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
             denseOrig_.push_back(std::uint32_t(i));
     }
 
+    // The bucket walk list over extended indices, and (GLV only) the
+    // extended point array: the chunk's points first, phi points at n + i —
+    // filled only where some column is dense (one Fq mul each).
     std::span<const std::uint32_t> dense_idx(denseOrig_);
     std::span<const G1Affine> walk_points = points;
     if (use_glv) {
@@ -736,32 +448,51 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
                 extPoints_[n + i] = glv::endomorphism(points[i]);
             },
             /*grain=*/0, /*minGrain=*/512);
-        dense_idx = std::span<const std::uint32_t>(denseIdx_.data(),
-                                                   2 * denseOrig_.size());
-        walk_points =
-            std::span<const G1Affine>(extPoints_.data(), 2 * n);
+        dense_idx = denseIdx_;
+        walk_points = std::span<const G1Affine>(extPoints_.data(), 2 * n);
     }
     if (stats_)
         stats_->recodeMs += msSince(t0);
 
-    // Phase 2 (per chunk): bucket accumulation + per-window aggregation,
-    // then merge this chunk's window sums into the persistent ones. Window
-    // sums are linear in the buckets and buckets are additive across
-    // chunks, so summing per-chunk aggregates equals aggregating the merged
-    // buckets — the group value matches the one-shot kernel's exactly.
+    // Phase 2: bucket accumulation + per-window aggregation, windows in
+    // parallel. Each window's sums are computed by exactly the serial
+    // per-window sequence and per-window stats are summed in window order,
+    // so results and counts are thread-count independent. Path selection
+    // is per COLUMN on the column's own dense count, so a sparse column
+    // inside a dense batch takes exactly the path (and so produces exactly
+    // the Jacobian representation) its solo run would; the batched-affine
+    // path pays one true inversion per reduction round, which only
+    // amortizes over enough dense points.
     t0 = Clock::now();
     std::vector<std::uint32_t> ba_cols, jac_cols;
     for (std::size_t j = 0; j < k; ++j) {
-        if (sgn_ && opts_.batchAffine &&
-            col_dense[j] >= opts_.batchAffineMinPoints)
+        if (opts_.batchAffine && col_dense[j] >= opts_.batchAffineMinPoints)
             ba_cols.push_back(std::uint32_t(j));
         else
             jac_cols.push_back(std::uint32_t(j));
     }
-    chunkSums_.assign(num_windows * k, G1Jacobian::identity());
+    // The first chunk's window sums are stored in place; a later chunk's
+    // are summed into them below. Window sums are linear in the buckets and
+    // buckets are additive across chunks, so summing per-chunk aggregates
+    // equals aggregating the merged buckets.
+    if (!first_chunk)
+        chunkSums_.assign(num_windows * k, G1Jacobian::identity());
+    std::vector<G1Jacobian> &sums = first_chunk ? windowSums_ : chunkSums_;
     std::vector<WindowAcc> wacc(num_windows);
     const std::size_t num_buckets = numBuckets_;
+    // Below ~256 dense points the per-window work is microseconds and pool
+    // dispatch would dominate (mKZG's opening loop issues many shrinking
+    // MSMs down to n = 1), so run the window loop inline.
     rt::ScopedThreads serialSmall(dense_idx.size() < 256 ? 1u : 0u);
+    // Serial path: round-synchronize the batch inversion across windows by
+    // reducing every window in ONE segmented batched-affine call — each
+    // pairwise round then pays a single true inversion instead of one per
+    // window (bit-identical; see windowSumBatchAffine). Below the entry
+    // cap this is a measured 1.2-1.6x on the small MSMs of mKZG opening
+    // chains (n <= ~2^11: ~200 inversions collapse to ~7); above it the
+    // combined scatter's working set outgrows the cache and the per-round
+    // inversions are noise next to the bucket adds, so windows reduce
+    // independently (which is also what the parallel path needs).
     constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
     const bool combine_windows =
         !ba_cols.empty() && num_windows > 1 && rt::currentThreads() <= 1 &&
@@ -770,10 +501,10 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     if (combine_windows) {
         windowSumBatchAffine(walk_points, dense_idx, digits_.data(), stride,
                              num_windows, k, ba_cols, num_buckets,
-                             chunkSums_.data(), wacc[0]);
+                             sums.data(), wacc[0]);
         for (std::size_t w = 0; w < num_windows && !jac_cols.empty(); ++w)
             for (std::uint32_t j : jac_cols)
-                chunkSums_[w * k + j] = windowSumJacobian(
+                sums[w * k + j] = windowSumJacobian(
                     walk_points, dense_idx, digits_.data() + w * stride + j,
                     k, num_buckets, wacc[w]);
     } else {
@@ -784,24 +515,25 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
                 if (!ba_cols.empty())
                     windowSumBatchAffine(walk_points, dense_idx, wdig,
                                          stride, /*num_win=*/1, k, ba_cols,
-                                         num_buckets, &chunkSums_[w * k],
-                                         wacc[w]);
+                                         num_buckets, &sums[w * k], wacc[w]);
                 for (std::uint32_t j : jac_cols)
-                    chunkSums_[w * k + j] = windowSumJacobian(
+                    sums[w * k + j] = windowSumJacobian(
                         walk_points, dense_idx, wdig + j, k, num_buckets,
                         wacc[w]);
             },
             /*grain=*/1);
     }
-    for (std::size_t i = 0; i < num_windows * k; ++i)
-        windowSums_[i] = windowSums_[i].add(chunkSums_[i]);
+    if (!first_chunk)
+        for (std::size_t i = 0; i < num_windows * k; ++i)
+            windowSums_[i] = windowSums_[i].add(chunkSums_[i]);
     if (stats_) {
         for (const WindowAcc &a : wacc) {
             stats_->pointAdds += a.pointAdds;
             stats_->affineAdds += a.affineAdds;
             stats_->batchInversions += a.batchInversions;
         }
-        stats_->pointAdds += num_windows * k; // chunk-sum merges
+        if (!first_chunk)
+            stats_->pointAdds += num_windows * k; // chunk-sum merges
         stats_->bucketMs += msSince(t0);
     }
 }
@@ -821,8 +553,7 @@ MsmAccumulator::finalize()
     using Clock = std::chrono::steady_clock;
     assert(seen_ == totalN_ && "finalize before all chunks were added");
     // Phase 3: fold windows most-significant-down with c doublings between,
-    // independently per column — verbatim the one-shot kernel's fold over
-    // the merged window sums.
+    // independently per column.
     auto t0 = Clock::now();
     std::vector<G1Jacobian> out(k_, G1Jacobian::identity());
     for (std::size_t j = 0; j < k_; ++j) {
@@ -845,21 +576,6 @@ MsmAccumulator::finalize()
     if (stats_)
         stats_->foldMs += msSince(t0);
     return out;
-}
-
-G1Jacobian
-msmPippengerParallel(std::span<const Fr> scalars,
-                     std::span<const G1Affine> points, const rt::Config &cfg,
-                     unsigned window_bits, MsmStats *stats)
-{
-    assert(scalars.size() == points.size());
-    // Window-level parallelism inside msmPippenger replaced the old
-    // split-the-points decomposition: it exposes ~num_windows-way
-    // parallelism without redundant per-slice window passes, and keeps the
-    // result bit-identical to the serial kernel. A default config inherits
-    // the ambient setting.
-    rt::ScopedConfig scope(cfg);
-    return msmPippenger(scalars, points, window_bits, stats);
 }
 
 } // namespace zkphire::ec

@@ -8,12 +8,13 @@
  * (src/ec/recode.hpp), halving the bucket count per window, and resolves
  * bucket additions with batched-affine arithmetic (src/ec/batch_add.hpp)
  * so the per-point cost drops from a Jacobian mixed add to ~6 field
- * multiplications. msmBatch extends the same core to several scalar
- * columns over one shared point array — the witness-commitment shape —
- * recoding each column once and walking the points once per window for
- * all columns. The op-count statistics feed both the MSM hardware model
- * and the CPU baseline calibration, so the functional kernel and the
- * performance model stay structurally identical.
+ * multiplications. One implementation, MsmAccumulator, runs every MSM:
+ * msmBatch and msmPippenger feed it a single chunk, streamed commits feed
+ * it many. Several scalar columns over one shared point array — the
+ * witness-commitment shape — are recoded once and walk the points once
+ * per window for all columns. The op-count statistics feed both the MSM
+ * hardware model and the CPU baseline calibration, so the functional
+ * kernel and the performance model stay structurally identical.
  */
 #ifndef ZKPHIRE_EC_MSM_HPP
 #define ZKPHIRE_EC_MSM_HPP
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "ec/g1.hpp"
-#include "rt/config.hpp"
 
 namespace zkphire::ec {
 
@@ -43,19 +43,16 @@ struct MsmStats {
 
 /**
  * MSM algorithm knobs. The defaults are the fast path; the other settings
- * exist for benchmarks, tests, and DSE-style experiments (engine contexts
- * carry a per-context value, applied via ScopedMsmOptions).
+ * are test oracles and benchmark variants (hyperplonk::ProveOptions::msm
+ * applies a value to a whole proof via ScopedMsmOptions).
  */
 struct MsmOptions {
     /** Bucket window size c; 0 selects automatically. */
     unsigned windowBits = 0;
-    /** Balanced signed-digit slicing (2^(c-1) buckets) instead of unsigned
-     *  (2^c - 1 buckets). */
-    bool signedDigits = true;
-    /** Batched-affine bucket accumulation (requires signedDigits). */
+    /** Batched-affine bucket accumulation instead of Jacobian buckets. */
     bool batchAffine = true;
     /**
-     * GLV endomorphism splitting (requires signedDigits): every scalar is
+     * GLV endomorphism splitting: every scalar is
      * decomposed as k1 + lambda*k2 with ~128-bit halves (src/ec/glv.hpp)
      * and the point set doubled with the free endomorphism phi(P), halving
      * the window passes and fold doublings. Results are equal as group
@@ -112,21 +109,14 @@ G1Jacobian msmNaive(std::span<const Fr> scalars,
                     std::span<const G1Affine> points);
 
 /**
- * Pippenger MSM under the ambient currentMsmOptions().
+ * Pippenger MSM: msmBatch over one column.
  *
- * @param window_bits Bucket window size c; 0 defers to the ambient options
- *        (and then to the automatic choice), matching the DSE knob range.
  * @param stats Optional op-count/phase-timing output (accumulated).
  */
 G1Jacobian msmPippenger(std::span<const Fr> scalars,
                         std::span<const G1Affine> points,
-                        unsigned window_bits = 0, MsmStats *stats = nullptr);
-
-/** Pippenger MSM with explicit algorithm knobs (benchmarks, experiments). */
-G1Jacobian msmPippengerOpt(std::span<const Fr> scalars,
-                           std::span<const G1Affine> points,
-                           const MsmOptions &opts,
-                           MsmStats *stats = nullptr);
+                        const MsmOptions &opts = currentMsmOptions(),
+                        MsmStats *stats = nullptr);
 
 /**
  * Multi-MSM over one shared point array: out[j] = Sum_i cols[j][i] * P_i.
@@ -136,7 +126,8 @@ G1Jacobian msmPippengerOpt(std::span<const Fr> scalars,
  * batched-affine reduction then amortizes its inversions over all k * B
  * buckets of the window. This is the k-witness-column commitment shape:
  * k MSMs for the price of ~one point walk. Each out[j] equals the
- * independent msmPippenger result for that column exactly.
+ * independent msmPippenger result for that column exactly. Runs as a
+ * one-chunk MsmAccumulator.
  *
  * Columns must all have points.size() entries.
  */
@@ -148,7 +139,7 @@ std::vector<G1Jacobian> msmBatch(std::span<const std::span<const Fr>> cols,
 /**
  * Fq-multiplication prices of the MSM pipeline's point operations with
  * the fixed-limb kernels (dedicated squaring at S ~ 0.8 M). ONE source of
- * truth shared by the kernel's window argmin (pippengerAutoWindowSigned)
+ * truth shared by the kernel's window argmin (pippengerAutoWindowSignedBits)
  * and the CPU baseline model (sim::CpuModel::msmFieldMuls) — retune here
  * and both move together.
  */
@@ -166,26 +157,20 @@ inline constexpr double kAggPerBucket = kMixedAdd + kFullAdd;
 inline constexpr double kDouble = 8.0;
 } // namespace msm_cost
 
-/** Automatic window size for unsigned slicing (~log2(n) - 3, in [1, 16]). */
-unsigned pippengerAutoWindow(std::size_t n);
-
 /**
  * Automatic window size for signed-digit slicing: argmin of the add-count
  * model with 2^(c-1) buckets, priced for batched-affine or Jacobian
  * bucket adds per the flag (Jacobian adds are dearer, so the optimum sits
- * ~1 bit narrower). The halved bucket count supports a wider window than
- * the unsigned choice at the same n.
- */
-unsigned pippengerAutoWindowSigned(std::size_t n, bool batch_affine = true);
-
-/**
- * The window argmin underlying pippengerAutoWindowSigned, parameterized on
- * the recoded scalar width: the GLV path optimizes over (2n points,
- * glv::kHalfBits-bit halves) instead of (n, Fr::modulusBits()). Shared with
- * sim::CpuModel::msmFieldMuls so kernel and cost model pick identical c.
+ * ~1 bit narrower). scalar_bits is the recoded width: the GLV path
+ * optimizes over (2n points, glv::kHalfBits-bit halves) instead of
+ * (n, Fr::modulusBits()). A streamed MSM aggregates its buckets once per
+ * chunk, so the aggregation term scales with num_chunks (1 for one-shot
+ * calls). Shared with sim::CpuModel::msmFieldMuls so kernel and cost model
+ * pick identical c.
  */
 unsigned pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
-                                       bool batch_affine = true);
+                                       bool batch_affine = true,
+                                       std::size_t num_chunks = 1);
 
 /**
  * Whether the GLV split is predicted to beat plain 255-bit slicing for an
@@ -198,19 +183,23 @@ unsigned pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
 bool msmGlvProfitable(std::size_t n, bool batch_affine = true);
 
 /**
- * Chunk-streaming multi-column Pippenger accumulator: the commit path for
- * tables too big to materialize. Construction fixes the window structure
- * from the TOTAL point count (so per-point work matches the one-shot
- * kernel); each add() recodes one chunk of scalars into a chunk-sized
- * digit slab, accumulates its buckets (batched-affine where profitable),
- * and suffix-sums them into persistent per-(window, column) partial sums —
- * bucket weights are linear, so per-chunk aggregation sums to exactly the
+ * Multi-column Pippenger accumulator: the one MSM implementation. One-shot
+ * calls (msmBatch, msmPippenger) feed it a single chunk; streamed commits
+ * feed tables too big to materialize one chunk at a time. Construction
+ * fixes the window structure from the TOTAL point count (so per-point work
+ * matches the one-shot run); each add() recodes one chunk of scalars into
+ * a chunk-sized digit slab, accumulates its buckets (batched-affine where
+ * profitable), and suffix-sums them into per-(window, column) sums. The
+ * first chunk's sums are stored; later chunks' are added in — bucket
+ * weights are linear, so per-chunk aggregation sums to exactly the
  * whole-run aggregate. Peak memory is O(chunk * num_windows) for the digit
  * slab plus O(num_windows * columns) persistent sums, independent of the
- * total size. finalize() folds the windows and returns results equal to
- * msmBatch over the concatenated chunks as group elements (identical bytes
- * after affine normalization — the transcript only ever sees normalized
- * points).
+ * total size. finalize() folds the windows; results equal the one-chunk
+ * run as group elements (identical bytes after affine normalization — the
+ * transcript only ever sees normalized points). Column j's result equals
+ * an independent single-column run exactly: per-column state (trivial
+ * accumulator, bucket sets, window fold) never mixes across columns; only
+ * the point walk, the digit slab, and the batch inversions are shared.
  */
 class MsmAccumulator
 {
@@ -236,16 +225,12 @@ class MsmAccumulator
     /** Fold windows + trivial accumulators; call once, after all chunks. */
     std::vector<G1Jacobian> finalize();
 
-    unsigned windowBits() const { return c_; }
-    std::size_t pointsSeen() const { return seen_; }
-
   private:
     MsmOptions opts_;
     MsmStats *stats_;
     std::size_t totalN_;
     std::size_t k_;
     std::size_t seen_ = 0;
-    bool sgn_;
     bool useGlv_;
     unsigned c_ = 0;
     std::size_t scalarBits_;
@@ -261,20 +246,6 @@ class MsmAccumulator
     std::vector<G1Affine> extPoints_;
     std::vector<G1Jacobian> chunkSums_;
 };
-
-/**
- * Pippenger MSM with an explicit runtime config. Bucket accumulation runs
- * window-parallel on the zkphire::rt pool (each window's bucket set is
- * independent, mirroring the paper's parallel MSM PEs); the window fold
- * replays the serial order, so the result is bit-identical to
- * msmPippenger at one thread. A default Config inherits the ambient
- * setting (ZKPHIRE_THREADS env or hardware concurrency).
- */
-G1Jacobian msmPippengerParallel(std::span<const Fr> scalars,
-                                std::span<const G1Affine> points,
-                                const rt::Config &cfg = {},
-                                unsigned window_bits = 0,
-                                MsmStats *stats = nullptr);
 
 } // namespace zkphire::ec
 

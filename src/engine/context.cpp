@@ -21,7 +21,6 @@ ProverContext::preprocess(const hyperplonk::Circuit &circuit)
 {
     assert(srsRef != nullptr && "attach an SRS before preprocessing");
     rt::ScopedConfig scope(config());
-    ec::ScopedMsmOptions msm_scope(msmOptions());
     hyperplonk::Keys keys = hyperplonk::setup(circuit, *srsRef);
     std::lock_guard<std::mutex> lock(keysMu);
     ownedKeys.push_back(std::move(keys));
@@ -33,11 +32,7 @@ ProverContext::proveOptions(const rt::Config *rtOverride,
                             rt::UnitRunner *units) const
 {
     hyperplonk::ProveOptions opts;
-    {
-        std::lock_guard<std::mutex> lock(cfgMu);
-        opts.rt = rtOverride ? *rtOverride : cfg;
-        opts.msm = msmOpts;
-    }
+    opts.rt = rtOverride ? *rtOverride : config();
     opts.plans = &planCache;
     opts.units = units;
     opts.arena = &bufferArena;

@@ -66,22 +66,6 @@ class ProverContext
         cfg = c;
     }
 
-    /** MSM algorithm knobs (window width, signed digits, batched-affine
-     *  buckets) applied to every proof and preprocessing run made through
-     *  this context. Proofs are byte-identical under every value — this is
-     *  a tuning/experimentation knob, same contract as setConfig (snapshot
-     *  semantics, safe against concurrent swaps). */
-    ec::MsmOptions msmOptions() const
-    {
-        std::lock_guard<std::mutex> lock(cfgMu);
-        return msmOpts;
-    }
-    void setMsmOptions(const ec::MsmOptions &o)
-    {
-        std::lock_guard<std::mutex> lock(cfgMu);
-        msmOpts = o;
-    }
-
     /** Per-context compiled-plan cache (thread-safe). */
     gates::PlanCache &plans() const { return planCache; }
 
@@ -115,7 +99,7 @@ class ProverContext
 
     /**
      * Assemble the ProveOptions a phase call (hyperplonk::proveSetup /
-     * proveOnline) needs: a coherent config+MSM snapshot, this context's
+     * proveOnline) needs: a coherent config snapshot, this context's
      * plan cache, and optionally a cross-lane unit runner. ProofService
      * uses this to dispatch phases directly.
      */
@@ -125,9 +109,8 @@ class ProverContext
 
   private:
     const pcs::Srs *srsRef = nullptr;
-    mutable std::mutex cfgMu; ///< Guards cfg and msmOpts.
+    mutable std::mutex cfgMu; ///< Guards cfg.
     rt::Config cfg;
-    ec::MsmOptions msmOpts;
     mutable gates::PlanCache planCache;
     mutable poly::BufferArena bufferArena;
     std::mutex keysMu;

@@ -6,7 +6,6 @@
 #include <system_error>
 #include <utility>
 
-#include "rt/numa.hpp"
 #include "rt/parallel.hpp"
 
 namespace zkphire::engine {
@@ -494,14 +493,7 @@ ProofService::laneLoop(unsigned lane)
     // Each lane owns a private chunked pool sized to its sub-budget, so
     // in-flight jobs never serialize on one pool's region lock. A
     // sub-budget of 1 spawns no workers and the lane runs fully serial.
-    // Under ZKPHIRE_NUMA lanes split across nodes (lane modulo node count)
-    // and each lane's pool is pinned wholly to its node, keeping a job's
-    // tables, slab pages, and workers node-local.
-    const int lane_node =
-        rt::numa::enabled() ? int(lane % rt::numa::numNodes()) : -1;
-    if (lane_node >= 0)
-        rt::numa::bindCurrentThreadToNode(std::size_t(lane_node));
-    rt::ThreadPool lanePool(budgets[lane], lane_node);
+    rt::ThreadPool lanePool(budgets[lane]);
     {
         std::lock_guard<std::mutex> lk(qMu);
         slots[lane].pool = &lanePool;

@@ -6,6 +6,9 @@ using ff::Fr;
 
 namespace {
 
+/** Wire size of one uncompressed affine point: x || y || flag. */
+constexpr std::size_t kPointBytes = 97;
+
 class Writer
 {
   public:
@@ -43,13 +46,13 @@ class Writer
     void
     point(const ec::G1Affine &p)
     {
-        std::uint8_t bytes[97] = {};
+        std::uint8_t bytes[kPointBytes] = {};
         if (!p.infinity) {
             p.x.toBig().toBytesLe(bytes);
             p.y.toBig().toBytesLe(bytes + 48);
             bytes[96] = 1;
         }
-        out.insert(out.end(), bytes, bytes + 97);
+        out.insert(out.end(), bytes, bytes + kPointBytes);
     }
 
     void
@@ -114,14 +117,26 @@ class Reader
         return Fr::fromBig(big);
     }
 
+    /**
+     * A length field counting elements of at least elem_bytes each. It is
+     * capped by the bytes left before anything is reserved, so a short
+     * input can never ask for a large allocation.
+     */
+    std::uint32_t
+    count(std::size_t max_len, std::size_t elem_bytes)
+    {
+        const std::uint32_t n = u32();
+        if (n > max_len || n > (buf.size() - pos) / elem_bytes)
+            bad = true;
+        return bad ? 0 : n;
+    }
+
     std::vector<Fr>
     frVec(std::size_t max_len = 1 << 20)
     {
-        std::uint32_t n = u32();
-        if (n > max_len) {
-            bad = true;
+        const std::uint32_t n = count(max_len, 32);
+        if (bad)
             return {};
-        }
         std::vector<Fr> xs;
         xs.reserve(n);
         for (std::uint32_t i = 0; i < n && !bad; ++i)
@@ -132,11 +147,9 @@ class Reader
     std::vector<std::vector<Fr>>
     frVecVec()
     {
-        std::uint32_t n = u32();
-        if (n > (1u << 16)) {
-            bad = true;
+        const std::uint32_t n = count(1u << 16, 4); // >= one length each
+        if (bad)
             return {};
-        }
         std::vector<std::vector<Fr>> xss;
         xss.reserve(n);
         for (std::uint32_t i = 0; i < n && !bad; ++i)
@@ -148,19 +161,26 @@ class Reader
     point()
     {
         ec::G1Affine p;
-        if (pos + 97 > buf.size()) {
+        if (pos + kPointBytes > buf.size()) {
             bad = true;
             return p;
         }
-        std::uint8_t inf = buf[pos + 96];
-        if (inf == 0) {
+        // Exactly two encodings per point, so every proof has one byte
+        // string: flag 1 with canonical coordinates, or flag 0 with 96 zero
+        // bytes for the identity.
+        const std::uint8_t flag = buf[pos + 96];
+        if (flag == 0) {
             p.infinity = true;
+            for (std::size_t i = 0; i < 96; ++i)
+                bad = bad || buf[pos + i] != 0;
+        } else if (flag != 1) {
+            bad = true;
         } else {
             auto x = ff::BigInt<6>::fromBytesLe(buf.data() + pos);
             auto y = ff::BigInt<6>::fromBytesLe(buf.data() + pos + 48);
             if (!(x < ff::Fq::modulus()) || !(y < ff::Fq::modulus())) {
                 bad = true;
-                pos += 97;
+                pos += kPointBytes;
                 return p;
             }
             p.x = ff::Fq::fromBig(x);
@@ -169,18 +189,16 @@ class Reader
             if (!p.isOnCurve())
                 bad = true;
         }
-        pos += 97;
+        pos += kPointBytes;
         return p;
     }
 
     std::vector<ec::G1Affine>
     pointVec(std::size_t max_len = 1 << 12)
     {
-        std::uint32_t n = u32();
-        if (n > max_len) {
-            bad = true;
+        const std::uint32_t n = count(max_len, kPointBytes);
+        if (bad)
             return {};
-        }
         std::vector<ec::G1Affine> ps;
         ps.reserve(n);
         for (std::uint32_t i = 0; i < n && !bad; ++i)
@@ -250,8 +268,8 @@ deserializeProof(std::span<const std::uint8_t> bytes)
     if (r.u32() != kMagic || r.u32() != kVersion)
         return std::nullopt;
     HyperPlonkProof proof;
-    std::uint32_t k = r.u32();
-    if (k > 16 || r.failed())
+    const std::uint32_t k = r.count(16, kPointBytes);
+    if (r.failed())
         return std::nullopt;
     for (std::uint32_t i = 0; i < k; ++i)
         proof.witnessComms.push_back(r.commitment());

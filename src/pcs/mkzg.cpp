@@ -70,14 +70,8 @@ msmStreamTables(std::span<const Mle *const> polys,
 Commitment
 commit(const Srs &srs, const Mle &f, ec::MsmStats *stats)
 {
-    const LevelBases &bases = srs.basesFor(f.numVars());
-    if (shouldStreamCommit(f)) {
-        const Mle *one[] = {&f};
-        return Commitment{
-            msmStreamTables(one, bases.suffix[0], stats)[0].toAffine()};
-    }
-    G1Jacobian c = ec::msmPippenger(f.evals(), bases.suffix[0], 0, stats);
-    return Commitment{c.toAffine()};
+    const Mle *one[] = {&f};
+    return commitBatch(srs, one, stats)[0];
 }
 
 Commitment

@@ -41,12 +41,12 @@ struct OpeningProof {
 };
 
 /**
- * Commit to a multilinear polynomial (size-2^mu MSM). Tables on the Mapped
- * backend — or at/above the ambient stream threshold — are committed by the
- * chunk-streaming path automatically: the MSM accumulates one stream chunk
- * of recoded buckets at a time and consumed pages of a mapped table are
- * released, so peak RSS is O(chunk) instead of O(2^mu). The commitment
- * bytes are identical either way.
+ * Commit to a multilinear polynomial (size-2^mu MSM): commitBatch over one
+ * table. Tables on the Mapped backend — or at/above the ambient stream
+ * threshold — are committed by the chunk-streaming path automatically: the
+ * MSM accumulates one stream chunk of recoded buckets at a time and
+ * consumed pages of a mapped table are released, so peak RSS is O(chunk)
+ * instead of O(2^mu). The commitment bytes are identical either way.
  */
 Commitment commit(const Srs &srs, const Mle &f, ec::MsmStats *stats = nullptr);
 
@@ -81,7 +81,8 @@ commitBatchStreamed(const Srs &srs, unsigned mu,
  * (ec::msmBatch) over the shared Lagrange basis: the k witness columns of
  * a HyperPlonk proof are recoded once and the basis points are walked
  * once per window for all of them, instead of k independent passes. Each
- * commitment equals the corresponding commit() result exactly.
+ * commitment equals the corresponding commit() result exactly. This is
+ * where a commit chooses between the one-shot and the chunk-streaming MSM.
  */
 std::vector<Commitment> commitBatch(const Srs &srs,
                                     std::span<const Mle *const> polys,

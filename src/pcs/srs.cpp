@@ -23,10 +23,23 @@ const LevelBases &
 Srs::basesFor(unsigned mu) const
 {
     assert(mu <= maxVars() && "polynomial larger than SRS supports");
-    auto it = cache.find(mu);
-    if (it != cache.end())
-        return it->second;
+    Level *level = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(cache->cacheMu);
+        level = &cache->levels[mu]; // map nodes never move
+    }
+    // One builder per level: callers of a level under construction wait
+    // here, and a throw leaves it unbuilt for the next caller to retry.
+    // Built bases are never written again, so callers read them unlocked.
+    std::lock_guard<std::mutex> build(level->buildMu);
+    if (level->bases.suffix.empty())
+        level->bases = buildLevel(mu);
+    return level->bases;
+}
 
+LevelBases
+Srs::buildLevel(unsigned mu) const
+{
     LevelBases level;
     level.suffix.resize(mu + 1);
     for (unsigned s = 0; s <= mu; ++s) {
@@ -42,7 +55,7 @@ Srs::basesFor(unsigned mu) const
             0, 16);
         level.suffix[s] = ec::batchToAffine(jac);
     }
-    return cache.emplace(mu, std::move(level)).first->second;
+    return level;
 }
 
 void

@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "ec/fixed_base.hpp"
@@ -49,17 +50,34 @@ class Srs
     unsigned maxVars() const { return unsigned(tauVec.size()); }
     const std::vector<Fr> &tau() const { return tauVec; }
 
-    /** Lagrange bases for mu-variable polynomials (built lazily, cached). */
+    /**
+     * Lagrange bases for mu-variable polynomials, built on first use and
+     * cached. Thread-safe: concurrent callers of one level wait for a
+     * single build, and different levels build concurrently.
+     */
     const LevelBases &basesFor(unsigned mu) const;
 
     /** The G1 generator the bases are built over. */
     const G1Affine &generator() const { return gen; }
 
   private:
+    /** One cached level; its bases are empty until built. */
+    struct Level {
+        std::mutex buildMu; ///< Guards bases until they are built.
+        LevelBases bases;
+    };
+    /** Level map behind a pointer so Srs stays movable. */
+    struct LevelCache {
+        std::mutex cacheMu; ///< Guards the map's shape; a leaf lock.
+        std::map<unsigned, Level> levels;
+    };
+
+    LevelBases buildLevel(unsigned mu) const;
+
     std::vector<Fr> tauVec;
     G1Affine gen;
     std::unique_ptr<ec::FixedBaseMul> genMul;
-    mutable std::map<unsigned, LevelBases> cache;
+    std::unique_ptr<LevelCache> cache = std::make_unique<LevelCache>();
 };
 
 /** Absorb a G1 point into a Fiat-Shamir transcript (x || y || inf byte). */

@@ -42,13 +42,8 @@ class ThreadPool
     /**
      * @param threads Total parallelism including the caller; N spawns N-1
      *                workers. 0 means defaultThreads().
-     * @param numa_node With ZKPHIRE_NUMA enabled (rt/numa.hpp): -1 pins
-     *                  workers round-robin across nodes (the global pool's
-     *                  policy), >= 0 pins every worker to that node (a
-     *                  ProofService lane's private pool). With NUMA
-     *                  disabled — the default — placement is untouched.
      */
-    explicit ThreadPool(unsigned threads = 0, int numa_node = -1);
+    explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;

@@ -49,7 +49,7 @@ CpuModel::sumcheckMs(const PolyShape &shape, unsigned mu) const
 double
 CpuModel::msmFieldMuls(const MsmWorkload &wl)
 {
-    // Mirrors ec::msmPippengerOpt since the PR 4/5/7 overhauls:
+    // Mirrors ec::MsmAccumulator since the PR 4/5/7 overhauls:
     // signed-digit recoding (2^(c-1) buckets), batched-affine bucket
     // accumulation for dense scalars, the trivial-scalar fast path (zeros
     // skipped, ones one mixed add), a per-bucket mixed + full Jacobian

@@ -9,6 +9,7 @@
 #include "ec/g1.hpp"
 #include "ec/msm.hpp"
 #include "ec/recode.hpp"
+#include "rt/parallel.hpp"
 
 using namespace zkphire::ec;
 using zkphire::ff::Fq;
@@ -121,8 +122,8 @@ TEST_P(MsmSizes, PippengerMatchesNaive)
     G1Jacobian expect = msmNaive(scalars, points);
     EXPECT_EQ(msmPippenger(scalars, points), expect);
     // Explicit window sizes must agree too.
-    EXPECT_EQ(msmPippenger(scalars, points, 4), expect);
-    EXPECT_EQ(msmPippenger(scalars, points, 9), expect);
+    EXPECT_EQ(msmPippenger(scalars, points, {.windowBits = 4}), expect);
+    EXPECT_EQ(msmPippenger(scalars, points, {.windowBits = 9}), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MsmSizes,
@@ -143,7 +144,7 @@ TEST(Msm, SparseScalarsFastPath)
         points.push_back(randomG1(rng));
     }
     MsmStats stats;
-    G1Jacobian got = msmPippenger(scalars, points, 0, &stats);
+    G1Jacobian got = msmPippenger(scalars, points, {}, &stats);
     EXPECT_EQ(got, msmNaive(scalars, points));
     EXPECT_GT(stats.trivialScalars, n / 2);
     EXPECT_EQ(stats.trivialScalars + stats.denseScalars, n);
@@ -171,7 +172,7 @@ TEST(Msm, StatsCountBucketWork)
         points.push_back(randomG1(rng));
     }
     MsmStats stats;
-    msmPippenger(scalars, points, 8, &stats);
+    msmPippenger(scalars, points, {.windowBits = 8}, &stats);
     EXPECT_EQ(stats.denseScalars, n);
     // 255-bit scalars, c=8 -> 32 windows; each dense scalar contributes at
     // most one bucket add per window.
@@ -329,16 +330,12 @@ TEST(Msm, ModesAgreeWithNaive)
     }
     G1Jacobian expect = msmNaive(scalars, points);
 
-    MsmOptions unsigned_mode{.signedDigits = false, .batchAffine = false};
-    MsmOptions signed_jac{.signedDigits = true, .batchAffine = false};
-    MsmOptions signed_ba{.signedDigits = true, .batchAffine = true,
-                         .batchAffineMinPoints = 0};
+    MsmOptions signed_jac{.batchAffine = false};
+    MsmOptions signed_ba{.batchAffine = true, .batchAffineMinPoints = 0};
     for (unsigned c : {0u, 4u, 9u}) {
-        unsigned_mode.windowBits = signed_jac.windowBits =
-            signed_ba.windowBits = c;
-        EXPECT_EQ(msmPippengerOpt(scalars, points, unsigned_mode), expect);
-        EXPECT_EQ(msmPippengerOpt(scalars, points, signed_jac), expect);
-        EXPECT_EQ(msmPippengerOpt(scalars, points, signed_ba), expect);
+        signed_jac.windowBits = signed_ba.windowBits = c;
+        EXPECT_EQ(msmPippenger(scalars, points, signed_jac), expect);
+        EXPECT_EQ(msmPippenger(scalars, points, signed_ba), expect);
     }
 }
 
@@ -354,7 +351,7 @@ TEST(Msm, BatchAffineCountsAffineAdds)
         points.push_back(i % 8 == 0 ? randomG1(rng) : base);
     }
     MsmStats stats;
-    G1Jacobian got = msmPippenger(scalars, points, 0, &stats);
+    G1Jacobian got = msmPippenger(scalars, points, {}, &stats);
     EXPECT_EQ(got, msmNaive(scalars, points));
     EXPECT_GT(stats.affineAdds, 0u);
     EXPECT_GT(stats.batchInversions, 0u);
@@ -383,12 +380,11 @@ TEST(Msm, BatchMatchesIndependentColumns)
     std::vector<std::span<const Fr>> spans(cols.begin(), cols.end());
 
     for (const MsmOptions &opts :
-         {MsmOptions{}, MsmOptions{.batchAffineMinPoints = 0},
-          MsmOptions{.signedDigits = false, .batchAffine = false}}) {
+         {MsmOptions{}, MsmOptions{.batchAffineMinPoints = 0}}) {
         auto batch = msmBatch(spans, points, opts);
         ASSERT_EQ(batch.size(), cols.size());
         for (std::size_t j = 0; j < cols.size(); ++j) {
-            G1Jacobian solo = msmPippengerOpt(cols[j], points, opts);
+            G1Jacobian solo = msmPippenger(cols[j], points, opts);
             // Bit-identical, not just equal as curve points: a batch run
             // must replay each column's exact serial operation sequence.
             EXPECT_EQ(batch[j].X, solo.X) << "col " << j;
@@ -457,29 +453,6 @@ TEST(Msm, BatchEdgeCases)
             .isIdentity());
 }
 
-TEST(Msm, ParallelForwardsStats)
-{
-    Rng rng(86);
-    const std::size_t n = 256;
-    std::vector<Fr> scalars;
-    std::vector<G1Affine> points;
-    for (std::size_t i = 0; i < n; ++i) {
-        scalars.push_back(Fr::random(rng));
-        points.push_back(randomG1(rng));
-    }
-    MsmStats direct, via_parallel;
-    msmPippenger(scalars, points, 0, &direct);
-    msmPippengerParallel(scalars, points, zkphire::rt::Config{.threads = 3},
-                         0, &via_parallel);
-    // The parallel wrapper must forward its stats sink (it used to drop
-    // it, undercounting the prover's MSM work).
-    EXPECT_EQ(via_parallel.pointAdds, direct.pointAdds);
-    EXPECT_EQ(via_parallel.pointDoubles, direct.pointDoubles);
-    EXPECT_EQ(via_parallel.affineAdds, direct.affineAdds);
-    EXPECT_EQ(via_parallel.denseScalars, direct.denseScalars);
-    EXPECT_GT(via_parallel.pointAdds, 0u);
-}
-
 TEST(Msm, ParallelMatchesSerial)
 {
     Rng rng(74);
@@ -492,11 +465,10 @@ TEST(Msm, ParallelMatchesSerial)
         points.push_back(i % 16 == 0 ? randomG1(rng) : base);
     }
     G1Jacobian serial = msmPippenger(scalars, points);
-    using zkphire::rt::Config;
-    EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 4}),
-              serial);
-    EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 1}),
-              serial);
-    EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 24}),
-              serial);
+    for (unsigned threads : {4u, 1u, 24u}) {
+        zkphire::rt::ScopedConfig scope(
+            zkphire::rt::Config{.threads = threads});
+        EXPECT_EQ(msmPippenger(scalars, points), serial)
+            << "threads " << threads;
+    }
 }

@@ -11,11 +11,12 @@
  *     identical to the one-shot hyperplonk::prove path — the service may
  *     move work between lanes but may never move the transcript.
  *
- * The lifecycle and hot-swap tests are the TSan targets (-DZKPHIRE_TSAN CI
- * leg runs every test_engine* suite).
+ * The lifecycle, hot-swap and SRS-level tests are the TSan targets
+ * (-DZKPHIRE_TSAN CI leg runs every test_engine* suite).
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -74,6 +75,40 @@ makeBlocker(std::uint64_t seed)
 }
 
 } // namespace
+
+TEST(SrsLevels, ConcurrentFirstUseMatchesSerialBuild)
+{
+    // Two lanes proving a new size for the first time both reach
+    // Srs::basesFor for levels nobody has built yet: different levels must
+    // build concurrently without a race, and two callers of one level must
+    // share a single build.
+    const auto generate = [] {
+        Rng rng(0x5e1e7);
+        return pcs::Srs::generate(7, rng);
+    };
+    const pcs::Srs serial = generate();
+    const pcs::Srs concurrent = generate();
+    const unsigned levels[] = {6, 7, 7};
+    constexpr std::size_t kCallers = std::size(levels);
+    std::array<const pcs::LevelBases *, kCallers> got{};
+    std::atomic<bool> go{false};
+    {
+        std::vector<std::thread> callers;
+        for (std::size_t t = 0; t < kCallers; ++t)
+            callers.emplace_back([&, t] {
+                while (!go.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+                got[t] = &concurrent.basesFor(levels[t]);
+            });
+        go.store(true, std::memory_order_release);
+        for (std::thread &c : callers)
+            c.join();
+    }
+    EXPECT_EQ(got[1], got[2]) << "one level, one cached copy";
+    for (std::size_t t = 0; t < kCallers; ++t)
+        EXPECT_EQ(got[t]->suffix, serial.basesFor(levels[t]).suffix)
+            << "level " << levels[t];
+}
 
 TEST(LatencyHistogram, QuantilesAndMerge)
 {

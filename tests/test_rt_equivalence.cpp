@@ -184,11 +184,13 @@ TEST(RtEquivalence, MsmPippengerBitIdenticalAcrossThreads)
         points.push_back(ec::randomG1(rng));
     }
 
-    ec::G1Jacobian serial =
-        ec::msmPippengerParallel(scalars, points, rt::Config{.threads = 1});
+    const auto msmAt = [&](unsigned threads) {
+        rt::ScopedConfig scope(rt::Config{.threads = threads});
+        return ec::msmPippenger(scalars, points);
+    };
+    ec::G1Jacobian serial = msmAt(1);
     for (unsigned threads : kThreadCounts) {
-        ec::G1Jacobian par = ec::msmPippengerParallel(
-            scalars, points, rt::Config{.threads = threads});
+        ec::G1Jacobian par = msmAt(threads);
         // Stronger than curve-point equality: the window fold replays the
         // serial operation order, so raw Jacobian coordinates must match.
         EXPECT_EQ(par.X, serial.X);
@@ -200,11 +202,11 @@ TEST(RtEquivalence, MsmPippengerBitIdenticalAcrossThreads)
     ec::MsmStats s1, s4;
     {
         rt::ScopedThreads one(1);
-        ec::msmPippenger(scalars, points, 0, &s1);
+        ec::msmPippenger(scalars, points, {}, &s1);
     }
     {
         rt::ScopedThreads four(4);
-        ec::msmPippenger(scalars, points, 0, &s4);
+        ec::msmPippenger(scalars, points, {}, &s4);
     }
     EXPECT_EQ(s1.pointAdds, s4.pointAdds);
     EXPECT_EQ(s1.pointDoubles, s4.pointDoubles);
