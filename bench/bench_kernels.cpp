@@ -24,6 +24,7 @@
 #include "gates/gate_library.hpp"
 #include "hash/keccak.hpp"
 #include "hyperplonk/circuit.hpp"
+#include "pcs/srs.hpp"
 #include "poly/gate_plan.hpp"
 #include "poly/virtual_poly.hpp"
 #include "rt/parallel.hpp"
@@ -404,6 +405,24 @@ BM_EqTableBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EqTableBuild)->Arg(12)->Arg(16);
+
+static void
+BM_SrsLevel(benchmark::State &state)
+{
+    // The SRS share of one proof size's set-up, on one thread: a fresh SRS
+    // (its fixed-base table included) builds level mu, which the keys are
+    // committed under, and then mu + 1, which every proof's v commit needs.
+    // Preprocessing builds both, in this order.
+    const unsigned mu = unsigned(state.range(0));
+    rt::ScopedConfig scope(rt::Config{.threads = 1});
+    Rng rng(10);
+    for (auto _ : state) {
+        const pcs::Srs srs = pcs::Srs::generate(mu + 1, rng);
+        srs.basesFor(mu);
+        benchmark::DoNotOptimize(&srs.basesFor(mu + 1));
+    }
+}
+BENCHMARK(BM_SrsLevel)->Arg(10)->Arg(14)->Unit(benchmark::kMillisecond);
 
 static void
 BM_SumcheckProver(benchmark::State &state)

@@ -15,7 +15,7 @@ FixedBaseMul::FixedBaseMul(const G1Affine &base)
     numWindows = signedDigitWindows(scalar_bits, windowBits);
 
     // Positive magnitudes in Jacobian form: jac[w*halfDigits + d - 1] =
-    // d * 16^w * B. The d = 8 entry doubles into the next window's base.
+    // d * 256^w * B. The d = 128 entry doubles into the next window's base.
     std::vector<G1Jacobian> jac(numWindows * halfDigits);
     G1Jacobian window_base = G1Jacobian::fromAffine(base);
     for (std::size_t w = 0; w < numWindows; ++w) {
@@ -56,26 +56,21 @@ FixedBaseMul::FixedBaseMul(const G1Affine &base)
     }
 }
 
-namespace {
-
-inline void
-addDigit(G1Jacobian &acc, const std::array<G1Affine, 16> &win,
-         std::int32_t d, unsigned half)
+void
+FixedBaseMul::addDigit(G1Jacobian &acc, const Window &win, std::int32_t d)
 {
     if (d > 0)
         acc = acc.addMixed(win[unsigned(d) - 1]);
     else if (d < 0)
-        acc = acc.addMixed(win[half + unsigned(-d) - 1]);
+        acc = acc.addMixed(win[halfDigits + unsigned(-d) - 1]);
 }
-
-} // namespace
 
 G1Jacobian
 FixedBaseMul::mul(const Fr &k) const
 {
-    // 255-bit scalars at c = 4 need at most signedDigitWindows(255, 4) = 64
-    // digits; the GLV halves use 33 each.
-    std::int32_t digits[2][64];
+    // 255-bit scalars need at most signedDigitWindows(255, 8) = 32 digits;
+    // the GLV halves use 17 each.
+    std::int32_t digits[2][signedDigitWindows(255, windowBits)];
     G1Jacobian acc = G1Jacobian::identity();
     if (useGlv) {
         ff::BigInt<4> k1, k2;
@@ -83,13 +78,13 @@ FixedBaseMul::mul(const Fr &k) const
         recodeSignedDigits(k1, windowBits, numWindows, digits[0], 1);
         recodeSignedDigits(k2, windowBits, numWindows, digits[1], 1);
         for (std::size_t w = 0; w < numWindows; ++w) {
-            addDigit(acc, table[w], digits[0][w], halfDigits);
-            addDigit(acc, phiTable[w], digits[1][w], halfDigits);
+            addDigit(acc, table[w], digits[0][w]);
+            addDigit(acc, phiTable[w], digits[1][w]);
         }
     } else {
         recodeSignedDigits(k.toBig(), windowBits, numWindows, digits[0], 1);
         for (std::size_t w = 0; w < numWindows; ++w)
-            addDigit(acc, table[w], digits[0][w], halfDigits);
+            addDigit(acc, table[w], digits[0][w]);
     }
     return acc;
 }

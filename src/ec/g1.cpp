@@ -24,6 +24,17 @@ G1Affine::isOnCurve() const
     return y.square() == x.square() * x + curveB();
 }
 
+bool
+G1Affine::isInSubgroup() const
+{
+    // [lambda]P comes from the plain walk: mulScalar's GLV split assumes P
+    // is in G1 already.
+    const G1Jacobian p = G1Jacobian::fromAffine(*this);
+    if (!glv::available())
+        return p.mulScalarPlain(Fr::zero() - Fr::one()).add(p).isIdentity();
+    return glv::endomorphism(p) == p.mulScalarPlain(glv::params().lambdaFr);
+}
+
 // zkphire-lint: ct-exempt(equality on public/normalized points: commitments, oracle checks, tests)
 bool
 G1Affine::operator==(const G1Affine &o) const

@@ -32,6 +32,15 @@ struct G1Affine {
     /** Membership test: y^2 == x^3 + 4 (identity passes). */
     bool isOnCurve() const;
 
+    /**
+     * Membership in the prime-order subgroup G1 (identity passes). The
+     * curve has cofactor (z - 1)^2 / 3, about 2^126, so most points that
+     * pass isOnCurve fail this. The test is phi(P) == [lambda]P, which
+     * holds on G1 (glv.hpp); without the GLV parameters it is [r]P == O.
+     * @pre isOnCurve().
+     */
+    bool isInSubgroup() const;
+
     bool operator==(const G1Affine &o) const;
 };
 

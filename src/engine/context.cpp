@@ -22,6 +22,11 @@ ProverContext::preprocess(const hyperplonk::Circuit &circuit)
     assert(srsRef != nullptr && "attach an SRS before preprocessing");
     rt::ScopedConfig scope(config());
     hyperplonk::Keys keys = hyperplonk::setup(circuit, *srsRef);
+    // Every proof's v commit is over mu + 1 variables. Building that level
+    // now, with level mu just built, derives half of it from level mu and
+    // keeps the build out of the first proof.
+    if (keys.pk.mu < srsRef->maxVars())
+        srsRef->basesFor(keys.pk.mu + 1);
     std::lock_guard<std::mutex> lock(keysMu);
     ownedKeys.push_back(std::move(keys));
     return ownedKeys.back();

@@ -78,7 +78,9 @@ class ProverContext
     /**
      * Preprocess a circuit against the attached SRS ("indexing"). The
      * returned Keys are owned by the context and stay valid — at a stable
-     * address — for its lifetime.
+     * address — for its lifetime. Also builds the SRS level mu + 1 the
+     * circuit's proofs commit under, when the SRS covers it, so the first
+     * proof pays no set-up cost.
      */
     const hyperplonk::Keys &preprocess(const hyperplonk::Circuit &circuit);
 

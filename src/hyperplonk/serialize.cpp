@@ -186,7 +186,7 @@ class Reader
             p.x = ff::Fq::fromBig(x);
             p.y = ff::Fq::fromBig(y);
             p.infinity = false;
-            if (!p.isOnCurve())
+            if (!p.isOnCurve() || !p.isInSubgroup())
                 bad = true;
         }
         pos += kPointBytes;

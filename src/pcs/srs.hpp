@@ -5,7 +5,10 @@
  *
  * The SRS holds the Lagrange-basis G1 points L_i = eq(tau, bits(i)) * G for
  * the full variable vector and for every variable suffix (the bases the
- * per-variable quotient proofs are committed under). tau itself is retained
+ * per-variable quotient proofs are committed under). Only the points the
+ * eq table's marginalization identities cannot give are fixed-base
+ * multiplies; the rest are batched affine sums of points already built
+ * (DESIGN.md "SRS levels"). tau itself is retained
  * as the *simulation trapdoor*: the paper's accelerator only ever runs the
  * prover, and our testing verifier checks the KZG identity directly in G1
  * using tau instead of a pairing (see DESIGN.md substitutions). A production
@@ -14,9 +17,11 @@
 #ifndef ZKPHIRE_PCS_SRS_HPP
 #define ZKPHIRE_PCS_SRS_HPP
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "ec/fixed_base.hpp"
@@ -53,7 +58,10 @@ class Srs
     /**
      * Lagrange bases for mu-variable polynomials, built on first use and
      * cached. Thread-safe: concurrent callers of one level wait for a
-     * single build, and different levels build concurrently.
+     * single build, and different levels build concurrently. A level
+     * built while level mu - 1 is already built derives its lower half
+     * from it, for half the fixed-base multiplies of a build from
+     * scratch. The bases are the same bytes in every build order.
      */
     const LevelBases &basesFor(unsigned mu) const;
 
@@ -64,6 +72,9 @@ class Srs
     /** One cached level; its bases are empty until built. */
     struct Level {
         std::mutex buildMu; ///< Guards bases until they are built.
+        /** Set (release) once bases are final; they are never written
+         *  again, so an acquire load lets any thread read them. */
+        std::atomic<bool> built{false};
         LevelBases bases;
     };
     /** Level map behind a pointer so Srs stays movable. */
@@ -73,6 +84,10 @@ class Srs
     };
 
     LevelBases buildLevel(unsigned mu) const;
+    /** Level mu's bases if a build has finished, else null. Never waits. */
+    const LevelBases *builtBases(unsigned mu) const;
+    /** [e] G for every e in eq, with one shared normalization. */
+    std::vector<G1Affine> lift(std::span<const Fr> eq) const;
 
     std::vector<Fr> tauVec;
     G1Affine gen;

@@ -198,8 +198,14 @@ FrTable::operator=(FrTable &&o) noexcept
     return *this;
 }
 
-FrTable::FrTable(const FrTable &o) : FrTable(make(o.size_, o.kind()))
+FrTable::FrTable(const FrTable &o)
 {
+    // Copies handed to a VirtualPoly go back to the arena with it, so they
+    // come from the arena too; otherwise the pool grows with every proof.
+    if (o.size_ != 0 && t_arena != nullptr)
+        *this = t_arena->acquire(o.size_, o.kind());
+    else
+        *this = make(o.size_, o.kind());
     if (size_ != 0)
         std::memcpy(ptr_, o.ptr_, size_ * sizeof(Fr));
 }
@@ -460,14 +466,14 @@ FrTable::operator==(const FrTable &o) const
 // ---------------------------------------------------------------------------
 
 FrTable
-BufferArena::acquire(std::size_t n)
+BufferArena::acquire(std::size_t n, std::optional<StoreKind> kind)
 {
     {
         std::lock_guard<std::mutex> lk(arenaMu);
         std::size_t best = free_.size();
         for (std::size_t i = 0; i < free_.size(); ++i) {
             const std::size_t cap = free_[i].capacity();
-            if (cap >= n &&
+            if (cap >= n && (!kind || free_[i].kind() == *kind) &&
                 (best == free_.size() || cap < free_[best].capacity()))
                 best = i;
         }
@@ -480,7 +486,7 @@ BufferArena::acquire(std::size_t n)
         }
     }
     g_arenaMisses.fetch_add(1, std::memory_order_relaxed);
-    return FrTable::make(n);
+    return kind ? FrTable::make(n, *kind) : FrTable::make(n);
 }
 
 void

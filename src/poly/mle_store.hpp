@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -79,7 +80,9 @@ StoreCounters storeCounters();
 /**
  * A dense table of Fr values behind the Ram/Mapped backend seam.
  * Move-only-cheap (moves steal the backing), copyable (deep copy, same
- * backend). resize preserves the prefix and zero-fills growth, matching
+ * backend, storage from the ambient arena when one is installed, so a
+ * copy the arena later takes back does not grow its pool). resize
+ * preserves the prefix and zero-fills growth, matching
  * std::vector semantics; on the Mapped backend a shrink additionally
  * releases the tail pages (madvise(MADV_DONTNEED)), which is what keeps
  * the sumcheck fold chain's RSS proportional to the live half.
@@ -168,8 +171,10 @@ class BufferArena
     BufferArena &operator=(const BufferArena &) = delete;
 
     /** Smallest free table with capacity >= n, resized to n; a fresh
-     *  policy-routed allocation when none fits. */
-    FrTable acquire(std::size_t n);
+     *  policy-routed allocation when none fits. With a kind, only tables
+     *  on that backend fit, and a miss allocates on it. */
+    FrTable acquire(std::size_t n,
+                    std::optional<StoreKind> kind = std::nullopt);
     /** Return a table to the free list (empty tables are dropped). */
     void release(FrTable &&t);
     /** Drop every pooled table. */

@@ -104,6 +104,41 @@ TEST(ProverContext, PreprocessOwnsKeysAndProves)
     EXPECT_TRUE(verify(keys.vk, ctx.prove(keys.pk, c)).ok);
 }
 
+TEST(ProverContext, ArenaPoolStopsGrowingAcrossProofs)
+{
+    // Each proof hands its sumchecks copies of the selector, witness and
+    // permutation tables, and the sumchecks release every table they hold
+    // into the context's arena. The copies draw their storage from that
+    // arena too, so the pool settles instead of growing with every proof,
+    // in RAM and with every table on the streaming backend.
+    Rng rng(803);
+    const Circuit c = randomVanillaCircuit(10, rng);
+    Rng srsRng(0x5e55105);
+    const pcs::Srs srs = pcs::Srs::generate(11, srsRng);
+    std::vector<std::uint8_t> reference;
+    for (const bool streamed : {false, true}) {
+        rt::Config cfg;
+        if (streamed) {
+            cfg.streamThreshold = 1;
+            cfg.streamChunk = std::size_t(1) << 12;
+        }
+        engine::ProverContext ctx(srs, cfg);
+        const Keys &keys = ctx.preprocess(c);
+        std::size_t pooledAfterThird = 0;
+        for (int proof = 1; proof <= 7; ++proof) {
+            const auto bytes = proofBytes(ctx.prove(keys.pk, c));
+            if (reference.empty())
+                reference = bytes;
+            EXPECT_EQ(bytes, reference)
+                << "proof " << proof << ", streamed " << streamed;
+            if (proof == 3)
+                pooledAfterThird = ctx.arena().pooled();
+        }
+        EXPECT_LE(ctx.arena().pooled(), pooledAfterThird)
+            << "streamed " << streamed;
+    }
+}
+
 TEST(ProverContext, PlanCacheIsPerContext)
 {
     const gates::Gate vanilla = gates::vanillaCoreGate();

@@ -3,12 +3,15 @@
  * Fault-tolerance tests: failpoint injection, cooperative cancellation,
  * retry-with-degradation.
  *
- * Four families:
+ * Five families:
  *   - Failpoint mechanics: schedule parsing, trigger modes (nth / seeded
  *     probability / fire caps), exception-kind mapping, hit counters.
  *   - Slab-store degradation: injected ENOSPC at slab creation falls back
  *     to the Ram backend; injected failure at slab growth migrates the
  *     live data to RAM instead of throwing mid-proof.
+ *   - SRS level builds: preprocessing builds both levels a circuit's
+ *     proofs need, and a failed build propagates and leaves the level
+ *     for a retry to build.
  *   - Service recovery: injected prover throws resolve typed ProverError
  *     without poisoning the lane; cancel(jobId) resolves queued jobs
  *     immediately and running jobs at the next round boundary; deadlines
@@ -336,6 +339,58 @@ TEST_F(FaultTest, ProducerFaultPropagatesAcrossPrefetchThread)
     // The pipeline unwound cleanly: the next call succeeds and matches.
     rt::clearFailpoints();
     EXPECT_EQ(pcs::commitBatchStreamed(sharedSrs(), mu, producers), reference);
+}
+
+TEST_F(FaultTest, PreprocessBuildsBothSrsLevelsAndTheFirstProofNone)
+{
+    // srs.level is hit once per level build. Preprocessing builds level mu
+    // for the keys and level mu + 1 for the proofs' v commit, so the first
+    // proof builds nothing.
+    Rng rng(0x5e1f);
+    const pcs::Srs srs = pcs::Srs::generate(6, rng);
+    Rng circuitRng(7003);
+    const Circuit c = randomVanillaCircuit(5, circuitRng);
+    engine::ProverContext ctx(srs, {.threads = 1});
+    rt::setFailpoint("srs.level", FailSpec{.p = 0.0});
+    const Keys &keys = ctx.preprocess(c);
+    EXPECT_EQ(rt::failpointHits("srs.level"), 2u);
+    const HyperPlonkProof proof = ctx.prove(keys.pk, c);
+    EXPECT_EQ(rt::failpointHits("srs.level"), 2u);
+    EXPECT_TRUE(verify(keys.vk, proof).ok);
+}
+
+TEST_F(FaultTest, SrsLevelFaultPropagatesAndPreprocessRetries)
+{
+    // A failed level build leaves the level unbuilt: the fault reaches the
+    // preprocess caller, and a retry builds the same bases and keys as a
+    // fault-free run. nth = 1 fails level mu; nth = 2 fails level mu + 1
+    // after level mu is built.
+    const auto generate = [] {
+        Rng rng(0x5e1f);
+        return pcs::Srs::generate(6, rng);
+    };
+    Rng circuitRng(7004);
+    const Circuit c = randomVanillaCircuit(5, circuitRng);
+    const pcs::Srs cleanSrs = generate();
+    engine::ProverContext clean(cleanSrs, {.threads = 1});
+    const Keys &reference = clean.preprocess(c);
+    const auto referenceProof = proofBytes(clean.prove(reference.pk, c));
+    for (const std::uint64_t nth : {1u, 2u}) {
+        const pcs::Srs srs = generate();
+        engine::ProverContext ctx(srs, {.threads = 1});
+        rt::setFailpoint("srs.level", FailSpec{.nth = nth});
+        EXPECT_THROW(ctx.preprocess(c), rt::InjectedFault) << "nth " << nth;
+        EXPECT_EQ(rt::failpointFires("srs.level"), 1u) << "nth " << nth;
+        rt::clearFailpoints();
+        const Keys &keys = ctx.preprocess(c);
+        EXPECT_EQ(keys.pk.selectorComms, reference.pk.selectorComms);
+        EXPECT_EQ(keys.pk.sigmaComms, reference.pk.sigmaComms);
+        for (unsigned mu : {5u, 6u})
+            EXPECT_EQ(srs.basesFor(mu).suffix, cleanSrs.basesFor(mu).suffix)
+                << "nth " << nth << ", level " << mu;
+        EXPECT_EQ(proofBytes(ctx.prove(keys.pk, c)), referenceProof)
+            << "nth " << nth;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@
  * half-width bounds, edge scalars), the curve endomorphism phi(x,y) =
  * (beta*x, y) acting as multiplication by lambda, GLV-vs-plain MSM
  * equivalence on both bucket pipelines, the GLV-split fixed-base
- * multiplier, and batch affine normalization.
+ * multiplier, the G1 subgroup check, and batch affine normalization.
  */
 #include <gtest/gtest.h>
 
+#include "curve_points.hpp"
 #include "ec/fixed_base.hpp"
 #include "ec/glv.hpp"
 #include "ec/msm.hpp"
@@ -177,13 +178,57 @@ TEST(Glv, FixedBaseMulMatchesMulScalar)
     const G1Affine base = randomG1(rng);
     const FixedBaseMul fb(base);
     const G1Jacobian jb = G1Jacobian::fromAffine(base);
-    std::vector<Fr> cases = {Fr::zero(), Fr::one(), Fr::fromU64(2),
-                             glv::params().lambdaFr,
+    const auto hex = [](const char *h) {
+        return Fr::fromBig(BigInt<4>::fromHex(h));
+    };
+    const Fr lambda = glv::params().lambdaFr;
+    std::vector<Fr> cases = {Fr::zero(), Fr::one(), Fr::fromU64(2), lambda,
                              Fr::zero() - Fr::one()}; // r - 1
+    // 8-bit window boundaries: the largest positive digit (128), the first
+    // digits that borrow (129, 255) and carry into the next window (256),
+    // and the edges of the 128-bit GLV halves.
+    for (std::uint64_t k : {127, 128, 129, 255, 256})
+        cases.push_back(Fr::fromU64(k));
+    cases.push_back(hex("0x80000000000000000000000000000000"));  // 2^127
+    cases.push_back(hex("0xffffffffffffffffffffffffffffffff"));  // 2^128 - 1
+    cases.push_back(hex("0x100000000000000000000000000000000")); // 2^128
+    cases.push_back(lambda - Fr::one());
+    cases.push_back(lambda + Fr::one());
     for (int i = 0; i < 200; ++i)
         cases.push_back(Fr::random(rng));
     for (const Fr &k : cases)
         EXPECT_EQ(fb.mul(k), jb.mulScalar(k)) << k.toBig().toHex();
+}
+
+TEST(Glv, SubgroupCheckMatchesOrderOracle)
+{
+    // The cofactor (z - 1)^2 / 3, written with lambda = z^2 - 1 and
+    // BLS12-381's negative z = -0xd201000000010000.
+    const Fr lambda = glv::params().lambdaFr;
+    const Fr absZ = Fr::fromU64(0xd201000000010000ull);
+    const Fr cofactor =
+        (lambda + absZ + absZ + Fr::fromU64(2)) * Fr::fromU64(3).inverse();
+    const BigInt<4> knownCofactor =
+        BigInt<4>::fromHex("0x396c8c005555e1568c00aaab0000aaab");
+    EXPECT_EQ(cofactor.toBig().toHex(), knownCofactor.toHex());
+
+    EXPECT_TRUE(G1Affine{}.isInSubgroup());
+    const G1Affine order3{ff::Fq::zero(), ff::Fq::fromU64(2), false};
+    ASSERT_TRUE(order3.isOnCurve());
+    EXPECT_FALSE(oracle::orderDividesR(order3));
+    EXPECT_FALSE(order3.isInSubgroup());
+
+    Rng rng(999);
+    for (int i = 0; i < 40; ++i) {
+        const G1Affine p = oracle::curvePointFrom(ff::Fq::random(rng));
+        ASSERT_TRUE(p.isOnCurve());
+        EXPECT_FALSE(oracle::orderDividesR(p));
+        EXPECT_FALSE(p.isInSubgroup()) << "off-subgroup point " << i;
+        const G1Affine cleared =
+            G1Jacobian::fromAffine(p).mulScalarPlain(cofactor).toAffine();
+        EXPECT_TRUE(oracle::orderDividesR(cleared));
+        EXPECT_TRUE(cleared.isInSubgroup()) << "cleared point " << i;
+    }
 }
 
 TEST(Glv, BatchToAffineMatchesPerPoint)

@@ -11,6 +11,7 @@
 #include "hyperplonk/prover.hpp"
 #include "hyperplonk/verifier.hpp"
 #include "pcs/mkzg.hpp"
+#include "srs_oracle.hpp"
 
 using namespace zkphire;
 using namespace zkphire::hyperplonk;
@@ -145,6 +146,36 @@ TEST(Pcs, BatchOpenRoundTrip)
     values[1] += Fr::one();
     EXPECT_FALSE(
         pcs::verifyBatchOpening(sharedSrs(), cs, z, values, rho, proof));
+}
+
+TEST(SrsLevels, EveryBuildOrderMatchesTheOracle)
+{
+    // A level is derived from the one below when that one is built first,
+    // and from scratch otherwise; all three orders give the oracle's bytes.
+    const auto generate = [] {
+        Rng rng(0x5e1e7);
+        return pcs::Srs::generate(9, rng);
+    };
+    const pcs::Srs reference = generate();
+    std::vector<pcs::LevelBases> expected;
+    for (unsigned mu = 0; mu <= 9; ++mu)
+        expected.push_back(oracle::srsLevelOracle(reference, mu));
+    for (unsigned mu = 1; mu <= 9; ++mu) {
+        const pcs::Srs alone = generate();
+        EXPECT_EQ(alone.basesFor(mu).suffix, expected[mu].suffix)
+            << "level " << mu << " alone";
+
+        const pcs::Srs after = generate();
+        after.basesFor(mu - 1);
+        EXPECT_EQ(after.basesFor(mu).suffix, expected[mu].suffix)
+            << "level " << mu << " after " << mu - 1;
+
+        const pcs::Srs before = generate();
+        EXPECT_EQ(before.basesFor(mu).suffix, expected[mu].suffix)
+            << "level " << mu << " before " << mu - 1;
+        EXPECT_EQ(before.basesFor(mu - 1).suffix, expected[mu - 1].suffix)
+            << "level " << mu - 1 << " after " << mu;
+    }
 }
 
 TEST(Circuit, GadgetsProduceSatisfyingRows)

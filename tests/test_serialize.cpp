@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "curve_points.hpp"
 #include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
 
@@ -385,6 +386,31 @@ TEST(SerializeMutation, EveryFlagByteHasOneEncoding)
             EXPECT_FALSE(deserializeProof(m).has_value())
                 << "flag at " << off << " set to " << int(flag);
         }
+    }
+}
+
+TEST(SerializeMutation, OffSubgroupPointsFailToParse)
+{
+    // A point on the curve but outside G1 passes the on-curve check, so
+    // only the subgroup check stands between it and the verifier. In the
+    // same position a G1 point parses (and then fails to verify).
+    const auto bytes = serializeProof(fixture().proof);
+    Rng rng(0x5ab9);
+    const auto put = [&](std::size_t at, const ec::G1Affine &p) {
+        auto m = bytes;
+        p.x.toBig().toBytesLe(m.data() + at);
+        p.y.toBig().toBytesLe(m.data() + at + 48);
+        return m;
+    };
+    for (std::size_t flag : layoutOf(fixture().proof).flags) {
+        const std::size_t at = flag - 96;
+        const ec::G1Affine off = oracle::curvePointFrom(ff::Fq::random(rng));
+        ASSERT_FALSE(oracle::orderDividesR(off));
+        const auto m = put(at, off);
+        EXPECT_TRUE(mutantIsHarmless(m)) << "point at " << at;
+        EXPECT_FALSE(deserializeProof(m).has_value()) << "point at " << at;
+        EXPECT_TRUE(deserializeProof(put(at, ec::randomG1(rng))).has_value())
+            << "G1 point at " << at;
     }
 }
 
