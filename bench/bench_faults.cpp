@@ -70,10 +70,9 @@ makeFixture(unsigned mu, bool jellyfish, std::uint64_t seed)
 /** The load's schedule: every compiled-in site armed, tuned so the load
  *  still mostly completes. msm.accum is hit by every MSM (a one-shot MSM
  *  is a one-chunk accumulator), so its one nth = 2 fault lands in an
- *  early job's MSM, and that job retries degraded. The bench-sized circuits
- *  never reach chunk.producer (its streamed path only engages for large
- *  tables) — the per-site hits/fires diagnostics make that visible rather
- *  than silently claiming coverage. */
+ *  early job's MSM, and that job retries degraded. No proof grows a mapped
+ *  slab, so slab.grow reads 0 hits — the per-site hits/fires diagnostics
+ *  make that visible rather than silently claiming coverage. */
 void
 armFaultSchedule()
 {
@@ -93,11 +92,6 @@ armFaultSchedule()
     msm.kind = rt::FailKind::Enomem;
     msm.nth = 2;
     rt::setFailpoint("msm.accum", msm);
-
-    rt::FailSpec producer;
-    producer.kind = rt::FailKind::Enomem;
-    producer.nth = 1;
-    rt::setFailpoint("chunk.producer", producer);
 
     rt::FailSpec round;
     round.kind = rt::FailKind::Enomem;
@@ -136,8 +130,8 @@ runLoad(const std::string &name, bool withFaults,
         armFaultSchedule();
 
     // streamThreshold=1 puts every table on the slab store; the tiny chunk
-    // makes the bench-sized tables span multiple chunks, so the streamed
-    // commit pipeline sees traffic too.
+    // makes the bench-sized tables span multiple chunks, so commitBatch's
+    // chunk walk sees traffic too.
     engine::ProverContext ctx(
         sharedSrs(),
         {.threads = 2, .streamThreshold = 1, .streamChunk = 64});
@@ -185,8 +179,8 @@ runLoad(const std::string &name, bool withFaults,
 
         if (withFaults)
             for (const char *site :
-                 {"slab.create", "slab.grow", "chunk.producer", "msm.accum",
-                  "sumcheck.round", "rt.worker"})
+                 {"slab.create", "slab.grow", "msm.accum", "sumcheck.round",
+                  "rt.worker"})
                 row.sites.push_back({site, rt::failpointHits(site),
                                      rt::failpointFires(site)});
         const engine::ServiceMetrics m = service.metrics();

@@ -30,6 +30,8 @@
 #include "rt/parallel.hpp"
 #include "sumcheck/prover.hpp"
 
+#include "../tests/sumcheck_oracle.hpp"
+
 using namespace zkphire;
 using ff::Fr;
 using ff::Rng;
@@ -449,7 +451,8 @@ BENCHMARK(BM_SumcheckProver)
 // Gate selector >= 0 is a Table I row; a negative selector -d is the masked
 // sweep gate q3*w1^(d-1)*w2*f_r — the Rescue-style x^d S-box row shape.
 // Runs single-threaded so the ratio measures the GatePlan restructuring
-// (shared powers, per-slot extension bounds), not pool scaling.
+// (shared powers, per-slot extension bounds), not pool scaling; the naive
+// side is the test oracle (tests/sumcheck_oracle.hpp), serial by design.
 // ---------------------------------------------------------------------------
 
 static gates::Gate
@@ -467,7 +470,7 @@ roundEvalGate(int sel)
 }
 
 static void
-roundEvalBench(benchmark::State &state, sumcheck::EvalPath path)
+roundEvalBench(benchmark::State &state, bool naive)
 {
     const unsigned mu = unsigned(state.range(0));
     gates::Gate gate = roundEvalGate(int(state.range(1)));
@@ -475,28 +478,28 @@ roundEvalBench(benchmark::State &state, sumcheck::EvalPath path)
     auto tables = gate.randomTables(mu, rng);
     for (auto _ : state) {
         hash::Transcript tr("bench");
-        auto out = sumcheck::prove(poly::VirtualPoly(gate.expr, tables), tr,
-                                   rt::Config{.threads = 1}, path);
+        auto out = naive ? oracle::naiveProve(gate.expr, tables, tr)
+                         : sumcheck::prove(
+                               poly::VirtualPoly(gate.expr, tables), tr,
+                               rt::Config{.threads = 1});
         benchmark::DoNotOptimize(out);
     }
     poly::GatePlan plan = poly::GatePlan::compile(gate.expr);
-    state.counters["muls_per_pair"] =
-        double(path == sumcheck::EvalPath::Plan
-                   ? plan.mulsPerPair()
-                   : plan.naiveMulsPerPair(gate.expr));
+    state.counters["muls_per_pair"] = double(
+        naive ? plan.naiveMulsPerPair(gate.expr) : plan.mulsPerPair());
     state.SetItemsProcessed(state.iterations() * (1u << mu));
 }
 
 static void
 BM_RoundEvalNaive(benchmark::State &state)
 {
-    roundEvalBench(state, sumcheck::EvalPath::Naive);
+    roundEvalBench(state, /*naive=*/true);
 }
 
 static void
 BM_RoundEvalPlan(benchmark::State &state)
 {
-    roundEvalBench(state, sumcheck::EvalPath::Plan);
+    roundEvalBench(state, /*naive=*/false);
 }
 
 BENCHMARK(BM_RoundEvalNaive)

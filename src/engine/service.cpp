@@ -560,12 +560,7 @@ ProofService::laneLoop(unsigned lane)
                 if (opts.sharding && queue.empty() && idleLanes > 0 &&
                     job->req.circuit != nullptr &&
                     job->req.circuit->numRows() >= opts.shardMinRows) {
-                    const unsigned cap =
-                        opts.maxShardLanes == 0 ? numLanes()
-                                                : opts.maxShardLanes;
-                    const unsigned maxHelpers = cap > 1 ? cap - 1 : 0;
-                    for (unsigned i = 0;
-                         i < slots.size() && helpers < maxHelpers; ++i) {
+                    for (unsigned i = 0; i < slots.size(); ++i) {
                         if (i == lane || !slots[i].idle)
                             continue;
                         slots[i].idle = false;

@@ -174,8 +174,6 @@ struct ServiceOptions {
     AdmissionPolicy admission = AdmissionPolicy::Block;
     /** Master switch for intra-proof sharding onto idle lanes. */
     bool sharding = true;
-    /** Cap on lanes one proof may occupy (owner + helpers); 0 = all. */
-    unsigned maxShardLanes = 0;
     /** Row floor below which a proof never shards (the cross-lane wake and
      *  merge costs need enough work to amortize). */
     std::size_t shardMinRows = std::size_t(1) << 10;

@@ -5,6 +5,7 @@
 
 #include "hyperplonk/protocol_common.hpp"
 #include "rt/parallel.hpp"
+#include "rt/unit_runner.hpp"
 
 namespace zkphire::hyperplonk {
 
@@ -35,56 +36,6 @@ mergeMsmStats(ec::MsmStats &into, const ec::MsmStats &part)
     into.recodeMs += part.recodeMs;
     into.bucketMs += part.bucketMs;
     into.foldMs += part.foldMs;
-}
-
-/** True when opts carry a runner that can actually spread work. */
-bool
-sharded(const ProveOptions &opts)
-{
-    return opts.units != nullptr && opts.units->width() > 1;
-}
-
-/**
- * Commit a family of same-size columns, split into one contiguous column
- * group per runner lane. Each group is a pcs::commitBatch on that lane's
- * private pool; per-column commitments are independent of the batch
- * grouping (locked by the ec::msmBatch bit-identity tests), so the merged
- * column-ordered result equals the single commitBatch call exactly.
- */
-std::vector<pcs::Commitment>
-commitColumnsSharded(const pcs::Srs &srs, std::span<const Mle> polys,
-                     const ProveOptions &opts, ec::MsmStats &stats)
-{
-    const std::size_t k = polys.size();
-    const std::size_t width =
-        std::min<std::size_t>(opts.units->width(), k);
-    const std::size_t stride = (k + width - 1) / width;
-    std::vector<std::vector<pcs::Commitment>> groups(width);
-    std::vector<ec::MsmStats> groupStats(width);
-    std::vector<std::function<void()>> units;
-    units.reserve(width);
-    for (std::size_t u = 0; u < width; ++u) {
-        const std::size_t b = u * stride;
-        const std::size_t e = std::min(k, b + stride);
-        units.push_back([&, b, e, u] {
-            if (b >= e)
-                return;
-            // Helper lanes have no ambient MSM options; re-apply the
-            // context's knobs so every group commits the same way.
-            ec::ScopedMsmOptions msmScope(opts.msm);
-            groups[u] =
-                pcs::commitBatch(srs, polys.subspan(b, e - b), &groupStats[u]);
-        });
-    }
-    opts.units->run(units);
-    std::vector<pcs::Commitment> comms;
-    comms.reserve(k);
-    for (std::size_t u = 0; u < width; ++u) {
-        for (auto &c : groups[u])
-            comms.push_back(c);
-        mergeMsmStats(stats, groupStats[u]);
-    }
-    return comms;
 }
 
 } // namespace
@@ -147,16 +98,25 @@ proveSetup(const ProvingKey &pk, const Circuit &circuit, ProverStats *stats,
     // ---- Step 1: Witness Commitments --------------------------------
     auto t0 = Clock::now();
     state.witness = circuit.witnessMles();
-    // One multi-MSM for all k columns: scalars are recoded once and the
-    // Lagrange basis is walked once per window instead of k times. With a
-    // shard runner the columns split into one group per lane instead
-    // (per-column results are grouping-independent, so the transcript is
-    // unchanged).
-    if (sharded(opts) && state.witness.size() > 1)
-        state.proof.witnessComms =
-            commitColumnsSharded(srs, state.witness, opts, st.msm);
-    else
-        state.proof.witnessComms = pcs::commitBatch(srs, state.witness, &st.msm);
+    // One multi-MSM per range of columns: scalars are recoded once and the
+    // Lagrange basis is walked once per window for the whole range. With
+    // no shard runner the range is all k columns; per-column results are
+    // grouping-independent, so the transcript is the same either way.
+    const std::span<const Mle> witness = state.witness;
+    std::vector<ec::MsmStats> unit_stats(rt::unitCount(witness.size(), 2));
+    state.proof.witnessComms.resize(witness.size());
+    rt::forUnits(witness.size(), 2,
+                 [&](std::size_t u, std::size_t b, std::size_t e) {
+                     // Helper lanes have no ambient MSM options.
+                     ec::ScopedMsmOptions unit_msm(opts.msm);
+                     const std::vector<pcs::Commitment> comms =
+                         pcs::commitBatch(srs, witness.subspan(b, e - b),
+                                          &unit_stats[u]);
+                     for (std::size_t j = b; j < e; ++j)
+                         state.proof.witnessComms[j] = comms[j - b];
+                 });
+    for (const ec::MsmStats &part : unit_stats)
+        mergeMsmStats(st.msm, part);
     for (const auto &c : state.proof.witnessComms)
         pcs::appendG1(state.tr, "w_comm", c.point);
     st.witnessCommitMs = msSince(t0);
@@ -170,9 +130,9 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     using Clock = std::chrono::steady_clock;
     // Pin every phase kernel (batch inversion, eq tables, sumchecks); the
     // inner sumcheck calls below pass a default rt::Config so they inherit
-    // this pin rather than re-applying one. The unit-runner scope lets the
-    // sumcheck round evaluations shard their pair ranges across reserved
-    // lanes (sumcheck/prover.cpp).
+    // this pin rather than re-applying one. The unit-runner scope is how
+    // every rt::forUnits split below (and the sumcheck round evaluations in
+    // sumcheck/prover.cpp) reaches the reserved lanes.
     rt::ScopedConfig scope(opts.rt);
     ec::ScopedMsmOptions msm_scope(opts.msm);
     rt::ScopedUnitRunner unit_scope(opts.units);
@@ -248,26 +208,16 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     rt::checkCancel();
     t0 = Clock::now();
     // Auxiliary claimed evaluations at z_p, absorbed before eta is drawn.
-    // Each column's pair of evaluations is an independent unit: sharded,
-    // column j still writes only slot j, so the absorbed vectors are
-    // identical to the serial loop.
+    // Column j writes only slot j, so a cross-lane split absorbs the same
+    // vectors as the serial loop.
     proof.wAtZp.resize(k);
     proof.sigmaAtZp.resize(k);
-    if (sharded(opts) && k > 1) {
-        std::vector<std::function<void()>> units;
-        units.reserve(k);
-        for (unsigned j = 0; j < k; ++j)
-            units.push_back([&, j] {
-                proof.wAtZp[j] = witness[j].evaluate(z_p);
-                proof.sigmaAtZp[j] = pk.perm.sigma[j].evaluate(z_p);
-            });
-        opts.units->run(units);
-    } else {
-        for (unsigned j = 0; j < k; ++j) {
+    rt::forUnits(k, 2, [&](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t j = b; j < e; ++j) {
             proof.wAtZp[j] = witness[j].evaluate(z_p);
             proof.sigmaAtZp[j] = pk.perm.sigma[j].evaluate(z_p);
         }
-    }
+    });
     tr.appendFrVec("w_zp", proof.wAtZp);
     tr.appendFrVec("sigma_zp", proof.sigmaAtZp);
 
@@ -317,33 +267,25 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     for (const Mle &sig : pk.perm.sigma)
         polys_a.push_back(sig);
     polys_a.push_back(fracs.phi);
-    // The two opening chains cannot be level-zipped: g has mu variables but
-    // v has mu+1, and each level's quotient basis depends on the variable
-    // set, so the chains share no points (pcs::openMany batches same-size
-    // chains when a workload has them). They ARE independent of each other
-    // — both challenges are already drawn — so sharded they run as two
-    // units on different lanes.
-    if (sharded(opts)) {
-        ec::MsmStats stats_a, stats_b;
-        const std::function<void()> chains[2] = {
-            [&] {
-                ec::ScopedMsmOptions msmScope(opts.msm);
-                proof.pcsA = pcs::batchOpen(srs, polys_a, open_a.challenges,
-                                            rho, &stats_a);
-            },
-            [&] {
-                ec::ScopedMsmOptions msmScope(opts.msm);
-                proof.pcsB = pcs::open(srs, v, open_b.challenges, &stats_b);
-            },
-        };
-        opts.units->run(chains);
-        mergeMsmStats(st.msm, stats_a);
-        mergeMsmStats(st.msm, stats_b);
-    } else {
-        proof.pcsA =
-            pcs::batchOpen(srs, polys_a, open_a.challenges, rho, &st.msm);
-        proof.pcsB = pcs::open(srs, v, open_b.challenges, &st.msm);
-    }
+    // Two independent opening chains (both challenges are already drawn):
+    // g over mu variables and v over mu+1. Their quotient bases differ at
+    // every level, so they share no MSM; across lanes they run as two
+    // units, each writing its own slot and stats.
+    pcs::OpeningProof chains[2];
+    ec::MsmStats chain_stats[2];
+    rt::forUnits(2, 2, [&](std::size_t, std::size_t b, std::size_t e) {
+        ec::ScopedMsmOptions unit_msm(opts.msm);
+        for (std::size_t c = b; c < e; ++c)
+            chains[c] = c == 0 ? pcs::batchOpen(srs, polys_a,
+                                                open_a.challenges, rho,
+                                                &chain_stats[c])
+                               : pcs::open(srs, v, open_b.challenges,
+                                           &chain_stats[c]);
+    });
+    proof.pcsA = std::move(chains[0]);
+    proof.pcsB = std::move(chains[1]);
+    for (const ec::MsmStats &part : chain_stats)
+        mergeMsmStats(st.msm, part);
     st.openingMs = msSince(t0);
 
     return proof;

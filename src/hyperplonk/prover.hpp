@@ -92,10 +92,11 @@ struct ProveOptions {
     ec::MsmOptions msm = {};
     /** Cross-lane executor for the proof's independent work units
      *  (per-column commitment MSMs, per-round sumcheck range splits, the
-     *  two opening chains). Null runs every unit inline. Unit outputs are
-     *  merged in index order, so the transcript is bit-identical at every
-     *  runner width — engine::ProofService points this at a ShardGroup of
-     *  reserved idle lanes. */
+     *  z_p evaluations, the two opening chains), installed as the ambient
+     *  runner every rt::forUnits split uses. Null runs every unit inline.
+     *  Unit outputs are merged in index order, so the transcript is
+     *  bit-identical at every runner width — engine::ProofService points
+     *  this at a ShardGroup of reserved idle lanes. */
     rt::UnitRunner *units = nullptr;
     /** Buffer arena (installed via poly::ScopedArena) recycling the proof's
      *  big scratch tables — sumcheck fold double buffers, opening working

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 
 #include "ff/vec_ops.hpp"
 #include "rt/cancel.hpp"
-#include "rt/failpoint.hpp"
 #include "rt/parallel.hpp"
 
 namespace zkphire::pcs {
@@ -14,13 +12,6 @@ namespace zkphire::pcs {
 namespace {
 
 using zkphire::poly::FrTable;
-
-/** Streaming-walk chunk size for an n-element table. */
-std::size_t
-streamChunkFor(std::size_t n)
-{
-    return std::min(n, zkphire::poly::currentStorePolicy().chunkElems);
-}
 
 /** Whether a commit over f should take the chunk-streaming MSM: the table
  *  is mapped (walking it all at once would fault every page into RSS) or
@@ -47,7 +38,8 @@ msmStreamTables(std::span<const Mle *const> polys,
 {
     const std::size_t n = points.size();
     const std::size_t m = polys.size();
-    const std::size_t chunk = streamChunkFor(n);
+    const std::size_t chunk =
+        std::min(n, zkphire::poly::currentStorePolicy().chunkElems);
     ec::MsmAccumulator acc(n, m, ec::currentMsmOptions(), stats, chunk);
     for (const Mle *p : polys)
         p->store().adviseSequential();
@@ -72,74 +64,6 @@ commit(const Srs &srs, const Mle &f, ec::MsmStats *stats)
 {
     const Mle *one[] = {&f};
     return commitBatch(srs, one, stats)[0];
-}
-
-Commitment
-commitStreamed(const Srs &srs, unsigned mu, const ChunkProducer &produce,
-               ec::MsmStats *stats)
-{
-    return std::move(commitBatchStreamed(
-        srs, mu, std::span<const ChunkProducer>(&produce, 1), stats)[0]);
-}
-
-std::vector<Commitment>
-commitBatchStreamed(const Srs &srs, unsigned mu,
-                    std::span<const ChunkProducer> produce,
-                    ec::MsmStats *stats)
-{
-    const std::size_t m = produce.size();
-    std::vector<Commitment> out;
-    out.reserve(m);
-    if (m == 0)
-        return out;
-    const std::size_t n = std::size_t(1) << mu;
-    const std::size_t chunk = streamChunkFor(n);
-    const LevelBases &bases = srs.basesFor(mu);
-    const std::span<const G1Affine> points = bases.suffix[0];
-    ec::MsmAccumulator acc(n, m, ec::currentMsmOptions(), stats, chunk);
-
-    // Double-buffer pipeline: a prefetch task fills window i+1 while this
-    // thread recodes and buckets window i, overlapping table generation
-    // with the MSM. The prefetch runs serially — the pool belongs to the
-    // MSM side — and re-applies a snapshot of the ambient stream overrides,
-    // which are thread-local and would not propagate into std::async.
-    rt::Config snap;
-    snap.threads = 1;
-    snap.streamThreshold = rt::currentStreamThreshold();
-    snap.streamChunk = rt::currentStreamChunk();
-    std::vector<Fr> bufA(m * chunk), bufB(m * chunk);
-    const auto fill = [&produce, &snap, m, chunk](std::vector<Fr> &buf,
-                                                  std::size_t b,
-                                                  std::size_t e) {
-        rt::ScopedConfig scope(snap);
-        rt::failpoint("chunk.producer");
-        for (std::size_t i = 0; i < m; ++i)
-            produce[i](b, e, buf.data() + i * chunk);
-    };
-    fill(bufA, 0, std::min(n, chunk));
-    std::vector<std::span<const Fr>> cols(m);
-    for (std::size_t b = 0; b < n; b += chunk) {
-        // Chunk boundary. A throw here (or out of acc.add below) is safe
-        // even with the prefetch in flight: next's destructor joins the
-        // async task, so bufB never outlives its writer.
-        rt::checkCancel();
-        const std::size_t e = std::min(n, b + chunk);
-        std::future<void> next;
-        if (e < n)
-            next = std::async(std::launch::async, [&fill, &bufB, e, n,
-                                                   chunk] {
-                fill(bufB, e, std::min(n, e + chunk));
-            });
-        for (std::size_t i = 0; i < m; ++i)
-            cols[i] = std::span<const Fr>(bufA.data() + i * chunk, e - b);
-        acc.add(cols, points.subspan(b, e - b));
-        if (next.valid())
-            next.get();
-        bufA.swap(bufB);
-    }
-    for (const G1Jacobian &c : acc.finalize())
-        out.push_back(Commitment{c.toAffine()});
-    return out;
 }
 
 std::vector<Commitment>
@@ -195,82 +119,42 @@ OpeningProof
 open(const Srs &srs, const Mle &poly, std::span<const Fr> z,
      ec::MsmStats *stats)
 {
-    const Mle *polys[] = {&poly};
-    const std::span<const Fr> zs[] = {z};
-    return std::move(openMany(srs, polys, zs, stats)[0]);
-}
-
-std::vector<OpeningProof>
-openMany(const Srs &srs, std::span<const Mle *const> polys,
-         std::span<const std::span<const Fr>> zs, ec::MsmStats *stats)
-{
-    const std::size_t m = polys.size();
-    assert(zs.size() == m);
-    std::vector<OpeningProof> proofs(m);
-    if (m == 0)
-        return proofs;
-    const unsigned mu = polys[0]->numVars();
-    if (m > 1) {
-        // Level-zipping needs one variable count; mixed-size chains
-        // degrade to independent openings (same proofs, no sharing).
-        for (std::size_t i = 0; i < m; ++i) {
-            if (polys[i]->numVars() != mu) {
-                for (std::size_t j = 0; j < m; ++j)
-                    proofs[j] = open(srs, *polys[j], zs[j], stats);
-                return proofs;
-            }
-        }
-    }
+    const unsigned mu = poly.numVars();
+    assert(z.size() == mu && "opening point dimension mismatch");
     const LevelBases &bases = srs.basesFor(mu);
+    OpeningProof proof;
+    proof.quotients.reserve(mu);
 
-    // Working copies, quotient buffers, and fold double buffers all come
+    // The working copy, quotient buffer, and fold double buffer all come
     // from the ambient arena (installed by engine::ProverContext), so a
     // proof stream on one context reuses one set of allocations instead of
     // reallocating ~2 * 2^mu elements per proof.
-    std::vector<Mle> cur;
-    cur.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        assert(zs[i].size() == mu && "opening point dimension mismatch");
-        proofs[i].quotients.reserve(mu);
-        FrTable t = zkphire::poly::arenaAcquire(polys[i]->size());
-        t.assign(polys[i]->evals());
-        cur.push_back(Mle(std::move(t)));
-    }
-
-    std::vector<FrTable> q(m);
-    std::vector<FrTable> fold_scratch(m); // double buffers, reused
-    std::vector<std::span<const Fr>> cols(m);
+    FrTable t = zkphire::poly::arenaAcquire(poly.size());
+    t.assign(poly.evals());
+    Mle cur(std::move(t));
+    FrTable q, fold_scratch;
     for (unsigned k = 0; k < mu; ++k) {
         // q_k(X_{k+1}..) = cur(1, X..) - cur(0, X..): adjacent differences,
-        // then ONE multi-MSM over the shared suffix basis for every chain.
-        const std::size_t half = cur[0].size() / 2;
-        for (std::size_t i = 0; i < m; ++i) {
-            if (q[i].capacity() == 0)
-                q[i] = zkphire::poly::arenaAcquire(half);
-            else
-                q[i].resize(half);
-            const Mle &c = cur[i];
-            FrTable &qi = q[i];
-            rt::parallelFor(
-                0, half,
-                [&](std::size_t j) { qi[j] = c[2 * j + 1] - c[2 * j]; },
-                /*grain=*/0, /*minGrain=*/1024);
-            cols[i] = qi.span();
-        }
-        std::vector<G1Jacobian> pis =
-            ec::msmBatch(cols, bases.suffix[k + 1], ec::currentMsmOptions(),
-                         stats);
-        for (std::size_t i = 0; i < m; ++i) {
-            proofs[i].quotients.push_back(pis[i].toAffine());
-            cur[i].fixFirstVarInPlace(zs[i][k], fold_scratch[i]);
-        }
+        // committed over the level's suffix basis.
+        const std::size_t half = cur.size() / 2;
+        if (q.capacity() == 0)
+            q = zkphire::poly::arenaAcquire(half);
+        else
+            q.resize(half);
+        rt::parallelFor(
+            0, half,
+            [&](std::size_t j) { q[j] = cur[2 * j + 1] - cur[2 * j]; },
+            /*grain=*/0, /*minGrain=*/1024);
+        proof.quotients.push_back(
+            ec::msmPippenger(q.span(), bases.suffix[k + 1],
+                             ec::currentMsmOptions(), stats)
+                .toAffine());
+        cur.fixFirstVarInPlace(z[k], fold_scratch);
     }
-    for (std::size_t i = 0; i < m; ++i) {
-        zkphire::poly::arenaRelease(std::move(cur[i].store()));
-        zkphire::poly::arenaRelease(std::move(q[i]));
-        zkphire::poly::arenaRelease(std::move(fold_scratch[i]));
-    }
-    return proofs;
+    zkphire::poly::arenaRelease(std::move(cur.store()));
+    zkphire::poly::arenaRelease(std::move(q));
+    zkphire::poly::arenaRelease(std::move(fold_scratch));
+    return proof;
 }
 
 bool

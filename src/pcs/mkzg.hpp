@@ -16,7 +16,6 @@
 #define ZKPHIRE_PCS_MKZG_HPP
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -51,32 +50,6 @@ struct OpeningProof {
 Commitment commit(const Srs &srs, const Mle &f, ec::MsmStats *stats = nullptr);
 
 /**
- * Fills dst[0 .. end-begin) with entries [begin, end) of one column of
- * evaluations. commitStreamed calls it with consecutive, non-overlapping
- * [begin, end) windows in ascending order, from a prefetch thread that runs
- * concurrently with the MSM work on the previous window.
- */
-using ChunkProducer =
-    std::function<void(std::size_t begin, std::size_t end, Fr *dst)>;
-
-/**
- * Commit to a 2^mu-evaluation polynomial produced chunk by chunk: the table
- * is never materialized. A double buffer overlaps producing window i+1 with
- * recoding/bucketing window i, so table generation and MSM window
- * accumulation pipeline. Equals commit() on the materialized table exactly.
- */
-Commitment commitStreamed(const Srs &srs, unsigned mu,
-                          const ChunkProducer &produce,
-                          ec::MsmStats *stats = nullptr);
-
-/** Multi-column commitStreamed: one producer per polynomial, one shared
- *  point walk per chunk (the streaming analogue of commitBatch). */
-std::vector<Commitment>
-commitBatchStreamed(const Srs &srs, unsigned mu,
-                    std::span<const ChunkProducer> produce,
-                    ec::MsmStats *stats = nullptr);
-
-/**
  * Commit to several same-size polynomials with one multi-MSM
  * (ec::msmBatch) over the shared Lagrange basis: the k witness columns of
  * a HyperPlonk proof are recoded once and the basis points are walked
@@ -98,23 +71,8 @@ OpeningProof open(const Srs &srs, const Mle &poly, std::span<const Fr> z,
                   ec::MsmStats *stats = nullptr);
 
 /**
- * Open several polynomials of the SAME variable count at (possibly
- * different) points, zipping the per-variable levels: level k commits
- * every opening's quotient with one multi-MSM over the shared suffix
- * basis, so the basis points are read once per level for all openings.
- * (HyperPlonk's own two chains have different variable counts — g has mu,
- * the product polynomial v has mu+1 — so they cannot ride this; the API
- * serves workloads that open several same-size polynomials, e.g. sharded
- * or multi-proof batches.) proofs[i] equals open(polys[i], zs[i]) exactly.
- */
-std::vector<OpeningProof> openMany(const Srs &srs,
-                                   std::span<const Mle *const> polys,
-                                   std::span<const std::span<const Fr>> zs,
-                                   ec::MsmStats *stats = nullptr);
-
-/**
- * The rho-power linear combination Sum_i rho^i f_i that batchOpen commits
- * to; exposed so callers can combine once and open through openMany.
+ * The rho-power linear combination Sum_i rho^i f_i that batchOpen opens;
+ * exposed so callers can time the combine apart from the opening.
  */
 Mle combineForBatchOpen(std::span<const Mle> polys, const Fr &rho);
 

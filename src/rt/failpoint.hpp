@@ -4,9 +4,8 @@
  *
  * A failpoint is a call to rt::failpoint("site") (throw-style sites) or
  * rt::failpointErrno("site") (syscall-wrapper sites) at a place where the
- * production code can fail for real: slab creation/growth, the streamed
- * chunk producer, MSM accumulation, sumcheck rounds, pool worker chunks,
- * SRS level builds.
+ * production code can fail for real: slab creation/growth, MSM
+ * accumulation, sumcheck rounds, pool worker chunks, SRS level builds.
  * Disarmed — the normal state — a site costs one relaxed atomic load.
  * Armed, the site consults its FailSpec and injects the configured error:
  *

@@ -7,7 +7,8 @@
  * UnitRunner parallelizes *across* lanes. A kernel with W independent,
  * index-addressed work units (per-column commitment MSMs, per-round
  * sumcheck range splits, the two PCS opening chains) hands them to the
- * ambient runner; each unit may execute on another lane's thread under that
+ * ambient runner through rt::forUnits, the one place that splits work
+ * across lanes; each unit may execute on another lane's thread under that
  * lane's own rt::Config. Unit i writes only to index-i output slots and the
  * caller merges slots in ascending index order, so results are bit-identical
  * to running the units inline — the same contract parallelReduce gives
@@ -23,8 +24,11 @@
 #ifndef ZKPHIRE_RT_UNIT_RUNNER_HPP
 #define ZKPHIRE_RT_UNIT_RUNNER_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <span>
+#include <vector>
 
 namespace zkphire::rt {
 
@@ -78,6 +82,45 @@ class ScopedUnitRunner
   private:
     UnitRunner *saved;
 };
+
+/**
+ * Number of contiguous ranges forUnits splits [0, n) into: 1 when no
+ * ambient runner is installed, when its width is 1, or when n < minSplit
+ * (too little work to amortize the cross-lane hand-off); otherwise
+ * min(width, n).
+ */
+inline std::size_t
+unitCount(std::size_t n, std::size_t minSplit)
+{
+    const UnitRunner *runner = currentUnitRunner();
+    if (runner == nullptr || n < std::max<std::size_t>(minSplit, 2))
+        return 1;
+    return std::min<std::size_t>(runner->width(), n);
+}
+
+/**
+ * The one cross-lane split: run body(u, b, e) over unitCount(n, minSplit)
+ * contiguous ranges [b, e) of [0, n) on the ambient runner, or call
+ * body(0, 0, n) inline when there is one range. Range u writes only slot u
+ * (or slots addressed by index) and the caller merges in index order, so
+ * results are bit-identical at every runner width.
+ */
+template <class Body>
+void
+forUnits(std::size_t n, std::size_t minSplit, const Body &body)
+{
+    const std::size_t count = unitCount(n, minSplit);
+    if (count == 1) {
+        body(std::size_t(0), std::size_t(0), n);
+        return;
+    }
+    std::vector<std::function<void()>> units;
+    units.reserve(count);
+    for (std::size_t u = 0; u < count; ++u)
+        units.push_back([&body, u, b = n * u / count,
+                         e = n * (u + 1) / count] { body(u, b, e); });
+    currentUnitRunner()->run(units);
+}
 
 } // namespace zkphire::rt
 

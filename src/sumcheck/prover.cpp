@@ -10,10 +10,8 @@
 
 namespace zkphire::sumcheck {
 
-using poly::GateExpr;
 using poly::Mle;
 using poly::SlotId;
-using poly::Term;
 using poly::VirtualPoly;
 
 std::size_t
@@ -28,72 +26,12 @@ SumcheckProof::sizeBytes() const
 
 namespace {
 
-/**
- * Naive reference evaluator: accumulate this round's s_i evaluations over
- * pair indices [begin, end) by walking the GateExpr term list.
- *
- * For each pair, every referenced slot's (lo, hi) entries are extended to
- * X = 0..D by repeated addition of (hi - lo); term products are then formed
- * at every evaluation point and accumulated. Kept as the oracle the GatePlan
- * path is property-tested against.
- */
-void
-accumulateRange(const VirtualPoly &vp, std::size_t begin, std::size_t end,
-                std::size_t degree, std::vector<Fr> &acc)
-{
-    const GateExpr &expr = vp.expr();
-    const std::size_t num_slots = vp.numSlots();
-    const std::size_t num_points = degree + 1;
-
-    // ext[s * num_points + e] = slot s extended to X = e.
-    std::vector<Fr> ext(num_slots * num_points);
-    std::vector<bool> used(num_slots, false);
-    for (SlotId s : expr.referencedSlots())
-        used[s] = true;
-
-    for (std::size_t j = begin; j < end; ++j) {
-        for (std::size_t s = 0; s < num_slots; ++s) {
-            if (!used[s])
-                continue;
-            const Mle &tbl = vp.table(SlotId(s));
-            Fr lo = tbl[2 * j];
-            Fr hi = tbl[2 * j + 1];
-            Fr diff = hi - lo;
-            Fr *e = &ext[s * num_points];
-            e[0] = lo;
-            for (std::size_t p = 1; p < num_points; ++p)
-                e[p] = e[p - 1] + diff;
-        }
-        for (const Term &t : expr.terms()) {
-            for (std::size_t p = 0; p < num_points; ++p) {
-                Fr prod = t.coeff;
-                for (SlotId f : t.factors)
-                    prod *= ext[f * num_points + p];
-                acc[p] += prod;
-            }
-        }
-    }
-}
-
 /** Pair count below which cross-lane sharding of a round is not worth the
  *  wake/merge round trip; the table halves every round, so late rounds of a
  *  sharded sumcheck drop back to the single-lane path automatically. */
 constexpr std::size_t kShardMinPairs = 1u << 12;
 
-/**
- * Accumulate fill(b, e, acc) over [0, half) into an accLen-wide accumulator.
- *
- * Two nested levels of the same deterministic decomposition:
- *   - across lanes: when an ambient rt::UnitRunner is present (the engine's
- *     ShardGroup while idle lanes are reserved for this proof), the pair
- *     range splits into one contiguous sub-range per lane and each unit
- *     accumulates its sub-range on that lane's private pool;
- *   - within a lane: rt::parallelReduce chunks the (sub-)range over the
- *     pool's workers.
- * Partial accumulators are summed in ascending range order either way, and
- * field addition is exact, so the result is bit-identical to the serial
- * loop at any lane count and any thread count.
- */
+/** Accumulate fill over pairs [begin, end) on this lane's pool. */
 template <class FillRange>
 std::vector<Fr>
 accumulatePairRange(std::size_t begin, std::size_t end, std::size_t acc_len,
@@ -119,61 +57,47 @@ accumulatePairRange(std::size_t begin, std::size_t end, std::size_t acc_len,
         /*grain=*/0, /*minGrain=*/256);
 }
 
+/**
+ * Accumulate fill(b, e, acc) over [0, half) into an acc_len-wide
+ * accumulator.
+ *
+ * Two nested levels of the same deterministic decomposition:
+ *   - across lanes: rt::forUnits splits the pair range into one contiguous
+ *     sub-range per lane of the ambient runner (the engine's ShardGroup
+ *     while idle lanes are reserved for this proof), and each unit
+ *     accumulates its sub-range on that lane's private pool;
+ *   - within a lane: rt::parallelReduce chunks the (sub-)range over the
+ *     pool's workers.
+ * Partial accumulators are summed in ascending range order either way, and
+ * field addition is exact, so the result is bit-identical to the serial
+ * loop at any lane count and any thread count.
+ */
 template <class FillRange>
 std::vector<Fr>
 accumulatePairs(std::size_t half, std::size_t acc_len, const FillRange &fill)
 {
-    rt::UnitRunner *runner = rt::currentUnitRunner();
-    if (runner == nullptr || runner->width() <= 1 || half < kShardMinPairs)
-        return accumulatePairRange(0, half, acc_len, fill);
-
-    const std::size_t width = runner->width();
-    const std::size_t stride = (half + width - 1) / width;
-    std::vector<std::vector<Fr>> parts(width);
-    std::vector<std::function<void()>> units;
-    units.reserve(width);
-    for (std::size_t u = 0; u < width; ++u) {
-        const std::size_t b = u * stride;
-        const std::size_t e = std::min(half, b + stride);
-        units.push_back([&parts, &fill, acc_len, b, e, u] {
-            parts[u] = b < e ? accumulatePairRange(b, e, acc_len, fill)
-                             : std::vector<Fr>(acc_len, Fr::zero());
-        });
-    }
-    runner->run(units);
+    std::vector<std::vector<Fr>> parts(rt::unitCount(half, kShardMinPairs));
+    rt::forUnits(half, kShardMinPairs,
+                 [&](std::size_t u, std::size_t b, std::size_t e) {
+                     parts[u] = accumulatePairRange(b, e, acc_len, fill);
+                 });
     std::vector<Fr> acc = std::move(parts[0]);
-    for (std::size_t u = 1; u < width; ++u)
+    for (std::size_t u = 1; u < parts.size(); ++u)
         for (std::size_t p = 0; p < acc_len; ++p)
             acc[p] += parts[u][p];
     return acc;
 }
 
 /**
- * Naive-path round evaluations. Field addition is exact, so partial
- * accumulators summed in range order give the bit-identical result of the
- * serial loop at any thread or lane count.
+ * Round evaluations: per-chunk flat degree-class accumulators of the
+ * GatePlan combined in chunk order (exact addition, so bit-identical at any
+ * thread count), then one finalize extends every class to the
+ * composite-degree node range. The result equals the naive term walk
+ * (tests/sumcheck_oracle.hpp) value for value: the plan computes the same
+ * polynomial with a different (exact) multiplication tree.
  */
 std::vector<Fr>
-roundEvaluationsNaive(const VirtualPoly &vp, std::size_t degree)
-{
-    const std::size_t half = std::size_t(1) << (vp.numVars() - 1);
-    const std::size_t num_points = degree + 1;
-    return accumulatePairs(
-        half, num_points, [&](std::size_t b, std::size_t e, std::vector<Fr> &acc) {
-            accumulateRange(vp, b, e, degree, acc);
-        });
-}
-
-/**
- * GatePlan-path round evaluations: per-chunk flat degree-class accumulators
- * combined in chunk order (exact addition, so bit-identical at any thread
- * count), then one finalize extends every class to the composite-degree
- * node range. The result equals the naive path's value for value: the plan
- * computes the same polynomial with a different (exact) multiplication
- * tree.
- */
-std::vector<Fr>
-roundEvaluationsPlan(const VirtualPoly &vp)
+roundEvaluations(const VirtualPoly &vp)
 {
     const poly::GatePlan &plan = vp.plan();
     const std::size_t half = std::size_t(1) << (vp.numVars() - 1);
@@ -198,19 +122,10 @@ roundEvaluationsPlan(const VirtualPoly &vp)
     return plan.finalizeRoundEvals(acc);
 }
 
-std::vector<Fr>
-roundEvaluations(const VirtualPoly &vp, std::size_t degree, EvalPath path)
-{
-    if (path == EvalPath::Plan)
-        return roundEvaluationsPlan(vp);
-    return roundEvaluationsNaive(vp, degree);
-}
-
 } // namespace
 
 ProverOutput
-prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg,
-      EvalPath path)
+prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg)
 {
     const unsigned mu = poly.numVars();
     const std::size_t degree = poly.expr().degree();
@@ -233,7 +148,7 @@ prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg,
      *  not worth saving one table walk). */
     constexpr std::size_t kFuseMinPairs = 1u << 12;
 
-    std::vector<Fr> evals = roundEvaluations(poly, degree, path);
+    std::vector<Fr> evals = roundEvaluations(poly);
     for (unsigned round = 0; round < mu; ++round) {
         // Round boundary: transcript state is consistent between rounds, so
         // both cancellation delivery and fault injection land here.
@@ -252,23 +167,19 @@ prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg,
             continue;
         }
         // Fuse this round's fold with the next round's evaluation when the
-        // Plan path is active and the round is not sharded across lanes:
-        // each chunk of the halved table is evaluated in the same walk that
-        // writes it, so a streamed table is touched once per round instead
-        // of twice. Values are bit-identical either way (exact arithmetic,
-        // identical per-index formulas) — this only moves wall-clock and
-        // RSS, never bytes.
-        rt::UnitRunner *runner = rt::currentUnitRunner();
+        // round is not sharded across lanes: each chunk of the halved table
+        // is evaluated in the same walk that writes it, so a streamed table
+        // is touched once per round instead of twice. Values are
+        // bit-identical either way (exact arithmetic, identical per-index
+        // formulas) — this only moves wall-clock and RSS, never bytes.
         const std::size_t next_half = std::size_t(1)
                                       << (poly.numVars() - 2);
-        const bool sharded = runner != nullptr && runner->width() > 1 &&
-                             next_half >= kShardMinPairs;
-        if (path == EvalPath::Plan && !sharded &&
+        if (rt::unitCount(next_half, kShardMinPairs) == 1 &&
             (poly.anyTableMapped() || next_half >= kFuseMinPairs)) {
             evals = poly.plan().finalizeRoundEvals(poly.foldAndAccumulate(r));
         } else {
             poly.fixFirstVarInPlace(r);
-            evals = roundEvaluations(poly, degree, path);
+            evals = roundEvaluations(poly);
         }
     }
 

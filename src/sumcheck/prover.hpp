@@ -44,15 +44,6 @@ struct ProverOutput {
 };
 
 /**
- * Round-evaluation strategy. Plan runs the compiled GatePlan (shared
- * sub-products, per-slot extension bounds, degree-class accumulation);
- * Naive walks the GateExpr term list directly. Both produce byte-identical
- * transcripts — Naive is kept as the reference oracle for the GatePlan
- * property tests and for A/B benchmarking, not as a production path.
- */
-enum class EvalPath { Plan, Naive };
-
-/**
  * Run the full SumCheck prover.
  *
  * @param poly Composite polynomial (consumed: tables are folded in place).
@@ -63,10 +54,14 @@ enum class EvalPath { Plan, Naive };
  *             (an enclosing ScopedConfig, else ZKPHIRE_THREADS / hardware
  *             concurrency); threads = 1 forces serial execution. The proof
  *             transcript is bit-identical under every Config.
- * @param path Round-evaluation strategy (transcript-identical either way).
+ *
+ * Round evaluations run the poly's compiled GatePlan (shared sub-products,
+ * per-slot extension bounds, degree-class accumulation); the naive term
+ * walk they must match byte for byte is the test oracle in
+ * tests/sumcheck_oracle.hpp.
  */
 ProverOutput prove(poly::VirtualPoly poly, hash::Transcript &tr,
-                   const rt::Config &cfg = {}, EvalPath path = EvalPath::Plan);
+                   const rt::Config &cfg = {});
 
 /**
  * Evaluate the univariate polynomial given by its values at 0..d at point r

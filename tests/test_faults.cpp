@@ -8,7 +8,8 @@
  *     probability / fire caps), exception-kind mapping, hit counters.
  *   - Slab-store degradation: injected ENOSPC at slab creation falls back
  *     to the Ram backend; injected failure at slab growth migrates the
- *     live data to RAM instead of throwing mid-proof.
+ *     live data to RAM instead of throwing mid-proof; injected EINTR at
+ *     either site retries and the table stays mapped.
  *   - SRS level builds: preprocessing builds both levels a circuit's
  *     proofs need, and a failed build propagates and leaves the level
  *     for a retry to build.
@@ -18,9 +19,9 @@
  *     abort mid-proof; resource-class failures retry under forced
  *     streaming and stay byte-identical to a fault-free run.
  *   - FaultSoak: a randomized failpoint schedule over the 12-job mixed
- *     load — every future must resolve a typed status (the CI soak leg
- *     re-runs this family under ASan/TSan with a ZKPHIRE_FAILPOINTS
- *     schedule from the environment).
+ *     load — every future must resolve a typed status and every armed
+ *     site must be reached (the CI soak leg re-runs this family under
+ *     ASan/TSan with a ZKPHIRE_FAILPOINTS schedule from the environment).
  *
  * Failpoints are process-global, so every non-soak test arms its own
  * sites through the FaultTest fixture, which clears them on both sides.
@@ -31,7 +32,9 @@
 #include <chrono>
 #include <cerrno>
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "engine/service.hpp"
 #include "hyperplonk/serialize.hpp"
@@ -101,6 +104,23 @@ bigFixture()
 {
     static Fixture f = makeFixture(8, true, 7002);
     return f;
+}
+
+/** Site names of a ZKPHIRE_FAILPOINTS-format schedule, in entry order. */
+std::vector<std::string>
+scheduleSites(const std::string &schedule)
+{
+    std::vector<std::string> sites;
+    std::size_t pos = 0;
+    while (pos < schedule.size()) {
+        const std::size_t semi = std::min(schedule.find(';', pos),
+                                          schedule.size());
+        const std::size_t eq = schedule.find('=', pos);
+        if (eq > pos && eq < semi)
+            sites.push_back(schedule.substr(pos, eq - pos));
+        pos = semi + 1;
+    }
+    return sites;
 }
 
 /** Clears global failpoint state on both sides of every test. */
@@ -306,39 +326,32 @@ TEST_F(FaultTest, SlabGrowFailureMigratesDataToRam)
     EXPECT_EQ(t[grown - 1], Fr::zero());
 }
 
-TEST_F(FaultTest, ProducerFaultPropagatesAcrossPrefetchThread)
+TEST_F(FaultTest, SlabEintrRetriesAndStaysMapped)
 {
-    Rng rng(4242);
-    const unsigned mu = 8;
-    std::vector<poly::Mle> polys;
-    for (int i = 0; i < 2; ++i)
-        polys.push_back(poly::Mle::random(mu, rng));
-    std::vector<pcs::ChunkProducer> producers;
-    for (const poly::Mle &p : polys)
-        producers.push_back([&p](std::size_t b, std::size_t e, Fr *dst) {
-            std::copy(p.data() + b, p.data() + e, dst);
-        });
+    // EINTR is the one errno the slab wrappers retry instead of degrading:
+    // creation and growth both go ahead, so the table never leaves the
+    // mapped backend.
+    using poly::FrTable;
+    using poly::StoreKind;
+    rt::setFailpoint("slab.create", FailSpec{.kind = FailKind::Eintr});
+    rt::setFailpoint("slab.grow", FailSpec{.kind = FailKind::Eintr});
+    FrTable t = FrTable::make(1024, StoreKind::Mapped);
+    if (!t.isMapped())
+        GTEST_SKIP() << "no mapped backend on this platform";
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = Fr::fromU64(i + 1);
 
-    rt::Config cfg;
-    cfg.streamThreshold = 1;
-    cfg.streamChunk = 64; // 2^8 table -> 4 chunks through the pipeline
-    rt::ScopedConfig scope(cfg);
+    const std::size_t grown = std::size_t(1) << 15;
+    t.resize(grown); // capacity exceeded -> grow path -> injected EINTR
+    EXPECT_GE(rt::failpointFires("slab.create"), 1u);
+    EXPECT_GE(rt::failpointFires("slab.grow"), 1u);
 
-    const std::vector<pcs::Commitment> reference =
-        pcs::commitBatchStreamed(sharedSrs(), mu, producers);
-
-    // The producer callback runs on the prefetch side of the double-buffer
-    // pipeline; a fault there must surface to the consumer as the original
-    // exception type, not hang or abort.
-    rt::setFailpoint("chunk.producer",
-                     FailSpec{.kind = FailKind::Enomem, .nth = 2});
-    EXPECT_THROW(pcs::commitBatchStreamed(sharedSrs(), mu, producers),
-                 std::bad_alloc);
-    EXPECT_EQ(rt::failpointFires("chunk.producer"), 1u);
-
-    // The pipeline unwound cleanly: the next call succeeds and matches.
-    rt::clearFailpoints();
-    EXPECT_EQ(pcs::commitBatchStreamed(sharedSrs(), mu, producers), reference);
+    EXPECT_TRUE(t.isMapped());
+    ASSERT_EQ(t.size(), grown);
+    for (std::size_t i = 0; i < 1024; ++i)
+        ASSERT_EQ(t[i], Fr::fromU64(i + 1));
+    for (std::size_t i = 1024; i < grown; ++i)
+        ASSERT_EQ(t[i], Fr::zero()) << i;
 }
 
 TEST_F(FaultTest, PreprocessBuildsBothSrsLevelsAndTheFirstProofNone)
@@ -592,24 +605,26 @@ TEST(FaultSoak, MixedLoadEveryFutureResolvesTyped)
     fixtures.push_back(makeFixture(8, true, 8104));
 
     // The CI soak leg provides its own ZKPHIRE_FAILPOINTS schedule; local
-    // runs arm a representative one covering every compiled-in site.
-    if (std::getenv("ZKPHIRE_FAILPOINTS") == nullptr) {
-        rt::setFailpointsFromSpec(
-            "sumcheck.round=throw:p=0.02:seed=1;"
-            "msm.accum=enomem:p=0.02:seed=2;"
-            "chunk.producer=enospc:p=0.05:seed=3;"
-            "slab.create=enospc:p=0.3:seed=4;"
-            "slab.grow=enospc:p=0.1:seed=5;"
-            "rt.worker=throw:p=0.002:seed=6");
-    } else {
+    // runs arm a representative one covering every site a proof reaches.
+    // (slab.grow is not among them: no proof grows a mapped slab, so its
+    // EINTR and ENOSPC branches have their own FaultTest cases.)
+    const char *env_schedule = std::getenv("ZKPHIRE_FAILPOINTS");
+    const std::string schedule =
+        env_schedule != nullptr ? env_schedule
+                                : "sumcheck.round=throw:p=0.02:seed=1;"
+                                  "msm.accum=enomem:p=0.02:seed=2;"
+                                  "slab.create=enospc:p=0.3:seed=4;"
+                                  "rt.worker=throw:p=0.002:seed=6";
+    if (env_schedule == nullptr)
+        rt::setFailpointsFromSpec(schedule);
+    else
         rt::loadFailpointsFromEnv();
-    }
 
     {
         // streamThreshold=1 pushes every table through the slab store so
-        // the slab.create/slab.grow sites actually see traffic; the tiny
-        // chunk makes even these test-sized tables span multiple chunks,
-        // so the streamed-commit pipeline (msm.accum) does too.
+        // the slab.create site actually sees traffic; the tiny chunk makes
+        // even these test-sized tables span multiple chunks, so
+        // commitBatch's chunk walk (msm.accum) does too.
         engine::ProverContext ctx(
             sharedSrs(),
             {.threads = 2, .streamThreshold = 1, .streamChunk = 64});
@@ -677,5 +692,10 @@ TEST(FaultSoak, MixedLoadEveryFutureResolvesTyped)
                                    sm.expiredDeadline + sm.cancelled);
         EXPECT_EQ(sm.completed, ok);
     }
+    // A site the schedule arms but the load never reaches is coverage the
+    // soak only claims: every armed site must have been consulted.
+    for (const std::string &site : scheduleSites(schedule))
+        EXPECT_GT(rt::failpointHits(site), 0u)
+            << "the load never reached armed site " << site;
     rt::clearFailpoints();
 }

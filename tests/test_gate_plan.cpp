@@ -15,6 +15,7 @@
 #include "sumcheck/prover.hpp"
 #include "sumcheck/verifier.hpp"
 #include "sumcheck/zerocheck.hpp"
+#include "sumcheck_oracle.hpp"
 
 using namespace zkphire;
 using poly::GateExpr;
@@ -123,14 +124,11 @@ TEST(GatePlan, ProofsBitIdenticalToNaiveAtEveryThreadCount)
         auto tables = gate.randomTables(mu, rng);
 
         hash::Transcript tr_naive("plan-equiv");
-        auto ref = sumcheck::prove(VirtualPoly(gate.expr, tables), tr_naive,
-                                   rt::Config{.threads = 1},
-                                   sumcheck::EvalPath::Naive);
+        auto ref = oracle::naiveProve(gate.expr, tables, tr_naive);
         for (unsigned threads : {1u, 2u, 4u}) {
             hash::Transcript tr("plan-equiv");
             auto out = sumcheck::prove(VirtualPoly(gate.expr, tables), tr,
-                                       rt::Config{.threads = threads},
-                                       sumcheck::EvalPath::Plan);
+                                       rt::Config{.threads = threads});
             expectProofsIdentical(ref, out, gate.name.c_str());
         }
     }
@@ -150,14 +148,11 @@ TEST(GatePlan, ProofsBitIdenticalOnRandomExpressions)
             tables.push_back(Mle::random(mu, rng));
 
         hash::Transcript tr_naive("plan-equiv-rand");
-        auto ref = sumcheck::prove(VirtualPoly(expr, tables), tr_naive,
-                                   rt::Config{.threads = 1},
-                                   sumcheck::EvalPath::Naive);
+        auto ref = oracle::naiveProve(expr, tables, tr_naive);
         for (unsigned threads : {1u, 3u}) {
             hash::Transcript tr("plan-equiv-rand");
             auto out = sumcheck::prove(VirtualPoly(expr, tables), tr,
-                                       rt::Config{.threads = threads},
-                                       sumcheck::EvalPath::Plan);
+                                       rt::Config{.threads = threads});
             expectProofsIdentical(ref, out, "random expr");
         }
         // And the proofs still verify.

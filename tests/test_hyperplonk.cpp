@@ -72,40 +72,6 @@ TEST(Pcs, CommitBatchMatchesPerPolyCommit)
         EXPECT_EQ(mixed[i], pcs::commit(sharedSrs(), polys[i])) << i;
 }
 
-TEST(Pcs, OpenManyMatchesPerPolyOpen)
-{
-    Rng rng(105);
-    std::vector<Mle> polys = {Mle::random(5, rng), Mle::random(5, rng),
-                              Mle::random(5, rng)};
-    std::vector<std::vector<Fr>> zv(polys.size());
-    for (std::size_t i = 0; i < polys.size(); ++i)
-        for (unsigned j = 0; j < 5; ++j)
-            zv[i].push_back(Fr::random(rng));
-
-    auto check = [&](std::span<const Mle> ps) {
-        std::vector<const Mle *> ptrs;
-        std::vector<std::span<const Fr>> zs;
-        for (std::size_t i = 0; i < ps.size(); ++i) {
-            ptrs.push_back(&ps[i]);
-            zs.push_back(std::span<const Fr>(zv[i].data(),
-                                             ps[i].numVars()));
-        }
-        auto many = pcs::openMany(sharedSrs(), ptrs, zs);
-        for (std::size_t i = 0; i < ps.size(); ++i) {
-            auto solo = pcs::open(sharedSrs(), ps[i], zs[i]);
-            ASSERT_EQ(many[i].quotients.size(), solo.quotients.size());
-            for (std::size_t q = 0; q < solo.quotients.size(); ++q)
-                EXPECT_EQ(many[i].quotients[q], solo.quotients[q])
-                    << "chain " << i << " level " << q;
-        }
-    };
-    check(polys);
-    // Mixed variable counts degrade to independent openings.
-    polys.push_back(Mle::random(3, rng));
-    zv.push_back({Fr::random(rng), Fr::random(rng), Fr::random(rng)});
-    check(polys);
-}
-
 TEST(Pcs, CommitmentIsBindingToPolynomial)
 {
     Rng rng(102);

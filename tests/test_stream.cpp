@@ -234,33 +234,6 @@ TEST(Stream, CommitStreamingMatchesRamAcrossChunksAndThreads)
     }
 }
 
-TEST(Stream, CommitBatchStreamedProducerMatchesCommitBatch)
-{
-    Rng rng(7);
-    const unsigned mu = 11;
-    std::vector<Mle> polys;
-    for (int i = 0; i < 3; ++i)
-        polys.push_back(Mle::random(mu, rng));
-    std::vector<pcs::Commitment> oracle = [&] {
-        rt::ScopedConfig scope(ramOnly());
-        return pcs::commitBatch(sharedSrs(), polys);
-    }();
-    for (std::size_t chunk : kChunks) {
-        rt::ScopedConfig scope(streamAll(chunk));
-        std::vector<pcs::ChunkProducer> producers;
-        for (const Mle &p : polys)
-            producers.push_back(
-                [&p](std::size_t b, std::size_t e, Fr *dst) {
-                    std::copy(p.data() + b, p.data() + e, dst);
-                });
-        std::vector<pcs::Commitment> got =
-            pcs::commitBatchStreamed(sharedSrs(), mu, producers);
-        ASSERT_EQ(got.size(), oracle.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            EXPECT_EQ(got[i], oracle[i]) << "chunk " << chunk << " i " << i;
-    }
-}
-
 TEST(Stream, OpenQuotientsMatchUnderStreaming)
 {
     Rng rng(8);
