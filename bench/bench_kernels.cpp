@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "ec/msm.hpp"
@@ -205,6 +206,76 @@ BENCHMARK(BM_FieldSquare_FrUnrolled);
 BENCHMARK(BM_FieldSquare_FrAsm);
 BENCHMARK(BM_FieldSquare_FqUnrolled);
 BENCHMARK(BM_FieldSquare_FqAsm);
+
+// ---------------------------------------------------------------------------
+// BM_FieldAddSub family: modular add, sub, neg and dbl for Fr and Fq, in two
+// shapes. `Span` applies the op element-wise over 1024 operands (throughput:
+// independent ops overlap); `Chain` feeds each result into the next op
+// (latency: the whole carry chain and its reduction are on the critical
+// path). Every batched-affine bucket add spends about six subtractions next
+// to its multiplies, so the chain price is the one the MSM feels. The
+// `s/op` counter reads as the time per operation.
+// ---------------------------------------------------------------------------
+
+template <class F, class Op>
+static void
+fieldAddSubBench(benchmark::State &state, Op op, bool chain)
+{
+    constexpr std::size_t kSpan = 1024;
+    Rng rng(17);
+    std::vector<F> a, b, dst(kSpan);
+    for (std::size_t i = 0; i < kSpan; ++i) {
+        a.push_back(F::random(rng));
+        b.push_back(F::random(rng));
+    }
+    F x = a[0];
+    for (auto _ : state) {
+        if (chain) {
+            // y never escapes inside the loop, so it stays in registers
+            // and each op waits only on the previous one.
+            F y = x;
+            const F c = b[0];
+            for (std::size_t i = 0; i < kSpan; ++i)
+                y = op(y, c);
+            x = y;
+            benchmark::DoNotOptimize(x);
+        } else {
+            for (std::size_t i = 0; i < kSpan; ++i)
+                dst[i] = op(a[i], b[i]);
+            benchmark::DoNotOptimize(dst.data());
+            benchmark::ClobberMemory();
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kSpan);
+    state.counters["s/op"] = benchmark::Counter(
+        double(kSpan), benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+}
+
+template <class F>
+static void
+registerFieldAddSub(const std::string &field)
+{
+    const auto reg = [&](const std::string &name, auto op) {
+        for (bool chain : {false, true})
+            benchmark::RegisterBenchmark(
+                ("BM_FieldAddSub_" + field + name + (chain ? "Chain" : "Span"))
+                    .c_str(),
+                [op, chain](benchmark::State &state) {
+                    fieldAddSubBench<F>(state, op, chain);
+                });
+    };
+    reg("Add", [](const F &x, const F &y) { return x + y; });
+    reg("Sub", [](const F &x, const F &y) { return x - y; });
+    reg("Neg", [](const F &x, const F &) { return x.neg(); });
+    reg("Dbl", [](const F &x, const F &) { return x.dbl(); });
+}
+
+[[maybe_unused]] static const bool kFieldAddSubRegistered = [] {
+    registerFieldAddSub<Fr>("Fr");
+    registerFieldAddSub<ff::Fq>("Fq");
+    return true;
+}();
 
 static void
 BM_Sha3_256(benchmark::State &state)

@@ -12,83 +12,125 @@ namespace {
 using ff::Fq;
 
 enum PairKind : std::uint8_t {
-    kKeepA = 0, ///< rhs is the identity: result = lhs.
-    kKeepB = 1, ///< lhs is the identity: result = rhs.
-    kInf = 2,   ///< lhs == -rhs: result = identity.
-    kSlope = 3, ///< Generic add or doubling: needs a slope inverse.
+    kDone = 0, ///< Identity operand or cancellation: the slot holds the sum.
+    kAdd = 1,  ///< Generic add: the slot holds P1, the slope is pending.
+    kDbl = 2,  ///< Doubling: the slot holds P1, the slope is pending.
 };
 
 /**
- * Classify one pair, staging slope numerator/denominator for the batched
- * inversion when the pair needs one. Denominators are nonzero by
- * construction: a generic add has x2 != x1 and a doubling has y != 0 (a
- * zero y falls into the cancellation case, since then -y == y).
+ * Stage one pair into its output slot, the only place the pair's points
+ * are read this round. Pairs with an identity operand or that cancel get
+ * their sum now; slope pairs write their first operand to the slot and
+ * push the slope numerator and denominator for the batched inversion,
+ * and finishPair completes them from the slot. Denominators are nonzero
+ * by construction: a generic add has x2 != x1 and a doubling has y != 0
+ * (a zero y falls into the cancellation case, since then -y == y).
+ * `slot` may alias `a`: every read of a and b comes before the write.
  */
 // zkphire-lint: ct-exempt(identity/cancellation classification is what batched-affine MSM buckets require; scalar-shaped timing is inherent to Pippenger)
 inline std::uint8_t
-classifyPair(const G1Affine &a, const G1Affine &b, BatchAffineScratch &s)
+stagePair(const G1Affine &a, const G1Affine &b, G1Affine &slot,
+          BatchAffineScratch &s)
 {
-    if (b.infinity)
-        return kKeepA;
-    if (a.infinity)
-        return kKeepB;
+    if (b.infinity) {
+        slot = a;
+        return kDone;
+    }
+    if (a.infinity) {
+        slot = b;
+        return kDone;
+    }
     if (a.x == b.x) {
         if (a.y == b.y && !a.y.isZero()) {
             // Doubling: lambda = 3x^2 / 2y.
             Fq sq = a.x.square();
             s.numer.push_back(sq.dbl() + sq);
             s.denom.push_back(a.y.dbl());
-            return kSlope;
+            slot = a;
+            return kDbl;
         }
-        return kInf;
+        slot = G1Affine{};
+        return kDone;
     }
     // Generic: lambda = (y2 - y1) / (x2 - x1).
     s.numer.push_back(b.y - a.y);
     s.denom.push_back(b.x - a.x);
-    return kSlope;
-}
-
-/** Apply a classified pair; di indexes the round's resolved slopes. */
-inline G1Affine
-applyPair(std::uint8_t kind, const G1Affine &a, const G1Affine &b,
-          const BatchAffineScratch &s, std::size_t &di)
-{
-    switch (kind) {
-    case kKeepA:
-        return a;
-    case kKeepB:
-        return b;
-    case kInf:
-        return G1Affine{};
-    default: {
-        const Fq &lam = s.numer[di];
-        ++di;
-        Fq x3 = lam.square() - a.x - b.x;
-        return G1Affine{x3, lam * (a.x - x3) - a.y, false};
-    }
-    }
+    slot = a;
+    return kAdd;
 }
 
 /**
- * Resolve this round's staged slopes: one true field inversion for every
- * denominator (Montgomery's trick), then one fused element-wise multiply
- * turns numer[] into the finished slopes lambda = numer * denom^{-1} —
- * a single ff::mulVec pass over the unrolled Fq kernel instead of a
- * per-pair multiply scattered through the apply loop.
+ * Finish a slope pair in place: the slot holds P1 = (x1, y1), lam is the
+ * resolved slope, and denom is the pair's intact denominator. The affine
+ * law needs x1 + x2, which is 2*x1 + (x2 - x1) for an add and 2*x1 for a
+ * doubling, so P2 is never read again.
+ */
+inline void
+finishPair(std::uint8_t kind, G1Affine &slot, const Fq &lam, const Fq &denom)
+{
+    Fq x_sum = slot.x.dbl();
+    if (kind == kAdd)
+        x_sum += denom;
+    const Fq x3 = lam.square() - x_sum;
+    slot.y = lam * (slot.x - x3) - slot.y;
+    slot.x = x3;
+}
+
+/** Clear the per-round staging arrays. */
+void
+beginRound(BatchAffineScratch &scratch)
+{
+    scratch.kind.clear();
+    scratch.numer.clear();
+    scratch.denom.clear();
+}
+
+/**
+ * Finish a staged round. One true field inversion covers every
+ * denominator (Montgomery's trick, out of place so the denominators stay
+ * intact), one fused ff::mulVec pass turns numer[] into the slopes
+ * lambda = numer * denom^{-1}, and finishPair completes each slope pair
+ * in its slot. Segment s's pairs sit at slots[slot_off[s] ...] and
+ * scratch.len holds the lengths the round started from.
  */
 void
-resolveRound(BatchAffineScratch &scratch, BatchAffineStats *stats)
+finishRound(G1Affine *slots, std::span<const std::uint32_t> slot_off,
+            BatchAffineScratch &scratch, BatchAffineStats *stats)
 {
-    if (scratch.denom.empty())
-        return;
-    ff::batchInverseSerialInPlace(std::span<Fq>(scratch.denom),
-                                  scratch.prefix);
-    ff::mulVec(scratch.numer.data(), scratch.numer.data(),
-               scratch.denom.data(), scratch.denom.size());
-    if (stats) {
-        stats->affineAdds += scratch.denom.size();
-        ++stats->batchInversions;
+    if (!scratch.denom.empty()) {
+        ff::batchInverseSerialInto(std::span<const Fq>(scratch.denom),
+                                   scratch.inv);
+        ff::mulVec(scratch.numer.data(), scratch.numer.data(),
+                   scratch.inv.data(), scratch.denom.size());
+        if (stats) {
+            stats->affineAdds += scratch.denom.size();
+            ++stats->batchInversions;
+        }
     }
+    std::size_t pi = 0, di = 0;
+    for (std::size_t s = 0; s < scratch.len.size(); ++s) {
+        G1Affine *dst = slots + slot_off[s];
+        for (std::size_t j = 0; j < scratch.len[s] / 2; ++j, ++pi) {
+            const std::uint8_t kind = scratch.kind[pi];
+            if (kind == kDone)
+                continue;
+            finishPair(kind, dst[j], scratch.numer[di], scratch.denom[di]);
+            ++di;
+        }
+    }
+}
+
+/** Halve the segment lengths after a round (an odd tail passes through);
+ *  true while some segment still has more than one point. */
+bool
+halveLengths(std::vector<std::uint32_t> &len)
+{
+    bool again = false;
+    for (std::uint32_t &L : len) {
+        L = (L + 1) / 2;
+        again |= L > 1;
+    }
+    return again;
 }
 
 // zkphire-lint: ct-exempt(sign-bit decode of public point table entries)
@@ -112,34 +154,19 @@ reduceSegments(std::span<G1Affine> buf, std::span<const std::uint32_t> off,
                bool again, BatchAffineScratch &scratch,
                BatchAffineStats *stats)
 {
-    const std::size_t num_segs = scratch.len.size();
     while (again) {
-        scratch.kind.clear();
-        scratch.numer.clear();
-        scratch.denom.clear();
-        for (std::size_t s = 0; s < num_segs; ++s) {
-            const std::size_t base = off[s];
-            const std::size_t pairs = scratch.len[s] / 2;
-            for (std::size_t j = 0; j < pairs; ++j)
-                scratch.kind.push_back(classifyPair(
-                    buf[base + 2 * j], buf[base + 2 * j + 1], scratch));
-        }
-        resolveRound(scratch, stats);
-
-        again = false;
-        std::size_t pi = 0, di = 0;
-        for (std::size_t s = 0; s < num_segs; ++s) {
-            const std::size_t base = off[s];
+        beginRound(scratch);
+        for (std::size_t s = 0; s < scratch.len.size(); ++s) {
+            G1Affine *seg = buf.data() + off[s];
             const std::size_t L = scratch.len[s];
-            const std::size_t pairs = L / 2;
-            for (std::size_t j = 0; j < pairs; ++j, ++pi)
-                buf[base + j] = applyPair(scratch.kind[pi], buf[base + 2 * j],
-                                          buf[base + 2 * j + 1], scratch, di);
+            for (std::size_t j = 0; j < L / 2; ++j)
+                scratch.kind.push_back(
+                    stagePair(seg[2 * j], seg[2 * j + 1], seg[j], scratch));
             if (L % 2 == 1 && L > 1)
-                buf[base + L / 2] = buf[base + L - 1];
-            scratch.len[s] = static_cast<std::uint32_t>((L + 1) / 2);
-            again |= scratch.len[s] > 1;
+                seg[L / 2] = seg[L - 1];
         }
+        finishRound(buf.data(), off, scratch, stats);
+        again = halveLengths(scratch.len);
     }
 }
 
@@ -198,42 +225,45 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
     trim(scratch.buf, need);
     trim(scratch.numer, need);
     trim(scratch.denom, need);
-    trim(scratch.prefix, need);
+    trim(scratch.inv, need);
     if (scratch.buf.size() < need)
         scratch.buf.resize(need);
 
-    scratch.kind.clear();
-    scratch.numer.clear();
-    scratch.denom.clear();
-    for (std::size_t s = 0; s < num_segs; ++s) {
-        const std::size_t base = off[s];
-        const std::size_t pairs = (off[s + 1] - base) / 2;
-        for (std::size_t j = 0; j < pairs; ++j)
-            scratch.kind.push_back(
-                classifyPair(decodeEntry(points, enc[base + 2 * j]),
-                             decodeEntry(points, enc[base + 2 * j + 1]),
-                             scratch));
-    }
-    resolveRound(scratch, stats);
-
+    // Round 0 decodes every entry exactly once: each pair is staged
+    // straight into its compacted slot and an odd tail is copied there.
+    // The reads are random gathers from the shared point array, so the
+    // points kAhead entries down the stream are prefetched, every cache
+    // line of each; the A/B that keeps it is in EXPERIMENTS.md ("Flag-carry
+    // field kernels and one-read bucket rounds").
+    constexpr std::size_t kAhead = 16;
+    const auto prefetch = [&](std::size_t k) {
+        const char *p = reinterpret_cast<const char *>(&points[enc[k] >> 1]);
+        __builtin_prefetch(p);
+        __builtin_prefetch(p + 64);
+        __builtin_prefetch(p + sizeof(G1Affine) - 1);
+    };
+    beginRound(scratch);
     scratch.len.resize(num_segs);
-    bool again = false;
-    std::size_t pi = 0, di = 0;
     for (std::size_t s = 0; s < num_segs; ++s) {
-        const std::size_t base = off[s];
-        const std::size_t L = off[s + 1] - base;
-        const std::size_t pairs = L / 2;
+        const std::uint32_t *e = enc.data() + off[s];
+        const std::size_t L = off[s + 1] - off[s];
         G1Affine *dst = scratch.buf.data() + scratch.off[s];
-        for (std::size_t j = 0; j < pairs; ++j, ++pi)
-            dst[j] = applyPair(scratch.kind[pi],
-                               decodeEntry(points, enc[base + 2 * j]),
-                               decodeEntry(points, enc[base + 2 * j + 1]),
-                               scratch, di);
+        for (std::size_t j = 0; j < L / 2; ++j) {
+            if (const std::size_t k = off[s] + 2 * j + kAhead;
+                k + 1 < enc.size()) {
+                prefetch(k);
+                prefetch(k + 1);
+            }
+            scratch.kind.push_back(stagePair(decodeEntry(points, e[2 * j]),
+                                             decodeEntry(points, e[2 * j + 1]),
+                                             dst[j], scratch));
+        }
         if (L % 2 == 1)
-            dst[L / 2] = decodeEntry(points, enc[base + L - 1]);
-        scratch.len[s] = std::uint32_t((L + 1) / 2);
-        again |= scratch.len[s] > 1;
+            dst[L / 2] = decodeEntry(points, e[L - 1]);
+        scratch.len[s] = std::uint32_t(L);
     }
+    finishRound(scratch.buf.data(), scratch.off, scratch, stats);
+    const bool again = halveLengths(scratch.len);
 
     reduceSegments(scratch.buf, scratch.off, again, scratch, stats);
     for (std::size_t s = 0; s < num_segs; ++s)

@@ -11,13 +11,15 @@
  * additions whose slope denominators can be inverted together.
  *
  * batchAffineSegmentSums reduces many independent point lists ("segments",
- * one per MSM bucket) to their sums with pairwise halving rounds; each
- * round classifies every pair (identity / cancellation / doubling / generic
- * add), batch-inverts all slope denominators in one shot, and applies the
- * affine formulas. The pairing order is fixed by the segment layout, so
- * results are deterministic regardless of thread count, and inverses are
- * canonical field values, so the output is bit-identical to a serial
- * affine evaluation.
+ * one per MSM bucket) to their sums with pairwise halving rounds. Each
+ * round reads every pair once: a staging pass classifies it (identity /
+ * cancellation / doubling / generic add) and writes its output slot —
+ * the sum itself, or the first operand plus a staged slope numerator and
+ * denominator; one batch inversion then resolves all slopes, and a finish
+ * pass completes the slope pairs from their slots. The pairing order is
+ * fixed by the segment layout, so results are deterministic regardless of
+ * thread count, and inverses are canonical field values, so the output is
+ * bit-identical to a serial affine evaluation.
  */
 #ifndef ZKPHIRE_EC_BATCH_ADD_HPP
 #define ZKPHIRE_EC_BATCH_ADD_HPP
@@ -40,12 +42,14 @@ struct BatchAffineStats {
 /** Reusable scratch for the segment-sum reductions (grown once, reused). */
 struct BatchAffineScratch {
     std::vector<std::uint32_t> len;
-    std::vector<std::uint8_t> kind;
+    std::vector<std::uint8_t> kind; ///< One per pair of the current round.
     /** Slope numerators while staging; the finished slopes (numer *
      *  denom^{-1}, one fused mulVec pass) after the round resolves. */
     std::vector<ff::Fq> numer;
+    /** Slope denominators; left intact by the inversion, since the finish
+     *  pass reads x2 - x1 from them. */
     std::vector<ff::Fq> denom;
-    std::vector<ff::Fq> prefix;
+    std::vector<ff::Fq> inv;        ///< denom^{-1}; prefix products first.
     std::vector<G1Affine> buf;      ///< Indexed round-0 output buffer.
     std::vector<std::uint32_t> off; ///< Its compacted segment offsets.
 };
@@ -70,12 +74,13 @@ void batchAffineSegmentSums(std::span<G1Affine> buf,
 /**
  * Segment sums over ENCODED point references instead of materialized
  * points: entry e refers to points[e >> 1], negated when (e & 1). The
- * first halving round reads the point array directly and writes its
- * (half-size, compacted) results into scratch.buf, so the caller's
- * scatter pass moves 4-byte indices instead of ~100-byte points — the MSM
- * bucket scatter is bandwidth-bound and this is what makes the shared
- * point walk pay off. Results are identical to materializing the points
- * into a buffer and calling batchAffineSegmentSums.
+ * first halving round decodes each entry from the point array exactly
+ * once and writes its (half-size, compacted) results into scratch.buf, so
+ * the caller's scatter pass moves 4-byte indices instead of ~100-byte
+ * points — the MSM bucket scatter is bandwidth-bound and this is what
+ * makes the shared point walk pay off. Results and stats are identical to
+ * materializing the points into a buffer and calling
+ * batchAffineSegmentSums.
  */
 void batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
                                    std::span<const std::uint32_t> enc,

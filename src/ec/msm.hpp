@@ -137,11 +137,19 @@ std::vector<G1Jacobian> msmBatch(std::span<const std::span<const Fr>> cols,
                                  MsmStats *stats = nullptr);
 
 /**
- * Fq-multiplication prices of the MSM pipeline's point operations with
- * the fixed-limb kernels (dedicated squaring at S ~ 0.8 M). ONE source of
- * truth shared by the kernel's window argmin (pippengerAutoWindowSignedBits)
- * and the CPU baseline model (sim::CpuModel::msmFieldMuls) — retune here
- * and both move together.
+ * Fq-multiplication prices of the MSM pipeline's point operations. ONE
+ * source of truth shared by the kernel's window argmin
+ * (pippengerAutoWindowSignedBits) and the CPU baseline model
+ * (sim::CpuModel::msmFieldMuls) — retune here and both move together.
+ *
+ * The constants price a square at 0.8 M, the portable dedicated square's
+ * ratio. The ADX asm path, the default wherever cpuid allows it, squares
+ * with the multiplier (S = M), and modular add/sub/dbl are not priced at
+ * all, although a batched-affine add spends about six of them (each about
+ * 0.1 M on the asm path; EXPERIMENTS.md, "Flag-carry field kernels"). So
+ * these are relative prices for the argmin, not a time model. They stay
+ * as they are: changing them moves the chosen window and with it every
+ * ec.* op count.
  */
 namespace msm_cost {
 /** Batched-affine pair addition: 2M + 1S, plus the 3 M of the amortized

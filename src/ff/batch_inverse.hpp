@@ -20,6 +20,7 @@
 #ifndef ZKPHIRE_FF_BATCH_INVERSE_HPP
 #define ZKPHIRE_FF_BATCH_INVERSE_HPP
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <span>
@@ -31,7 +32,10 @@ namespace zkphire::ff {
 
 namespace detail {
 
-/** Serial Montgomery trick over [xs.begin, xs.end), given prefix scratch.
+/** Serial Montgomery trick: out[i] = xs[i]^{-1}, xs left intact. out
+ * holds the prefix products during the forward sweep and is overwritten
+ * with the inverses by the backward sweep, so the trick needs no scratch
+ * beyond the output. out must not alias xs.
  *
  * Both sweeps are dependent multiplication chains (acc *= x feeds the next
  * step), so a single chain runs at multiplier latency, not throughput. The
@@ -42,7 +46,7 @@ namespace detail {
  * laned sweep is bit-identical to a single chain. */
 template <class F>
 void
-batchInverseSerial(std::span<F> xs, std::span<F> prefix)
+batchInverseSerial(std::span<const F> xs, std::span<F> out)
 {
     const std::size_t n = xs.size();
     constexpr std::size_t kLanes = 8;
@@ -50,14 +54,14 @@ batchInverseSerial(std::span<F> xs, std::span<F> prefix)
         F acc = F::one();
         for (std::size_t i = 0; i < n; ++i) {
             assert(!xs[i].isZero() && "batch inverse of zero element");
-            prefix[i] = acc;
+            out[i] = acc;
             acc *= xs[i];
         }
         F inv = acc.inverse();
         for (std::size_t i = n; i-- > 0;) {
-            F x_inv = inv * prefix[i];
+            F x_inv = inv * out[i];
             inv *= xs[i];
-            xs[i] = x_inv;
+            out[i] = x_inv;
         }
         return;
     }
@@ -80,14 +84,14 @@ batchInverseSerial(std::span<F> xs, std::span<F> prefix)
         for (std::size_t k = 0; k < kLanes; ++k) {
             const std::size_t i = off[k] + s;
             assert(!xs[i].isZero() && "batch inverse of zero element");
-            prefix[i] = acc[k];
+            out[i] = acc[k];
             acc[k] *= xs[i];
         }
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
         for (std::size_t i = off[k] + lmin; i < off[k + 1]; ++i) {
             assert(!xs[i].isZero() && "batch inverse of zero element");
-            prefix[i] = acc[k];
+            out[i] = acc[k];
             acc[k] *= xs[i];
         }
     }
@@ -109,19 +113,29 @@ batchInverseSerial(std::span<F> xs, std::span<F> prefix)
 
     for (std::size_t k = 0; k < kLanes; ++k) {
         for (std::size_t i = off[k + 1]; i-- > off[k] + lmin;) {
-            F x_inv = inv[k] * prefix[i];
+            F x_inv = inv[k] * out[i];
             inv[k] *= xs[i];
-            xs[i] = x_inv;
+            out[i] = x_inv;
         }
     }
     for (std::size_t s = lmin; s-- > 0;) {
         for (std::size_t k = 0; k < kLanes; ++k) {
             const std::size_t i = off[k] + s;
-            F x_inv = inv[k] * prefix[i];
+            F x_inv = inv[k] * out[i];
             inv[k] *= xs[i];
-            xs[i] = x_inv;
+            out[i] = x_inv;
         }
     }
+}
+
+/** In-place form of batchInverseSerial, through a temporary. */
+template <class F>
+void
+batchInverseSerialInPlace(std::span<F> xs)
+{
+    std::vector<F> inv(xs.size());
+    batchInverseSerial(std::span<const F>(xs), std::span<F>(inv));
+    std::copy(inv.begin(), inv.end(), xs.begin());
 }
 
 } // namespace detail
@@ -141,8 +155,7 @@ batchInverseInPlace(std::span<F> xs)
 
     constexpr std::size_t kMinParallel = 2048;
     if (rt::currentThreads() <= 1 || n < kMinParallel) {
-        std::vector<F> prefix(n);
-        detail::batchInverseSerial(xs, std::span<F>(prefix));
+        detail::batchInverseSerialInPlace(xs);
         return;
     }
 
@@ -166,9 +179,7 @@ batchInverseInPlace(std::span<F> xs)
         grain);
 
     // Invert the chunk products serially: still exactly one true inversion.
-    std::vector<F> chunk_scratch(num_chunks);
-    detail::batchInverseSerial(std::span<F>(chunk_prod),
-                               std::span<F>(chunk_scratch));
+    detail::batchInverseSerialInPlace(std::span<F>(chunk_prod));
 
     // Pass 2 (parallel): per-chunk back substitution from the chunk inverse.
     rt::parallelForChunks(
@@ -185,22 +196,23 @@ batchInverseInPlace(std::span<F> xs)
 }
 
 /**
- * In-place batched inversion with a caller-owned prefix buffer, for hot
- * loops that invert many small batches (the batched-affine MSM bucket
- * adder resolves one batch per reduction round): the scratch vector is
- * grown once and reused, so repeated rounds allocate nothing. Always runs
- * the serial sweep — callers sit inside an already-parallel region.
+ * Out-of-place batched inversion into a caller-owned buffer, for hot loops
+ * that invert many small batches (the batched-affine MSM bucket adder
+ * resolves one batch per reduction round): `out` is grown once and reused,
+ * so repeated rounds allocate nothing, and `xs` is left intact for callers
+ * that still need the denominators. out[0 .. xs.size()) receives the
+ * inverses. Always runs the serial sweep — callers sit inside an
+ * already-parallel region.
  */
 template <class F>
 void
-batchInverseSerialInPlace(std::span<F> xs, std::vector<F> &prefix_scratch)
+batchInverseSerialInto(std::span<const F> xs, std::vector<F> &out)
 {
     if (xs.empty())
         return;
-    if (prefix_scratch.size() < xs.size())
-        prefix_scratch.resize(xs.size());
-    detail::batchInverseSerial(
-        xs, std::span<F>(prefix_scratch.data(), xs.size()));
+    if (out.size() < xs.size())
+        out.resize(xs.size());
+    detail::batchInverseSerial(xs, std::span<F>(out.data(), xs.size()));
 }
 
 /** Batched inversion returning a new vector. */

@@ -28,8 +28,10 @@
  *    "memory" clobber, so surrounding hot loops (vec_ops blocks, bucket
  *    adds) keep their pointers in registers across calls.
  *  - The final conditional subtraction reuses the branchless C++
- *    condSubModulus — it is flag-free mask arithmetic the compiler already
- *    schedules well, and keeping it out of the asm keeps the block small.
+ *    condSubModulus. Its subtraction runs on the flag-carry primitives of
+ *    mul_impl.hpp, so GCC emits one sub/sbb chain plus a mask select —
+ *    the code a hand-written asm tail would hold — and keeping it out of
+ *    the asm keeps the block small.
  *
  * Squaring dispatches to this multiplier with both operands equal: a
  * dedicated asm squaring needs 2N accumulator limbs live (12 for Fq),

@@ -32,6 +32,12 @@
  *  - **Branchless reduction**: add/sub/double/negate/mul select the reduced
  *    value with a borrow-derived mask instead of a compare-and-branch, so
  *    the hot loops carry no data-dependent branches.
+ *  - **Flag-carry chains**: every 0/1 carry or borrow chain runs on
+ *    addCarry/subBorrow (_addcarry_u64/_subborrow_u64 on x86-64), which
+ *    GCC compiles to one adc/sbb chain. Built on u128 instead, the same
+ *    chains compile to setc/movzx/or sequences with stack spills, at about
+ *    three times the latency. Only the square's diagonal pass keeps the
+ *    u128 adc(): its carry-in is a whole mac() high word, not a bit.
  *
  * All kernels produce canonical (< p) results, bit-identical to the generic
  * path — tests/test_ff_kernels.cpp locks this on random and edge operands,
@@ -45,6 +51,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <utility>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace zkphire::ff::kernels {
 
@@ -107,7 +117,11 @@ mac(u64 a, u64 b, u64 c, u64 &carry)
     return (u64)t;
 }
 
-/** lo(a + b + carry); carry <- hi (0 or 1). */
+/**
+ * lo(a + b + carry); carry <- hi. Word carry: `carry` may be a whole mac()
+ * high word, so this stays on u128 (the flag primitives below take a 0/1
+ * carry-in only).
+ */
 inline u64
 adc(u64 a, u64 b, u64 &carry)
 {
@@ -116,13 +130,39 @@ adc(u64 a, u64 b, u64 &carry)
     return (u64)t;
 }
 
-/** lo(a - b - borrow); borrow <- 1 on underflow. */
+/** A 0/1 carry or borrow flag, as the x86-64 carry intrinsics take it. */
+using Flag = unsigned char;
+
+/** lo(a + b + c); c <- carry out. @pre c is 0 or 1. On x86-64 a chain of
+ *  these compiles to one add/adc chain on the carry flag. */
 inline u64
-sbb(u64 a, u64 b, u64 &borrow)
+addCarry(u64 a, u64 b, Flag &c)
 {
-    const u128 t = (u128)a - b - borrow;
-    borrow = (u64)((t >> 64) & 1);
+#if defined(__x86_64__)
+    unsigned long long r;
+    c = _addcarry_u64(c, a, b, &r);
+    return r;
+#else
+    const u128 t = (u128)a + b + c;
+    c = Flag(t >> 64);
     return (u64)t;
+#endif
+}
+
+/** lo(a - b - c); c <- 1 on underflow. @pre c is 0 or 1. One sub/sbb
+ *  chain on x86-64, like addCarry. */
+inline u64
+subBorrow(u64 a, u64 b, Flag &c)
+{
+#if defined(__x86_64__)
+    unsigned long long r;
+    c = _subborrow_u64(c, a, b, &r);
+    return r;
+#else
+    const u128 t = (u128)a - b - c;
+    c = Flag((t >> 64) & 1);
+    return (u64)t;
+#endif
 }
 
 /**
@@ -135,10 +175,10 @@ condSubModulus(u64 *out, const u64 *t)
 {
     constexpr std::size_t N = Big::numLimbs;
     u64 u[N];
-    u64 borrow = 0;
+    Flag borrow = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        u[i] = sbb(t[i], P.limb[i], borrow);
+        u[i] = subBorrow(t[i], P.limb[i], borrow);
     });
     const u64 keep_sub = u64(0) - (borrow ^ 1); // all-ones when t >= P
     unroll<N>([&](auto I) {
@@ -268,7 +308,7 @@ montSquare(u64 *out, const u64 *a)
     });
     // Montgomery reduction of the 2N-limb product (a^2 < P*R, so the final
     // carry chain is empty for headroom moduli and the result is < 2P).
-    u64 carry2 = 0;
+    Flag carry2 = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
         const u64 m = r[i] * Inv;
@@ -278,9 +318,7 @@ montSquare(u64 *out, const u64 *a)
             constexpr std::size_t j = decltype(J)::value + 1;
             r[i + j] = mac(r[i + j], m, P.limb[j], c);
         });
-        u64 c2 = carry2;
-        r[i + N] = adc(r[i + N], c, c2);
-        carry2 = c2;
+        r[i + N] = addCarry(r[i + N], c, carry2);
     });
     detail::condSubModulus<Big, P>(out, r + N);
 }
@@ -297,10 +335,10 @@ addMod(u64 *out, const u64 *a, const u64 *b)
     using namespace detail;
     constexpr std::size_t N = Big::numLimbs;
     u64 t[N];
-    u64 carry = 0;
+    Flag carry = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        t[i] = adc(a[i], b[i], carry);
+        t[i] = addCarry(a[i], b[i], carry);
     });
     condSubModulus<Big, P>(out, t);
 }
@@ -322,8 +360,8 @@ dblMod(u64 *out, const u64 *a)
 }
 
 /**
- * out = a - b mod P, branchless: the borrow masks a compensating +P pass
- * that is always executed. out may alias a or b.
+ * out = a - b mod P, branchless: a compensating +P pass is always executed
+ * and the borrow mask selects it. out may alias a or b.
  */
 template <class Big, Big P>
 inline void
@@ -332,16 +370,24 @@ subMod(u64 *out, const u64 *a, const u64 *b)
     using namespace detail;
     constexpr std::size_t N = Big::numLimbs;
     u64 t[N];
-    u64 borrow = 0;
+    Flag borrow = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        t[i] = sbb(a[i], b[i], borrow);
+        t[i] = subBorrow(a[i], b[i], borrow);
+    });
+    // t + P is always computed and selected afterwards: masking P inside
+    // the add chain puts an `and` between adc instructions, and GCC then
+    // saves and restores the carry flag around every limb.
+    u64 u[N];
+    Flag carry = 0;
+    unroll<N>([&](auto I) {
+        constexpr std::size_t i = decltype(I)::value;
+        u[i] = addCarry(t[i], P.limb[i], carry);
     });
     const u64 add_p = u64(0) - borrow; // all-ones when a < b
-    u64 carry = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        out[i] = adc(t[i], P.limb[i] & add_p, carry);
+        out[i] = (u[i] & add_p) | (t[i] & ~add_p);
     });
 }
 
@@ -358,10 +404,10 @@ negMod(u64 *out, const u64 *a)
         any |= a[i];
     });
     const u64 nonzero = u64(0) - u64(any != 0);
-    u64 borrow = 0;
+    Flag borrow = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        out[i] = sbb(P.limb[i], a[i], borrow) & nonzero;
+        out[i] = subBorrow(P.limb[i], a[i], borrow) & nonzero;
     });
 }
 

@@ -314,6 +314,95 @@ TEST(BatchAffine, SegmentSumsMatchJacobianOracle)
     }
 }
 
+TEST(BatchAffine, IndexedSegmentSumsMatchMaterialized)
+{
+    // The MSM hot path: entry e names points[e >> 1], negated when e & 1.
+    // Each pair class is placed so that it meets round 0 (read through the
+    // encoded entries) and a later round (over materialized points).
+    Rng rng(83);
+    std::vector<G1Affine> points;
+    for (int i = 0; i < 6; ++i)
+        points.push_back(randomG1(rng));
+    points.push_back(G1Affine{}); // an identity entry in the point table
+    const auto pos = [](std::uint32_t i) { return i << 1; };
+    const auto neg = [](std::uint32_t i) { return (i << 1) | 1u; };
+    const std::uint32_t p = 0, q = 1, r = 2, s = 3, id = 6;
+    std::vector<std::vector<std::uint32_t>> segments = {
+        {},                            // empty
+        {pos(p)},                      // length 1
+        {neg(p)},                      // length 1, negated
+        {neg(id)},                     // length 1, negated identity
+        {pos(p), pos(p)},              // round-0 doubling
+        {neg(q), neg(q)},              // round-0 doubling of a negation
+        {pos(p), neg(p)},              // round-0 cancellation
+        {neg(p), pos(p)},              // ... in the other order
+        {pos(id), pos(q)},             // identity lhs
+        {pos(q), neg(id)},             // negated identity rhs
+        {pos(id), neg(id)},            // two identities
+        {pos(p), pos(q), pos(r)},      // odd tail
+        {pos(p), pos(id), pos(p), pos(id)},   // round-1 doubling
+        {pos(p), pos(q), neg(p), neg(q)},     // round-1 cancellation
+        {pos(p), pos(id), neg(id), neg(p)},   // round-1 cancellation
+        {pos(p), neg(p), pos(q), pos(r)},     // round-1 identity lhs
+        {pos(p), pos(q), pos(r), pos(s), pos(p)},          // odd, 3 rounds
+        {pos(q), pos(q), pos(q), pos(q), pos(q), pos(q), pos(q)},
+        {pos(p), pos(id), pos(id), pos(id), pos(p), pos(id), neg(id),
+         pos(id)},                                         // round-2 doubling
+        {pos(p), pos(q), pos(id), pos(id), neg(p), neg(q), neg(id),
+         pos(id)},                                         // round-2 cancel
+    };
+    // Long random segments put enough slopes in one round for the laned
+    // batch inversion, with every entry kind mixed in.
+    for (int i = 0; i < 24; ++i) {
+        std::vector<std::uint32_t> seg;
+        const int len = 5 + (i * 7) % 23;
+        for (int j = 0; j < len; ++j)
+            seg.push_back(std::uint32_t(rng.next() % (2 * points.size())));
+        segments.push_back(std::move(seg));
+    }
+
+    std::vector<std::uint32_t> enc;
+    std::vector<std::uint32_t> off = {0};
+    for (const auto &seg : segments) {
+        enc.insert(enc.end(), seg.begin(), seg.end());
+        off.push_back(std::uint32_t(enc.size()));
+    }
+    const auto decode = [&](std::uint32_t e) {
+        const G1Affine &a = points[e >> 1];
+        return (e & 1) && !a.infinity ? G1Affine{a.x, a.y.neg(), false} : a;
+    };
+
+    std::vector<G1Affine> buf;
+    for (std::uint32_t e : enc)
+        buf.push_back(decode(e));
+    std::vector<G1Affine> want(segments.size());
+    BatchAffineScratch want_scratch;
+    BatchAffineStats want_stats;
+    batchAffineSegmentSums(buf, off, want, want_scratch, &want_stats);
+
+    // Run twice on one scratch: the second call must not see the first's
+    // leftovers.
+    BatchAffineScratch scratch;
+    for (int pass = 0; pass < 2; ++pass) {
+        std::vector<G1Affine> got(segments.size());
+        BatchAffineStats stats;
+        batchAffineSegmentSumsIndexed(points, enc, off, got, scratch, &stats);
+        EXPECT_EQ(stats.affineAdds, want_stats.affineAdds);
+        EXPECT_EQ(stats.batchInversions, want_stats.batchInversions);
+        for (std::size_t k = 0; k < segments.size(); ++k) {
+            EXPECT_EQ(got[k].infinity, want[k].infinity) << "segment " << k;
+            EXPECT_EQ(got[k].x, want[k].x) << "segment " << k;
+            EXPECT_EQ(got[k].y, want[k].y) << "segment " << k;
+            G1Jacobian expect = G1Jacobian::identity();
+            for (std::uint32_t e : segments[k])
+                expect = expect.addMixed(decode(e));
+            EXPECT_EQ(G1Jacobian::fromAffine(got[k]), expect)
+                << "segment " << k;
+        }
+    }
+    EXPECT_GE(want_stats.batchInversions, 4u);
+}
+
 TEST(Msm, ModesAgreeWithNaive)
 {
     Rng rng(82);

@@ -196,6 +196,25 @@ TEST(BatchInverse, EmptyAndSingle)
     EXPECT_EQ(one[0] * Fr::fromU64(4), Fr::one());
 }
 
+TEST(BatchInverse, SerialIntoLeavesInputsIntact)
+{
+    // Sizes on both sides of the laned sweep's 32-element threshold, into
+    // one reused output buffer that starts larger than some batches.
+    Rng rng(78);
+    std::vector<Fq> out(40, Fq::one());
+    for (std::size_t n : {0u, 1u, 5u, 31u, 32u, 33u, 97u, 12u}) {
+        std::vector<Fq> xs;
+        for (std::size_t i = 0; i < n; ++i)
+            xs.push_back(Fq::random(rng));
+        const std::vector<Fq> before = xs;
+        batchInverseSerialInto(std::span<const Fq>(xs), out);
+        EXPECT_EQ(xs, before) << "n=" << n;
+        ASSERT_GE(out.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(out[i], xs[i].inverse()) << "n=" << n << " i=" << i;
+    }
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(123), b(123);
