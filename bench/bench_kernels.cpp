@@ -25,6 +25,7 @@
 #include "gates/gate_library.hpp"
 #include "hash/keccak.hpp"
 #include "hyperplonk/circuit.hpp"
+#include "hyperplonk/serialize.hpp"
 #include "pcs/srs.hpp"
 #include "poly/gate_plan.hpp"
 #include "poly/virtual_poly.hpp"
@@ -747,11 +748,54 @@ BM_ServiceThroughput(benchmark::State &state)
 BENCHMARK(BM_ServiceThroughput)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // ---------------------------------------------------------------------------
+// Lone-proof latency: one mu = 13 Vanilla proof alone on a service whose
+// 4-thread context is split over `lanes` lanes — the case lending exists
+// for: the idle lanes lend their threads to the proving lane's pool, so
+// the proof should run close to the one-lane, four-thread speed. Every
+// proof's bytes are checked against a direct ProverContext::prove. Lanes
+// get a moment (untimed) between proofs to come back idle.
+// ---------------------------------------------------------------------------
+
+static void
+BM_ServiceLoneProof(benchmark::State &state)
+{
+    const unsigned lanes = unsigned(state.range(0));
+    static ff::Rng loneRng(53);
+    static pcs::Srs loneSrs = pcs::Srs::generate(14, loneRng);
+    static engine::ProverContext loneCtx(loneSrs, {.threads = 4});
+    static hyperplonk::Circuit loneCircuit =
+        hyperplonk::randomVanillaCircuit(13, loneRng);
+    static const hyperplonk::Keys *loneKeys = &loneCtx.preprocess(loneCircuit);
+    static const std::vector<std::uint8_t> reference =
+        hyperplonk::serializeProof(loneCtx.prove(loneKeys->pk, loneCircuit));
+
+    engine::ProofService service(loneCtx, lanes);
+    unsigned widest = 1;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        state.ResumeTiming();
+        engine::ProofResult r =
+            service.submit({&loneKeys->pk, &loneCircuit, nullptr}).get();
+        if (!r.ok || hyperplonk::serializeProof(r.proof) != reference)
+            state.SkipWithError("lone proof differs from the direct proof");
+        widest = std::max(widest, r.shardLanes);
+    }
+    state.counters["lanes_used"] = double(widest);
+}
+BENCHMARK(BM_ServiceLoneProof)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// ---------------------------------------------------------------------------
 // Mixed-load tail latency: one large proof plus a burst of small proofs per
 // iteration on a 2-lane service. Arg 0 is the FIFO-like baseline (equal
-// priorities, no sharding); arg 1 is the scheduled mode (smalls at higher
-// priority, intra-proof sharding on), where the phase-split scheduler can
-// interleave small jobs between the large proof's setup and online phases.
+// priorities); arg 1 gives the smalls higher priority, so the phase-split
+// scheduler can interleave small jobs between the large proof's setup and
+// online phases.
 // The counter to watch is small_p99_ms: the small-request tail must not be
 // held hostage by the large request. Latencies are measured per request by
 // a dedicated waiter thread (submit -> future resolution, wall clock).
@@ -760,7 +804,7 @@ BENCHMARK(BM_ServiceThroughput)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 static void
 BM_ServiceMixedLoad(benchmark::State &state)
 {
-    const bool scheduled = state.range(0) != 0;
+    const bool prioritized = state.range(0) != 0;
     constexpr int kSmall = 8;
 
     static ff::Rng mixRng(47);
@@ -773,14 +817,10 @@ BM_ServiceMixedLoad(benchmark::State &state)
     static const hyperplonk::Keys *largeKeys = &mixCtx.preprocess(largeCircuit);
     static const hyperplonk::Keys *smallKeys = &mixCtx.preprocess(smallCircuit);
 
-    engine::ServiceOptions so;
-    so.lanes = 2;
-    so.sharding = scheduled;
-    so.shardMinRows = std::size_t(1) << 6; // large may shard, smalls never
-    engine::ProofService service(mixCtx, so);
+    engine::ProofService service(mixCtx, 2);
 
     engine::SubmitOptions smallSub;
-    smallSub.priority = scheduled ? 1 : 0;
+    smallSub.priority = prioritized ? 1 : 0;
 
     std::vector<double> smallMs;
     std::atomic<bool> failed{false};

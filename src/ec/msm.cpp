@@ -13,16 +13,6 @@
 
 namespace zkphire::ec {
 
-G1Jacobian
-msmNaive(std::span<const Fr> scalars, std::span<const G1Affine> points)
-{
-    assert(scalars.size() == points.size());
-    G1Jacobian acc = G1Jacobian::identity();
-    for (std::size_t i = 0; i < scalars.size(); ++i)
-        acc = acc.add(G1Jacobian::fromAffine(points[i]).mulScalar(scalars[i]));
-    return acc;
-}
-
 namespace {
 
 /**

@@ -104,10 +104,6 @@ class ScopedMsmOptions
     MsmOptions saved;
 };
 
-/** Reference MSM: per-point double-and-add; O(n * 255) ops. Tests only. */
-G1Jacobian msmNaive(std::span<const Fr> scalars,
-                    std::span<const G1Affine> points);
-
 /**
  * Pippenger MSM: msmBatch over one column.
  *

@@ -20,7 +20,7 @@ const hyperplonk::Keys &
 ProverContext::preprocess(const hyperplonk::Circuit &circuit)
 {
     assert(srsRef != nullptr && "attach an SRS before preprocessing");
-    rt::ScopedConfig scope(config());
+    rt::ScopedConfig scope(cfg);
     hyperplonk::Keys keys = hyperplonk::setup(circuit, *srsRef);
     // Every proof's v commit is over mu + 1 variables. Building that level
     // now, with level mu just built, derives half of it from level mu and
@@ -33,13 +33,11 @@ ProverContext::preprocess(const hyperplonk::Circuit &circuit)
 }
 
 hyperplonk::ProveOptions
-ProverContext::proveOptions(const rt::Config *rtOverride,
-                            rt::UnitRunner *units) const
+ProverContext::proveOptions(const rt::Config *rtOverride) const
 {
     hyperplonk::ProveOptions opts;
-    opts.rt = rtOverride ? *rtOverride : config();
+    opts.rt = rtOverride ? *rtOverride : cfg;
     opts.plans = &planCache;
-    opts.units = units;
     opts.arena = &bufferArena;
     return opts;
 }

@@ -12,8 +12,9 @@
  *   - the compiled GatePlan cache (per-context, so two contexts proving
  *     concurrently never share or race on plan state — there is no
  *     process-global cache),
- *   - an rt::Config (thread budget, grain floor, pool selection) applied to
- *     every proof made through the context.
+ *   - an rt::Config (thread budget, pool selection, streaming policy),
+ *     fixed at construction and applied to every proof made through the
+ *     context.
  *
  * A context's prove() is safe to call concurrently from multiple threads
  * and produces proofs byte-identical to the one-shot hyperplonk::prove
@@ -47,24 +48,8 @@ class ProverContext
     void attachSrs(const pcs::Srs &srs) { srsRef = &srs; }
     const pcs::Srs *srs() const { return srsRef; }
 
-    /** Snapshot of the context config. Returned by value so concurrent
-     *  setConfig() calls are safe: a job reads one coherent config at
-     *  dispatch and is unaffected by swaps mid-proof. */
-    rt::Config config() const
-    {
-        std::lock_guard<std::mutex> lock(cfgMu);
-        return cfg;
-    }
-    /** Safe to call while proofs are in flight: in-flight jobs keep the
-     *  snapshot they dispatched with, subsequent jobs pick the new value
-     *  up. An existing ProofService keeps its thread split and lane pools
-     *  (fixed at its construction) but applies the other fields (e.g.
-     *  minGrain) to subsequent jobs. */
-    void setConfig(const rt::Config &c)
-    {
-        std::lock_guard<std::mutex> lock(cfgMu);
-        cfg = c;
-    }
+    /** The context config, fixed at construction. */
+    const rt::Config &config() const { return cfg; }
 
     /** Per-context compiled-plan cache (thread-safe). */
     gates::PlanCache &plans() const { return planCache; }
@@ -101,18 +86,16 @@ class ProverContext
 
     /**
      * Assemble the ProveOptions a phase call (hyperplonk::proveSetup /
-     * proveOnline) needs: a coherent config snapshot, this context's
-     * plan cache, and optionally a cross-lane unit runner. ProofService
-     * uses this to dispatch phases directly.
+     * proveOnline) needs: the config (or rtOverride), this context's plan
+     * cache and buffer arena. ProofService uses this to dispatch phases
+     * directly.
      */
     hyperplonk::ProveOptions
-    proveOptions(const rt::Config *rtOverride = nullptr,
-                 rt::UnitRunner *units = nullptr) const;
+    proveOptions(const rt::Config *rtOverride = nullptr) const;
 
   private:
     const pcs::Srs *srsRef = nullptr;
-    mutable std::mutex cfgMu; ///< Guards cfg.
-    rt::Config cfg;
+    const rt::Config cfg;
     mutable gates::PlanCache planCache;
     mutable poly::BufferArena bufferArena;
     std::mutex keysMu;

@@ -74,10 +74,10 @@ struct ServiceMetrics {
     // Fault-recovery counters.
     std::uint64_t retries = 0;          ///< Attempts re-enqueued by RetryPolicy.
     std::uint64_t degradedRetries = 0;  ///< Retries forced onto streaming.
-    // Sharding counters.
-    std::uint64_t shardedPhases = 0;    ///< Phases that ran with helpers.
-    std::uint64_t shardHelperLanes = 0; ///< Helper-lane reservations, total.
-    std::uint64_t shardRecalls = 0;     ///< Arrivals that pulled helpers back.
+    // Lending counters.
+    std::uint64_t shardedPhases = 0;    ///< Phases that ran with lent lanes.
+    std::uint64_t shardHelperLanes = 0; ///< Lender-lane reservations, total.
+    std::uint64_t shardRecalls = 0;     ///< Arrivals that sent lenders home.
     // Gauges (at snapshot time).
     std::size_t queueDepth = 0;         ///< Jobs waiting for a lane.
     std::size_t inFlight = 0;           ///< Jobs a lane is executing.

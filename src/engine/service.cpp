@@ -14,6 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Retry backoff growth per attempt and its ceiling. */
+constexpr double kBackoffFactor = 2.0;
+constexpr std::chrono::milliseconds kMaxBackoff{1000};
+
 double
 toMs(Clock::duration d)
 {
@@ -187,7 +191,7 @@ ProofService::submitJob(const ProofRequest &req, const SubmitOptions &sub)
         job->counted = true;
         ++setupQueued;
         queue.push_back(std::move(job));
-        recallHelpersLocked();
+        recallLendersLocked();
     }
     qCv.notify_one();
     {
@@ -336,7 +340,7 @@ ProofService::takeBestLocked(Clock::time_point now,
 }
 
 void
-ProofService::recallHelpersLocked()
+ProofService::recallLendersLocked()
 {
     if (activeGroups.empty())
         return;
@@ -344,18 +348,6 @@ ProofService::recallHelpersLocked()
         group->recall();
     std::lock_guard<std::mutex> mlk(mMu);
     ++m.shardRecalls;
-}
-
-rt::Config
-ProofService::laneConfig(unsigned lane) const
-{
-    // Thread split and pool identity are fixed at construction; the other
-    // config fields (e.g. minGrain) come from a synchronized snapshot so
-    // ProverContext::setConfig is safe against in-flight dispatches.
-    rt::Config cfg = ctx.config();
-    cfg.threads = budgets[lane];
-    cfg.pool = slots[lane].pool; // written once by this lane's own thread
-    return cfg;
 }
 
 void
@@ -407,36 +399,31 @@ ProofService::prepareRetry(Job &job)
     job.res = ProofResult{};
     job.notBefore = Clock::now() + job.nextBackoff;
     job.nextBackoff = std::min(
-        job.sub.retry.maxBackoff,
-        std::chrono::milliseconds(std::chrono::milliseconds::rep(
-            double(job.nextBackoff.count()) * job.sub.retry.backoffFactor)));
+        kMaxBackoff, std::chrono::milliseconds(std::chrono::milliseconds::rep(
+                         double(job.nextBackoff.count()) * kBackoffFactor)));
     {
         std::lock_guard<std::mutex> mlk(mMu);
         ++m.retries;
-        if (job.sub.retry.degradeToStreaming) {
-            job.degraded = true;
-            ++m.degradedRetries;
-        }
+        ++m.degradedRetries;
     }
 }
 
 std::unique_ptr<ProofService::Job>
-ProofService::runPhase(unsigned lane, std::unique_ptr<Job> job,
-                       ShardGroup *group, unsigned groupWidth)
+ProofService::runPhase(std::unique_ptr<Job> job, rt::Config cfg,
+                       unsigned groupWidth)
 {
     if (job->req.pk == nullptr || job->req.circuit == nullptr) {
         finish(std::move(job), ProofStatus::BadRequest,
                "ProofRequest missing proving key or circuit");
         return nullptr;
     }
-    rt::Config laneCfg = laneConfig(lane);
-    if (job->degraded) {
+    if (job->attempt > 1) {
         // Degraded retry: force every prover table onto the out-of-core
         // streaming backend so a resource-starved attempt runs in O(chunk)
         // RSS. Transcript-invariant — the proof bytes do not change.
-        laneCfg.streamThreshold = 1;
+        cfg.streamThreshold = 1;
     }
-    hyperplonk::ProveOptions popts = ctx.proveOptions(&laneCfg, group);
+    hyperplonk::ProveOptions popts = ctx.proveOptions(&cfg);
     if (job->sub.deadline != Clock::time_point::max())
         job->cancel.setDeadline(job->sub.deadline);
     popts.cancel = job->cancel.token();
@@ -492,112 +479,107 @@ ProofService::laneLoop(unsigned lane)
 {
     // Each lane owns a private chunked pool sized to its sub-budget, so
     // in-flight jobs never serialize on one pool's region lock. A
-    // sub-budget of 1 spawns no workers and the lane runs fully serial.
+    // sub-budget of 1 spawns no workers and the lane runs fully serial
+    // unless other lanes lend it their threads.
     rt::ThreadPool lanePool(budgets[lane]);
-    {
-        std::lock_guard<std::mutex> lk(qMu);
-        slots[lane].pool = &lanePool;
-    }
 
+    // qMu is held at the top of every iteration: a lane back from a phase
+    // or from lending marks itself idle in the critical section that ended
+    // that work, so the next dispatch sees every lane that is free.
+    std::unique_lock<std::mutex> lk(qMu);
     for (;;) {
+        slots[lane].idle = true;
+        ++idleLanes;
         std::unique_ptr<Job> job;
-        ShardGroup *joined = nullptr;
-        ShardGroup group;
-        unsigned helpers = 0;
-        {
-            std::unique_lock<std::mutex> lk(qMu);
-            slots[lane].idle = true;
-            ++idleLanes;
-            for (;;) {
-                qCv.wait(lk, [&] {
-                    return slots[lane].joinGroup != nullptr || stopping ||
-                           !queue.empty();
-                });
-                if (slots[lane].joinGroup != nullptr || queue.empty())
-                    break;
-                Clock::time_point nextEligible = Clock::time_point::max();
-                job = takeBestLocked(Clock::now(), nextEligible);
-                if (job != nullptr)
-                    break;
-                // Every queued entry is waiting out a retry backoff: sleep
-                // until the earliest becomes eligible, a new (eligible)
-                // job arrives, a reservation lands, or shutdown starts.
-                qCv.wait_until(lk, nextEligible, [&] {
-                    if (slots[lane].joinGroup != nullptr || stopping)
+        for (;;) {
+            qCv.wait(lk, [&] {
+                return slots[lane].joinGroup != nullptr || stopping ||
+                       !queue.empty();
+            });
+            if (slots[lane].joinGroup != nullptr || queue.empty())
+                break;
+            Clock::time_point nextEligible = Clock::time_point::max();
+            job = takeBestLocked(Clock::now(), nextEligible);
+            if (job != nullptr)
+                break;
+            // Every queued entry is waiting out a retry backoff: sleep
+            // until the earliest becomes eligible, a new (eligible) job
+            // arrives, a reservation lands, or shutdown starts.
+            qCv.wait_until(lk, nextEligible, [&] {
+                if (slots[lane].joinGroup != nullptr || stopping)
+                    return true;
+                const Clock::time_point now = Clock::now();
+                for (const std::unique_ptr<Job> &q : queue)
+                    if (q->notBefore <= now)
                         return true;
-                    const Clock::time_point now = Clock::now();
-                    for (const std::unique_ptr<Job> &q : queue)
-                        if (q->notBefore <= now)
-                            return true;
-                    return false;
-                });
-            }
-            if (slots[lane].joinGroup != nullptr) {
-                // A dispatching lane reserved this one as a shard helper
-                // (it already cleared idle and took us out of idleLanes).
-                joined = std::exchange(slots[lane].joinGroup, nullptr);
-            } else {
-                slots[lane].idle = false;
-                --idleLanes;
-                if (job == nullptr)
-                    return; // stopping, and every queued job drained
-                if (Clock::now() > job->sub.deadline) {
-                    lk.unlock();
-                    {
-                        std::lock_guard<std::mutex> mlk(mMu);
-                        m.queueWaitMs.record(
-                            toMs(Clock::now() - job->enqueued));
-                        ++m.inFlight; // finish() releases it
-                    }
-                    finish(std::move(job), ProofStatus::DeadlineExpired,
-                           "deadline expired while queued");
-                    continue;
-                }
-                // Shard decision, made while still holding qMu so the idle
-                // set is coherent: only when nothing else is runnable, the
-                // proof is big enough to amortize cross-lane hand-off, and
-                // lanes are actually idle.
-                if (opts.sharding && queue.empty() && idleLanes > 0 &&
-                    job->req.circuit != nullptr &&
-                    job->req.circuit->numRows() >= opts.shardMinRows) {
-                    for (unsigned i = 0; i < slots.size(); ++i) {
-                        if (i == lane || !slots[i].idle)
-                            continue;
-                        slots[i].idle = false;
-                        --idleLanes;
-                        slots[i].joinGroup = &group;
-                        group.expectHelper();
-                        ++helpers;
-                    }
-                    if (helpers > 0)
-                        activeGroups.push_back(&group);
-                }
-                // Publish the executing job on the slot so cancel() can
-                // reach its shared cancel state while the Job object is in
-                // this lane's hands.
-                slots[lane].runningId = job->id;
-                slots[lane].runningCancel = job->cancel;
-            }
+                return false;
+            });
         }
-        if (joined != nullptr) {
-            joined->helperServe(laneConfig(lane));
+        if (ShardGroup *joined =
+                std::exchange(slots[lane].joinGroup, nullptr)) {
+            // A dispatching lane reserved this one as a lender (it already
+            // cleared idle and took us out of idleLanes).
+            lk.unlock();
+            joined->lend(lanePool);
+            lk.lock();
+            joined->depart();
             continue;
         }
-        if (helpers > 0) {
-            qCv.notify_all(); // wake the reserved lanes into helperServe
-            std::lock_guard<std::mutex> mlk(mMu);
-            ++m.shardedPhases;
-            m.shardHelperLanes += helpers;
+        slots[lane].idle = false;
+        --idleLanes;
+        if (job == nullptr)
+            return; // stopping, and every queued job drained
+        if (Clock::now() > job->sub.deadline) {
+            lk.unlock();
+            {
+                std::lock_guard<std::mutex> mlk(mMu);
+                m.queueWaitMs.record(toMs(Clock::now() - job->enqueued));
+                ++m.inFlight; // finish() releases it
+            }
+            finish(std::move(job), ProofStatus::DeadlineExpired,
+                   "deadline expired while queued");
+            lk.lock();
+            continue;
         }
+        // Lending decision, made while still holding qMu so the idle set
+        // is coherent: only when nothing else is runnable and lanes are
+        // actually idle.
+        ShardGroup group(lanePool);
+        if (queue.empty() && idleLanes > 0) {
+            for (unsigned i = 0; i < slots.size(); ++i) {
+                if (i == lane || !slots[i].idle)
+                    continue;
+                slots[i].idle = false;
+                --idleLanes;
+                slots[i].joinGroup = &group;
+                group.reserve(budgets[i]);
+            }
+            activeGroups.push_back(&group);
+        }
+        // Publish the executing job on the slot so cancel() can reach its
+        // shared cancel state while the Job object is in this lane's hands.
+        slots[lane].runningId = job->id;
+        slots[lane].runningCancel = job->cancel;
+        lk.unlock();
+
+        const unsigned lenders = group.width() - 1;
         {
             std::lock_guard<std::mutex> mlk(mMu);
+            if (lenders > 0) {
+                ++m.shardedPhases;
+                m.shardHelperLanes += lenders;
+            }
             m.queueWaitMs.record(toMs(Clock::now() - job->enqueued));
             ++m.inFlight;
         }
-        std::unique_ptr<Job> back = runPhase(
-            lane, std::move(job), helpers > 0 ? &group : nullptr, 1 + helpers);
-        const bool requeued = back != nullptr;
-        if (requeued) {
+        if (lenders > 0)
+            qCv.notify_all(); // wake the reserved lanes into lend()
+        rt::Config cfg = ctx.config();
+        cfg.threads = budgets[lane] + group.lentThreads();
+        cfg.pool = &lanePool;
+        std::unique_ptr<Job> back =
+            runPhase(std::move(job), cfg, group.width());
+        if (back != nullptr) {
             // Setup done or a retry scheduled, not resolved: back to the
             // queue (finish() releases inFlight on the terminal paths).
             {
@@ -606,24 +588,22 @@ ProofService::laneLoop(unsigned lane)
             }
             back->enqueued = Clock::now();
         }
-        {
-            // One critical section for slot teardown AND the re-enqueue,
-            // so cancel() never observes the job in neither place: it is
-            // on the slot until this block, in the queue after it.
-            std::lock_guard<std::mutex> lk(qMu);
-            slots[lane].runningId = 0;
-            slots[lane].runningCancel = rt::CancelSource{};
-            if (helpers > 0)
-                activeGroups.erase(std::find(activeGroups.begin(),
-                                             activeGroups.end(), &group));
-            if (requeued) {
-                queue.push_back(std::move(back));
-                recallHelpersLocked();
-            }
-        }
         group.disband();
-        if (requeued)
+
+        // One critical section for slot teardown AND the re-enqueue, so
+        // cancel() never observes the job in neither place: it is on the
+        // slot until here, in the queue after.
+        lk.lock();
+        slots[lane].runningId = 0;
+        slots[lane].runningCancel = rt::CancelSource{};
+        if (lenders > 0)
+            activeGroups.erase(std::find(activeGroups.begin(),
+                                         activeGroups.end(), &group));
+        if (back != nullptr) {
+            queue.push_back(std::move(back));
+            recallLendersLocked();
             qCv.notify_one();
+        }
     }
 }
 

@@ -23,13 +23,15 @@
  * re-enqueued, so the setup of one request overlaps the online phase of
  * another and a lane is never pinned to one request end-to-end.
  *
- * Intra-proof sharding: when a lane dispatches a phase, the queue is empty,
- * and other lanes are idle, the idle lanes are reserved as helpers
- * (engine::ShardGroup) and the proof's independent work units — per-column
- * commitment MSMs, per-round sumcheck range splits, the two opening
- * chains — spread across them. One huge request therefore uses the whole
- * machine when it is alone, without monopolizing it when it is not: groups
- * last a single phase and idleness is re-evaluated at every phase boundary.
+ * Lending: when a lane dispatches a phase, the queue is empty, and other
+ * lanes are idle, the idle lanes are reserved for that phase
+ * (engine::ShardGroup) and lend their threads — each lane thread and the
+ * workers of its pool — to the dispatching lane's pool, which runs the
+ * phase with its own thread budget plus the lent ones. One request
+ * therefore uses the whole machine when it is alone, without monopolizing
+ * it when it is not: any arrival sends the lenders home at their next
+ * chunk boundary, groups last a single phase, and idleness is re-evaluated
+ * at every phase boundary. A saturated service never lends.
  *
  * Thread budgeting: the context's budget (config().threads, or the runtime
  * default when 0) is split evenly across the lanes (remainder to the first
@@ -37,18 +39,16 @@
  * a PRIVATE rt::ThreadPool of its sub-budget, so in-flight jobs never
  * contend on one pool's region lock. Asking for more lanes than budgeted
  * threads oversubscribes (one serial thread per lane). The split and the
- * pools are fixed at construction; ProverContext::setConfig changes the
- * remaining fields (e.g. minGrain) for subsequent jobs.
+ * pools are fixed at construction, as is the context's config.
  *
- * Determinism: every kernel is bit-identical at any thread count, and every
- * sharded work unit writes index-addressed slots merged in index order, so
- * a job's proof is byte-identical to the single-shot hyperplonk::prove path
- * for the same circuit — independent of the lane count, the shard width,
- * the schedule, or what other jobs are running (tests/test_engine.cpp and
- * tests/test_engine_sched.cpp lock this).
+ * Determinism: every kernel is bit-identical at any thread count, so a
+ * job's proof is byte-identical to the single-shot hyperplonk::prove path
+ * for the same circuit — independent of the lane count, how many threads
+ * were lent, the schedule, or what other jobs are running
+ * (tests/test_engine.cpp and tests/test_engine_sched.cpp lock this).
  *
  * Observability: metrics() snapshots admission/outcome counters, queue
- * depth, sharding usage, and per-phase latency histograms with p50/p99
+ * depth, lending, and per-phase latency histograms with p50/p99
  * (engine/metrics.hpp).
  */
 #ifndef ZKPHIRE_ENGINE_SERVICE_HPP
@@ -99,7 +99,7 @@ struct ProofResult {
     std::string error; ///< Set when ok == false.
     hyperplonk::HyperPlonkProof proof;
     hyperplonk::ProverStats stats;
-    /** Widest lane group (1 + helpers) any phase of this job ran with. */
+    /** Widest lane group (1 + lenders) any phase of this job ran with. */
     unsigned shardLanes = 1;
 };
 
@@ -114,18 +114,15 @@ struct ProofResult {
 struct RetryPolicy {
     /** Total attempts, first included. 1 (default) = never retry. */
     unsigned maxAttempts = 1;
-    /** Delay before attempt 2; later attempts multiply by backoffFactor,
-     *  capped at maxBackoff. The job waits out its backoff in the queue
-     *  (lanes skip it), so a backoff never blocks a lane. */
+    /** Delay before attempt 2; each later attempt doubles it, capped at one
+     *  second. The job waits out its backoff in the queue (lanes skip it),
+     *  so a backoff never blocks a lane. Every retry runs degraded, with
+     *  rt::Config::streamThreshold = 1 forcing every prover table onto the
+     *  out-of-core mmap-slab backend: peak RSS drops to O(chunk), which is
+     *  exactly what an ENOMEM/ENOSPC failure calls for. Streaming is
+     *  transcript-invariant, so a degraded retry's proof is byte-identical
+     *  to a fault-free run. */
     std::chrono::milliseconds backoff{5};
-    double backoffFactor = 2.0;
-    std::chrono::milliseconds maxBackoff{1000};
-    /** Re-run failed attempts with rt::Config::streamThreshold = 1, forcing
-     *  every prover table onto the out-of-core mmap-slab backend: peak RSS
-     *  drops to O(chunk), which is exactly what an ENOMEM/ENOSPC failure
-     *  calls for. Streaming is transcript-invariant, so a degraded retry's
-     *  proof is byte-identical to a fault-free run. */
-    bool degradeToStreaming = true;
 };
 
 /** Per-submission scheduling attributes. */
@@ -172,11 +169,6 @@ struct ServiceOptions {
      *  unbounded. Online-phase re-enqueues never count against it. */
     std::size_t queueCapacity = 0;
     AdmissionPolicy admission = AdmissionPolicy::Block;
-    /** Master switch for intra-proof sharding onto idle lanes. */
-    bool sharding = true;
-    /** Row floor below which a proof never shards (the cross-lane wake and
-     *  merge costs need enough work to amortize). */
-    std::size_t shardMinRows = std::size_t(1) << 10;
 };
 
 class ProofService
@@ -185,7 +177,7 @@ class ProofService
     /**
      * @param ctx     Context supplying config and the shared plan cache;
      *                must outlive the service.
-     * @param options Lane count, admission bound/policy, sharding knobs.
+     * @param options Lane count, admission bound/policy.
      */
     ProofService(const ProverContext &ctx, const ServiceOptions &options);
     /** Convenience: lanes only, every other option at its default. */
@@ -255,8 +247,9 @@ class ProofService
         /** Shared cancellation state; the executing lane publishes a copy
          *  on its slot so cancel() can reach a running job. */
         rt::CancelSource cancel;
-        unsigned attempt = 1;  ///< 1-based; compared against maxAttempts.
-        bool degraded = false; ///< Retry runs with forced streaming.
+        /** 1-based; compared against maxAttempts. Every attempt after
+         *  the first runs with forced streaming. */
+        unsigned attempt = 1;
         bool counted = false;  ///< Holds one admission-capacity unit.
         /** Retry backoff: ineligible for pickup before this instant. */
         std::chrono::steady_clock::time_point notBefore =
@@ -267,8 +260,7 @@ class ProofService
     /** Per-lane scheduler state (guarded by qMu). */
     struct LaneSlot {
         bool idle = false;
-        rt::ThreadPool *pool = nullptr;   ///< Set once by the lane thread.
-        ShardGroup *joinGroup = nullptr;  ///< Reservation as a helper.
+        ShardGroup *joinGroup = nullptr;  ///< Reservation as a lender.
         std::uint64_t runningId = 0;      ///< Executing job (0 = none).
         /** Copy sharing the executing job's cancel state: cancel() flips
          *  it without touching the Job, whose lifetime belongs to the
@@ -277,11 +269,12 @@ class ProofService
     };
 
     void laneLoop(unsigned lane);
-    /** Run one phase of job outside qMu; returns the job back for
-     *  re-enqueue when it finished setup or scheduled a retry, null when
-     *  it resolved. */
-    std::unique_ptr<Job> runPhase(unsigned lane, std::unique_ptr<Job> job,
-                                  ShardGroup *group, unsigned groupWidth);
+    /** Run one phase of job outside qMu under cfg (the lane's pool and its
+     *  budget plus any lent threads); returns the job back for re-enqueue
+     *  when it finished setup or scheduled a retry, null when it
+     *  resolved. */
+    std::unique_ptr<Job> runPhase(std::unique_ptr<Job> job, rt::Config cfg,
+                                  unsigned groupWidth);
     /** Best ELIGIBLE entry (retry backoffs skipped unless stopping); null
      *  when every entry is backing off — then nextEligible holds the
      *  earliest instant one becomes runnable. */
@@ -291,12 +284,11 @@ class ProofService
     /** Rewrite job in place for its next attempt (phase reset, backoff
      *  advanced, degradation applied); caller re-enqueues. */
     void prepareRetry(Job &job);
-    /** New work arrived: pull every live shard helper back to its lane
-     *  (qMu held — idle lanes are only borrowed while actually idle). */
-    void recallHelpersLocked();
+    /** New work arrived: send every lender home (qMu held — idle lanes
+     *  are only borrowed while actually idle). */
+    void recallLendersLocked();
     void finish(std::unique_ptr<Job> job, ProofStatus status,
                 std::string error);
-    rt::Config laneConfig(unsigned lane) const;
 
     const ProverContext &ctx;
     ServiceOptions opts;
@@ -309,7 +301,7 @@ class ProofService
     std::condition_variable admitCv;///< Blocked submitters: space / stop.
     std::deque<std::unique_ptr<Job>> queue;
     std::vector<LaneSlot> slots;
-    std::vector<ShardGroup *> activeGroups; ///< Groups with live helpers.
+    std::vector<ShardGroup *> activeGroups; ///< Groups with live lenders.
     std::size_t setupQueued = 0; ///< Queue entries counting against capacity.
     unsigned idleLanes = 0;
     std::uint64_t nextSeq = 0;

@@ -1,110 +1,89 @@
 /**
  * @file
- * ShardGroup: one proof's temporary claim on idle service lanes.
+ * ShardGroup: one proof phase's claim on idle service lanes.
  *
  * When the scheduler dispatches a phase and other lanes have nothing
- * runnable, it reserves them as *helpers* for that phase: each reserved
- * lane thread parks in helperServe(), executing work units the owning
- * proof posts through the rt::UnitRunner interface — per-column commitment
- * MSMs, per-round sumcheck range splits, the two opening chains. A helper
- * runs every unit under its own lane's rt::Config (private pool,
- * sub-budget), so a group of W lanes brings the full aggregate thread
- * budget to one proof without any pool being shared or resized.
+ * runnable, it reserves them for that phase. Each reserved lane *lends*
+ * its whole sub-budget — its lane thread and the workers of its private
+ * pool — to the dispatching lane's pool through rt::ThreadPool::serve, and
+ * the phase runs with its own budget plus the lent ones. Lent threads only
+ * ever run chunks of that pool's parallel regions; the proof's own code,
+ * with its arena, cancel token, streaming policy and MSM options, stays on
+ * the dispatching lane's thread.
  *
- * Lifecycle: the owner constructs the group on its stack, the service
- * reserves helpers (expectHelper() once per reservation, all before the
- * phase starts), the phase runs, then the owner MUST call disband(), which
- * releases the helpers and blocks until every reserved lane has left
- * helperServe() — only then may the group go out of scope. Groups last one
- * phase: the scheduler re-evaluates idleness at the next phase boundary,
- * so a queue that fills up gets its lanes back quickly.
+ * Lifecycle: the owner constructs the group on its stack over its lane
+ * pool, the service reserves lenders (reserve() once per lane, all before
+ * the phase starts, under the queue lock), the phase runs, then the owner
+ * MUST call disband(), which sends the lenders home and blocks until every
+ * reserved lane has departed — only then may the group go out of scope.
+ * Groups last one phase: idleness is re-evaluated at the next phase
+ * boundary, and recall() sends the lenders home early when new work
+ * arrives.
  *
- * Determinism: the group only moves *where* a unit executes. Units write
- * to index-addressed slots and callers merge in index order (the
- * UnitRunner contract), so proofs are bit-identical at any group width.
+ * Determinism: lending only changes how many threads take a region's
+ * chunks, and every region is bit-identical at any thread count, so proofs
+ * are bit-identical at any group width.
  */
 #ifndef ZKPHIRE_ENGINE_SHARD_HPP
 #define ZKPHIRE_ENGINE_SHARD_HPP
 
+#include <atomic>
 #include <condition_variable>
-#include <exception>
 #include <mutex>
 
-#include "rt/config.hpp"
-#include "rt/unit_runner.hpp"
+#include "rt/thread_pool.hpp"
 
 namespace zkphire::engine {
 
-class ShardGroup final : public rt::UnitRunner
+class ShardGroup
 {
   public:
-    ShardGroup() = default;
-    ~ShardGroup() override = default;
+    /** @param ownerPool The dispatching lane's pool; lenders serve it. */
+    explicit ShardGroup(rt::ThreadPool &ownerPool) : pool(ownerPool) {}
     ShardGroup(const ShardGroup &) = delete;
     ShardGroup &operator=(const ShardGroup &) = delete;
 
-    /** Declare one reserved helper lane. Must only be called before the
-     *  owning phase starts (the service does it under its queue lock while
-     *  reserving); width() is unsynchronized against it. */
-    void expectHelper() { ++expected; }
+    /** Reserve one lender lane with `threads` threads. Only before the
+     *  owning phase starts; the accessors below are unsynchronized
+     *  against it. */
+    void reserve(unsigned threads)
+    {
+        ++expected;
+        lent += threads;
+    }
 
-    /** Owner + helpers. */
-    unsigned width() const override { return 1 + expected; }
-
-    /**
-     * Execute the batch: helpers and the owner claim units from a shared
-     * cursor; blocks until every unit completed, then rethrows the first
-     * unit exception (by completion order — errors abort the proof, so the
-     * choice never reaches a transcript). Called re-entrantly (from inside
-     * a unit) or with no helpers, it degrades to an inline serial loop.
-     */
-    void run(std::span<const std::function<void()>> units) override;
+    /** Owner + lenders. */
+    unsigned width() const { return 1 + expected; }
+    /** Threads the lenders bring to the owner's pool. */
+    unsigned lentThreads() const { return lent; }
 
     /**
-     * Helper-lane entry point: serve unit batches until disband() or
-     * recall(), running each unit under cfg (the helper lane's thread
-     * budget and private pool). Returns when the group is disbanded or the
-     * helper is recalled.
+     * Lender-lane entry point: the lane thread and every worker of
+     * lanePool serve the owner's pool until recall() or disband(). A fault
+     * in a chunk they run is the owner's region's error, never theirs.
+     * The lender calls depart() once it is back in its lane.
      */
-    void helperServe(const rt::Config &cfg);
+    void lend(rt::ThreadPool &lanePool);
+    /** Lender: count this lane as home. The group may be destroyed as soon
+     *  as the last reserved lender has departed. */
+    void depart();
 
-    /**
-     * Pull the helpers back: each departs at its next unit boundary (an
-     * in-progress unit completes first) and the owner absorbs whatever is
-     * left of the batch. The service calls this when new work enters the
-     * queue — idle lanes are only borrowed while they are actually idle.
-     * Determinism is unaffected: the unit split was fixed at reservation
-     * width, and units are merged by index no matter where they ran.
-     */
+    /** Send the lenders home: each leaves at its next chunk boundary, and
+     *  the owner's threads finish whatever is left. */
     void recall();
 
-    /**
-     * Owner only: release the helpers and wait until every expected helper
-     * has left helperServe(). Must be called before the group is destroyed
-     * (idempotent; safe with zero helpers).
-     */
+    /** Owner only: recall, then wait until every reserved lender has
+     *  departed. Must be called before the group is destroyed. */
     void disband();
 
   private:
-    /** Run one unit; never throws (errors land in firstError). */
-    void execUnit(const std::function<void()> &unit, const rt::Config *cfg);
-    /** Claim-and-run loop shared by owner and helpers; helpers stop
-     *  claiming once recalled (the owner never does). */
-    void drainBatch(std::unique_lock<std::mutex> &lk, const rt::Config *cfg,
-                    bool isHelper);
-
+    rt::ThreadPool &pool;
+    std::atomic<bool> leave{false};
     std::mutex mu;
     std::condition_variable cv;
-    const std::function<void()> *batch = nullptr; ///< Current unit array.
-    std::size_t batchSize = 0;
-    std::size_t nextUnit = 0;
-    std::size_t doneUnits = 0;
-    std::exception_ptr firstError;
-    bool running = false;  ///< Owner is inside run() (re-entrancy guard).
-    bool released = false; ///< disband() called; helpers drain out.
-    bool recalled = false; ///< recall() called; helpers stop claiming.
-    unsigned expected = 0; ///< Helpers reserved by the service.
-    unsigned departed = 0; ///< Helpers that left helperServe().
+    unsigned expected = 0; ///< Lender lanes reserved by the service.
+    unsigned lent = 0;     ///< Their threads, summed.
+    unsigned departed = 0; ///< Lenders that departed (guarded by mu).
 };
 
 } // namespace zkphire::engine

@@ -5,7 +5,6 @@
 
 #include "hyperplonk/protocol_common.hpp"
 #include "rt/parallel.hpp"
-#include "rt/unit_runner.hpp"
 
 namespace zkphire::hyperplonk {
 
@@ -19,23 +18,6 @@ msSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Fold one unit's private MSM counters into the proof-wide stats. Units
- *  must never share one MsmStats (concurrent +=); each gets its own and the
- *  owner merges them in unit order after the batch drains. */
-void
-mergeMsmStats(ec::MsmStats &into, const ec::MsmStats &part)
-{
-    into.pointAdds += part.pointAdds;
-    into.pointDoubles += part.pointDoubles;
-    into.trivialScalars += part.trivialScalars;
-    into.denseScalars += part.denseScalars;
-    into.affineAdds += part.affineAdds;
-    into.batchInversions += part.batchInversions;
-    into.recodeMs += part.recodeMs;
-    into.bucketMs += part.bucketMs;
-    into.foldMs += part.foldMs;
 }
 
 } // namespace
@@ -79,7 +61,6 @@ proveSetup(const ProvingKey &pk, const Circuit &circuit, ProverStats *stats,
     // a default config inherits the ambient setting.
     rt::ScopedConfig scope(opts.rt);
     ec::ScopedMsmOptions msm_scope(opts.msm);
-    rt::ScopedUnitRunner unit_scope(opts.units);
     poly::ScopedArena arena_scope(opts.arena);
     rt::ScopedCancel cancel_scope(opts.cancel);
     rt::checkCancel();
@@ -98,25 +79,9 @@ proveSetup(const ProvingKey &pk, const Circuit &circuit, ProverStats *stats,
     // ---- Step 1: Witness Commitments --------------------------------
     auto t0 = Clock::now();
     state.witness = circuit.witnessMles();
-    // One multi-MSM per range of columns: scalars are recoded once and the
-    // Lagrange basis is walked once per window for the whole range. With
-    // no shard runner the range is all k columns; per-column results are
-    // grouping-independent, so the transcript is the same either way.
-    const std::span<const Mle> witness = state.witness;
-    std::vector<ec::MsmStats> unit_stats(rt::unitCount(witness.size(), 2));
-    state.proof.witnessComms.resize(witness.size());
-    rt::forUnits(witness.size(), 2,
-                 [&](std::size_t u, std::size_t b, std::size_t e) {
-                     // Helper lanes have no ambient MSM options.
-                     ec::ScopedMsmOptions unit_msm(opts.msm);
-                     const std::vector<pcs::Commitment> comms =
-                         pcs::commitBatch(srs, witness.subspan(b, e - b),
-                                          &unit_stats[u]);
-                     for (std::size_t j = b; j < e; ++j)
-                         state.proof.witnessComms[j] = comms[j - b];
-                 });
-    for (const ec::MsmStats &part : unit_stats)
-        mergeMsmStats(st.msm, part);
+    // One multi-MSM over all k columns: scalars are recoded once and the
+    // Lagrange basis is walked once per window for the whole batch.
+    state.proof.witnessComms = pcs::commitBatch(srs, state.witness, &st.msm);
     for (const auto &c : state.proof.witnessComms)
         pcs::appendG1(state.tr, "w_comm", c.point);
     st.witnessCommitMs = msSince(t0);
@@ -130,12 +95,9 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     using Clock = std::chrono::steady_clock;
     // Pin every phase kernel (batch inversion, eq tables, sumchecks); the
     // inner sumcheck calls below pass a default rt::Config so they inherit
-    // this pin rather than re-applying one. The unit-runner scope is how
-    // every rt::forUnits split below (and the sumcheck round evaluations in
-    // sumcheck/prover.cpp) reaches the reserved lanes.
+    // this pin rather than re-applying one.
     rt::ScopedConfig scope(opts.rt);
     ec::ScopedMsmOptions msm_scope(opts.msm);
-    rt::ScopedUnitRunner unit_scope(opts.units);
     poly::ScopedArena arena_scope(opts.arena);
     rt::ScopedCancel cancel_scope(opts.cancel);
     rt::checkCancel();
@@ -208,16 +170,12 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     rt::checkCancel();
     t0 = Clock::now();
     // Auxiliary claimed evaluations at z_p, absorbed before eta is drawn.
-    // Column j writes only slot j, so a cross-lane split absorbs the same
-    // vectors as the serial loop.
     proof.wAtZp.resize(k);
     proof.sigmaAtZp.resize(k);
-    rt::forUnits(k, 2, [&](std::size_t, std::size_t b, std::size_t e) {
-        for (std::size_t j = b; j < e; ++j) {
-            proof.wAtZp[j] = witness[j].evaluate(z_p);
-            proof.sigmaAtZp[j] = pk.perm.sigma[j].evaluate(z_p);
-        }
-    });
+    for (unsigned j = 0; j < k; ++j) {
+        proof.wAtZp[j] = witness[j].evaluate(z_p);
+        proof.sigmaAtZp[j] = pk.perm.sigma[j].evaluate(z_p);
+    }
     tr.appendFrVec("w_zp", proof.wAtZp);
     tr.appendFrVec("sigma_zp", proof.sigmaAtZp);
 
@@ -269,23 +227,10 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     polys_a.push_back(fracs.phi);
     // Two independent opening chains (both challenges are already drawn):
     // g over mu variables and v over mu+1. Their quotient bases differ at
-    // every level, so they share no MSM; across lanes they run as two
-    // units, each writing its own slot and stats.
-    pcs::OpeningProof chains[2];
-    ec::MsmStats chain_stats[2];
-    rt::forUnits(2, 2, [&](std::size_t, std::size_t b, std::size_t e) {
-        ec::ScopedMsmOptions unit_msm(opts.msm);
-        for (std::size_t c = b; c < e; ++c)
-            chains[c] = c == 0 ? pcs::batchOpen(srs, polys_a,
-                                                open_a.challenges, rho,
-                                                &chain_stats[c])
-                               : pcs::open(srs, v, open_b.challenges,
-                                           &chain_stats[c]);
-    });
-    proof.pcsA = std::move(chains[0]);
-    proof.pcsB = std::move(chains[1]);
-    for (const ec::MsmStats &part : chain_stats)
-        mergeMsmStats(st.msm, part);
+    // every level, so they share no MSM.
+    proof.pcsA =
+        pcs::batchOpen(srs, polys_a, open_a.challenges, rho, &st.msm);
+    proof.pcsB = pcs::open(srs, v, open_b.challenges, &st.msm);
     st.openingMs = msSince(t0);
 
     return proof;

@@ -23,7 +23,6 @@
 #include "pcs/mkzg.hpp"
 #include "rt/cancel.hpp"
 #include "rt/config.hpp"
-#include "rt/unit_runner.hpp"
 
 namespace zkphire::gates {
 class PlanCache;
@@ -79,8 +78,8 @@ struct ProverStats {
  * optional compiled-plan cache for the fixed core gate.
  */
 struct ProveOptions {
-    /** Thread budget / grain floor / pool. Default inherits the ambient
-     *  setting (ZKPHIRE_THREADS or hardware concurrency). */
+    /** Thread budget / pool / streaming policy. Default inherits the
+     *  ambient setting (ZKPHIRE_THREADS or hardware concurrency). */
     rt::Config rt;
     /** Plan cache for the core gate's masked composition; null lowers the
      *  plan inline (transcript-identical, just recompiles per call).
@@ -90,14 +89,6 @@ struct ProveOptions {
      *  of the proof — commitment multi-MSMs and opening quotients. The
      *  transcript is identical under every value; only speed moves. */
     ec::MsmOptions msm = {};
-    /** Cross-lane executor for the proof's independent work units
-     *  (per-column commitment MSMs, per-round sumcheck range splits, the
-     *  z_p evaluations, the two opening chains), installed as the ambient
-     *  runner every rt::forUnits split uses. Null runs every unit inline.
-     *  Unit outputs are merged in index order, so the transcript is
-     *  bit-identical at every runner width — engine::ProofService points
-     *  this at a ShardGroup of reserved idle lanes. */
-    rt::UnitRunner *units = nullptr;
     /** Buffer arena (installed via poly::ScopedArena) recycling the proof's
      *  big scratch tables — sumcheck fold double buffers, opening working
      *  copies and quotients — across proofs on one context. Null inherits

@@ -57,14 +57,10 @@ envPolicy()
         StorePolicy p;
         // Streaming is on by default above 2^22 elements (128 MiB of Fr):
         // large jobs pick the mapped backend automatically, small proofs
-        // never see it. ZKPHIRE_STREAM=0 disables; ZKPHIRE_STREAM=1 keeps
-        // the default threshold; ZKPHIRE_STREAM_THRESHOLD moves it.
-        p.thresholdElems = std::size_t(1) << 22;
-        if (const char *s = std::getenv("ZKPHIRE_STREAM");
-            s != nullptr && s[0] == '0' && s[1] == '\0')
-            p.thresholdElems = SIZE_MAX;
+        // never see it. ZKPHIRE_STREAM_THRESHOLD moves the threshold; a
+        // value above every table's size turns streaming off.
         p.thresholdElems =
-            parseSizeEnv("ZKPHIRE_STREAM_THRESHOLD", p.thresholdElems);
+            parseSizeEnv("ZKPHIRE_STREAM_THRESHOLD", std::size_t(1) << 22);
         if (p.thresholdElems == 0)
             p.thresholdElems = 1;
         p.chunkElems =

@@ -13,8 +13,8 @@
  *             peak RSS for a streaming walk is O(chunk), not O(N).
  *
  * Routing is ambient: tables at or above the current stream threshold
- * (rt::Config::streamThreshold via ScopedConfig, else the ZKPHIRE_STREAM /
- * ZKPHIRE_STREAM_THRESHOLD environment defaults) go to the Mapped backend.
+ * (rt::Config::streamThreshold via ScopedConfig, else the
+ * ZKPHIRE_STREAM_THRESHOLD environment default) go to the Mapped backend.
  * Values are bit-identical under either backend — the backend only decides
  * where the bytes live, never what they are.
  *
@@ -59,7 +59,8 @@ struct StorePolicy {
 };
 
 /** Policy for the current thread: rt::Config stream overrides when set,
- *  else the ZKPHIRE_STREAM* environment defaults. */
+ *  else the ZKPHIRE_STREAM_THRESHOLD / ZKPHIRE_STREAM_CHUNK environment
+ *  defaults. */
 StorePolicy currentStorePolicy();
 
 /** Directory streaming slabs are created in (ZKPHIRE_STREAM_DIR, TMPDIR,

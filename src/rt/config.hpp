@@ -4,20 +4,17 @@
  *
  * Every prover entry point (hyperplonk::prove, sumcheck::prove / proveZero /
  * proveOpen) takes an rt::Config instead of a raw thread count. A Config
- * bundles the three knobs a prover region can override:
+ * bundles the knobs a prover region can override:
  *
  *   - threads:  total parallelism for the proof's kernels. 0 inherits the
  *               ambient setting (an enclosing ScopedConfig, else the pool's
  *               size — ZKPHIRE_THREADS / hardware concurrency). 1 forces
  *               fully serial execution.
- *   - minGrain: floor on auto-picked chunk sizes. Raising it trades load
- *               balance for lower chunk-dispatch overhead on small tables;
- *               0 keeps each kernel's default. Explicitly-chosen grains are
- *               not affected.
  *   - pool:     the ThreadPool parallel regions submit to. null uses the
  *               process-global pool; engine::ProofService points each job
  *               lane at a private pool so concurrent proofs never contend
  *               on one pool's region lock.
+ *   - streamThreshold / streamChunk: the out-of-core table policy.
  *
  * Configs are applied with rt::ScopedConfig (rt/parallel.hpp), an RAII
  * thread-local override — so a Config pins every kernel reached from the
@@ -36,11 +33,10 @@ class ThreadPool;
 
 struct Config {
     unsigned threads = 0;       ///< 0 = inherit ambient / runtime default.
-    std::size_t minGrain = 0;   ///< 0 = kernel default chunk-size floors.
     ThreadPool *pool = nullptr; ///< null = process-global pool.
     /** Element count at which prover tables switch to the chunk-streaming
      *  (mmap-slab) backend. 0 inherits the ambient setting / the
-     *  ZKPHIRE_STREAM* environment defaults; SIZE_MAX disables streaming;
+     *  ZKPHIRE_STREAM_THRESHOLD default; SIZE_MAX disables streaming;
      *  1 forces it for every table (the oracle tests pin this). */
     std::size_t streamThreshold = 0;
     /** Elements per chunk for streaming walks (commit pipeline, eq-table

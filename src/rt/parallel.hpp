@@ -9,10 +9,14 @@
  * order would match — the ordering guarantee keeps the contract simple).
  *
  * ScopedThreads overrides the effective parallelism on the current thread for
- * the duration of a scope; ScopedConfig additionally overrides the chunk-size
- * floor and the target pool from an rt::Config. Prover entry points apply
- * their Config parameter with ScopedConfig, and the equivalence tests use
- * ScopedThreads to pin 1/2/N-thread runs.
+ * the duration of a scope; ScopedConfig additionally overrides the target
+ * pool and the streaming policy from an rt::Config. Prover entry points
+ * apply their Config parameter with ScopedConfig, and the equivalence tests
+ * use ScopedThreads to pin 1/2/N-thread runs.
+ *
+ * Every chunk both primitives run passes the `rt.worker` failpoint first,
+ * on whichever thread runs it: a pool worker, a thread serving the pool, or
+ * the caller.
  */
 #ifndef ZKPHIRE_RT_PARALLEL_HPP
 #define ZKPHIRE_RT_PARALLEL_HPP
@@ -22,13 +26,13 @@
 #include <vector>
 
 #include "rt/config.hpp"
+#include "rt/failpoint.hpp"
 #include "rt/thread_pool.hpp"
 
 namespace zkphire::rt {
 
 namespace detail {
 inline thread_local unsigned t_threadOverride = 0;
-inline thread_local std::size_t t_minGrainOverride = 0;
 inline thread_local ThreadPool *t_poolOverride = nullptr;
 inline thread_local std::size_t t_streamThresholdOverride = 0;
 inline thread_local std::size_t t_streamChunkOverride = 0;
@@ -53,7 +57,7 @@ currentThreads()
 }
 
 /** Ambient stream-threshold override (0 = unset; poly::currentStorePolicy
- *  falls back to the ZKPHIRE_STREAM* environment defaults). */
+ *  falls back to the ZKPHIRE_STREAM_THRESHOLD / _CHUNK defaults). */
 inline std::size_t
 currentStreamThreshold()
 {
@@ -91,7 +95,7 @@ class ScopedThreads
 
 /**
  * RAII application of a full rt::Config on this thread: thread budget,
- * chunk-size floor, and target pool. Zero/null fields inherit the enclosing
+ * target pool and streaming policy. Zero/null fields inherit the enclosing
  * setting (same "cannot cancel a caller's pin" rule as ScopedThreads).
  */
 class ScopedConfig
@@ -99,13 +103,10 @@ class ScopedConfig
   public:
     explicit ScopedConfig(const Config &cfg)
         : threadScope(cfg.threads),
-          savedGrain(detail::t_minGrainOverride),
           savedPool(detail::t_poolOverride),
           savedStreamThreshold(detail::t_streamThresholdOverride),
           savedStreamChunk(detail::t_streamChunkOverride)
     {
-        if (cfg.minGrain != 0)
-            detail::t_minGrainOverride = cfg.minGrain;
         if (cfg.pool != nullptr)
             detail::t_poolOverride = cfg.pool;
         if (cfg.streamThreshold != 0)
@@ -115,7 +116,6 @@ class ScopedConfig
     }
     ~ScopedConfig()
     {
-        detail::t_minGrainOverride = savedGrain;
         detail::t_poolOverride = savedPool;
         detail::t_streamThresholdOverride = savedStreamThreshold;
         detail::t_streamChunkOverride = savedStreamChunk;
@@ -125,7 +125,6 @@ class ScopedConfig
 
   private:
     ScopedThreads threadScope;
-    std::size_t savedGrain;
     ThreadPool *savedPool;
     std::size_t savedStreamThreshold;
     std::size_t savedStreamChunk;
@@ -133,13 +132,10 @@ class ScopedConfig
 
 namespace detail {
 
-/** Default grain: ~4 chunks per thread, at least minGrain indices each.
- *  An ambient ScopedConfig minGrain raises the floor further. */
+/** Default grain: ~4 chunks per thread, at least minGrain indices each. */
 inline std::size_t
 autoGrain(std::size_t n, unsigned threads, std::size_t minGrain)
 {
-    if (t_minGrainOverride > minGrain)
-        minGrain = t_minGrainOverride;
     std::size_t target = std::size_t(threads) * 4;
     std::size_t grain = (n + target - 1) / target;
     return grain < minGrain ? minGrain : grain;
@@ -175,7 +171,10 @@ parallelForChunks(std::size_t begin, std::size_t end, Body &&body,
         grain = detail::autoGrain(end - begin, threads, minGrain);
     currentPool().forChunks(
         begin, end, grain,
-        [&](std::size_t b, std::size_t e, std::size_t) { body(b, e); },
+        [&](std::size_t b, std::size_t e, std::size_t) {
+            failpoint("rt.worker");
+            body(b, e);
+        },
         threads);
 }
 
@@ -218,6 +217,7 @@ parallelReduce(std::size_t begin, std::size_t end, T identity,
     currentPool().forChunks(
         begin, end, grain,
         [&](std::size_t b, std::size_t e, std::size_t c) {
+            failpoint("rt.worker");
             partial[c] = mapChunk(b, e);
         },
         threads);

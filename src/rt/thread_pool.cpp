@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "rt/config.hpp"
-#include "rt/failpoint.hpp"
 
 namespace zkphire::rt {
 
@@ -65,10 +64,10 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::drainChunks(Job &j)
+ThreadPool::drainChunks(Job &j, const std::atomic<bool> *leave)
 {
     const std::size_t n = j.numChunks;
-    for (;;) {
+    while (leave == nullptr || !leave->load(std::memory_order_acquire)) {
         std::size_t c = j.nextChunk.fetch_add(1, std::memory_order_relaxed);
         if (c >= n)
             break;
@@ -79,7 +78,6 @@ ThreadPool::drainChunks(Job &j)
         }
         if (!failed) { // after a failure, drain remaining chunks unexecuted
             try {
-                failpoint("rt.worker");
                 (*j.body)(j.begin + c * j.grain, j.begin + (c + 1) * j.grain,
                           c);
             } catch (...) {
@@ -96,13 +94,46 @@ void
 ThreadPool::workerLoop()
 {
     t_insideWorker = true;
+    participate(nullptr);
+}
+
+void
+ThreadPool::serve(const std::atomic<bool> &leave)
+{
+    // Chunks run here see a worker context, so their nested regions run
+    // inline exactly as on the pool's own workers.
+    const bool saved = t_insideWorker;
+    t_insideWorker = true;
+    participate(&leave);
+    t_insideWorker = saved;
+}
+
+void
+ThreadPool::dismiss(std::atomic<bool> &leave)
+{
+    // Stored under mu, which serving threads hold while they test it, so
+    // none can miss the wake between its test and its wait.
+    std::lock_guard<std::mutex> lk(mu);
+    leave.store(true, std::memory_order_release);
+    cvJob.notify_all();
+}
+
+void
+ThreadPool::participate(const std::atomic<bool> *leave)
+{
+    const auto leaving = [leave] {
+        return leave != nullptr && leave->load(std::memory_order_acquire);
+    };
+    // Generations start at 1, so a thread that starts serving mid-region
+    // joins the region in flight.
     std::uint64_t seenGeneration = 0;
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
         cvJob.wait(lk, [&] {
-            return stopping || (job != nullptr && generation != seenGeneration);
+            return stopping || leaving() ||
+                   (job != nullptr && generation != seenGeneration);
         });
-        if (stopping)
+        if (stopping || leaving())
             return;
         seenGeneration = generation;
         Job *j = job;
@@ -111,7 +142,7 @@ ThreadPool::workerLoop()
             continue;
         ++j->activeWorkers;
         lk.unlock();
-        drainChunks(*j);
+        drainChunks(*j, leave);
         lk.lock();
         --j->activeWorkers;
         cvDone.notify_all();
@@ -129,16 +160,18 @@ ThreadPool::forChunks(std::size_t begin, std::size_t end, std::size_t grain,
     const std::size_t n = end - begin;
     const std::size_t numChunks = (n + grain - 1) / grain;
 
-    // Serial paths: pool of one, nested region inside a worker, or a single
-    // chunk. The chunk decomposition is identical either way, so serial and
-    // parallel execution produce bit-identical results.
-    if (nThreads <= 1 || t_insideWorker || numChunks == 1 || workers.empty() ||
-        maxWorkers == 1) {
+    if (maxWorkers == 0)
+        maxWorkers = nThreads;
+
+    // Serial paths: a one-thread cap, a nested region inside a worker, or a
+    // single chunk. The chunk decomposition is identical either way, so
+    // serial and parallel execution produce bit-identical results. A pool
+    // without workers still posts the region when the cap allows more
+    // threads: serving threads may be there to take chunks.
+    if (maxWorkers <= 1 || t_insideWorker || numChunks == 1) {
         for (std::size_t c = 0; c < numChunks; ++c) {
             std::size_t b = begin + c * grain;
             std::size_t e = b + grain < end ? b + grain : end;
-            failpoint("rt.worker"); // same site as the pooled path, so a
-                                    // schedule covers both execution modes
             body(b, e, c);
         }
         return;
@@ -150,7 +183,7 @@ ThreadPool::forChunks(std::size_t begin, std::size_t end, std::size_t grain,
     j.begin = begin;
     j.grain = grain;
     j.numChunks = numChunks;
-    j.maxWorkers = maxWorkers == 0 ? nThreads : maxWorkers;
+    j.maxWorkers = maxWorkers;
 
     // Clamp the final chunk's end to the true range end.
     ChunkFn clamped = [&](std::size_t b, std::size_t e, std::size_t c) {
@@ -169,7 +202,7 @@ ThreadPool::forChunks(std::size_t begin, std::size_t end, std::size_t grain,
     // nested parallel regions inside its chunks run inline instead of
     // re-entering forChunks (which would self-deadlock on regionMu).
     t_insideWorker = true;
-    drainChunks(j);
+    drainChunks(j, nullptr);
     t_insideWorker = false;
 
     {

@@ -17,6 +17,12 @@
  * Nested parallel regions run inline on the caller: a worker that reaches a
  * parallelFor inside a chunk body executes it serially, which keeps nesting
  * deadlock-free without a work-stealing scheduler.
+ *
+ * Outside threads can join too: serve() runs the calling thread as one more
+ * worker until it is told to leave. engine::ProofService uses it to lend
+ * idle lanes' threads to the pool of the lane that is proving. A region's
+ * fan-out is capped by its caller's thread count, not by the pool's size,
+ * so even a one-thread pool runs in parallel while threads serve it.
  */
 #ifndef ZKPHIRE_RT_THREAD_POOL_HPP
 #define ZKPHIRE_RT_THREAD_POOL_HPP
@@ -55,13 +61,28 @@ class ThreadPool
     /**
      * Execute body over [begin, end) split into ceil(n/grain) chunks.
      * Blocks until every chunk completed; rethrows the first exception a
-     * chunk threw. Called from inside a pool worker (nested region) or with
-     * an empty range, it degrades to an inline serial loop.
+     * chunk threw. Called from inside a pool worker (nested region), with
+     * one chunk or with maxWorkers == 1, it degrades to an inline serial
+     * loop.
      *
-     * @param maxWorkers Cap on participating threads (0 = numThreads()).
+     * @param maxWorkers Cap on participating threads, caller included:
+     *        workers and serving threads beyond it sit the region out
+     *        (0 = numThreads()).
      */
     void forChunks(std::size_t begin, std::size_t end, std::size_t grain,
                    const ChunkFn &body, unsigned maxWorkers = 0);
+
+    /**
+     * Lend the calling thread to this pool: it runs chunks of the pool's
+     * regions, like a worker and under the same maxWorkers cap, until
+     * `leave` reads true. Set `leave` only through dismiss(); a serving
+     * thread leaves between chunks, so the regions it was helping finish
+     * on the threads that remain.
+     */
+    void serve(const std::atomic<bool> &leave);
+
+    /** Set `leave` and wake every thread inside serve() to re-read it. */
+    void dismiss(std::atomic<bool> &leave);
 
     /** Process-wide pool sized by defaultThreads(), created on first use. */
     static ThreadPool &global();
@@ -87,13 +108,18 @@ class ThreadPool
     };
 
     void workerLoop();
-    void drainChunks(Job &job);
+    /** Join regions until the pool stops or `leave` (when set) reads true:
+     *  the loop of workers and serving threads alike. */
+    void participate(const std::atomic<bool> *leave);
+    /** Claim and run chunks of job until none are left or `leave` (when
+     *  set) reads true. */
+    void drainChunks(Job &job, const std::atomic<bool> *leave);
 
     unsigned nThreads;
     std::vector<std::thread> workers;
     std::mutex mu;                  // guards job/generation/stopping
     std::mutex regionMu;            // serializes concurrent forChunks callers
-    std::condition_variable cvJob;  // workers wait for a new job
+    std::condition_variable cvJob;  // workers and guests wait for a new job
     std::condition_variable cvDone; // caller waits for completion
     Job *job = nullptr;
     std::uint64_t generation = 0;

@@ -6,7 +6,6 @@
 #include "rt/cancel.hpp"
 #include "rt/failpoint.hpp"
 #include "rt/parallel.hpp"
-#include "rt/unit_runner.hpp"
 
 namespace zkphire::sumcheck {
 
@@ -26,24 +25,24 @@ SumcheckProof::sizeBytes() const
 
 namespace {
 
-/** Pair count below which cross-lane sharding of a round is not worth the
- *  wake/merge round trip; the table halves every round, so late rounds of a
- *  sharded sumcheck drop back to the single-lane path automatically. */
-constexpr std::size_t kShardMinPairs = 1u << 12;
-
-/** Accumulate fill over pairs [begin, end) on this lane's pool. */
+/**
+ * Accumulate fill(b, e, acc) over pairs [0, half) into an acc_len-wide
+ * accumulator: rt::parallelReduce chunks the range over the pool, and the
+ * per-chunk accumulators are summed in ascending chunk order. Field
+ * addition is exact, so the result is bit-identical to the serial loop at
+ * any thread count.
+ */
 template <class FillRange>
 std::vector<Fr>
-accumulatePairRange(std::size_t begin, std::size_t end, std::size_t acc_len,
-                    const FillRange &fill)
+accumulatePairs(std::size_t half, std::size_t acc_len, const FillRange &fill)
 {
-    if (rt::currentThreads() <= 1 || end - begin < 1024) {
+    if (rt::currentThreads() <= 1 || half < 1024) {
         std::vector<Fr> acc(acc_len, Fr::zero());
-        fill(begin, end, acc);
+        fill(0, half, acc);
         return acc;
     }
     return rt::parallelReduce<std::vector<Fr>>(
-        begin, end, std::vector<Fr>(acc_len, Fr::zero()),
+        0, half, std::vector<Fr>(acc_len, Fr::zero()),
         [&](std::size_t b, std::size_t e) {
             std::vector<Fr> part(acc_len, Fr::zero());
             fill(b, e, part);
@@ -55,37 +54,6 @@ accumulatePairRange(std::size_t begin, std::size_t end, std::size_t acc_len,
             return acc;
         },
         /*grain=*/0, /*minGrain=*/256);
-}
-
-/**
- * Accumulate fill(b, e, acc) over [0, half) into an acc_len-wide
- * accumulator.
- *
- * Two nested levels of the same deterministic decomposition:
- *   - across lanes: rt::forUnits splits the pair range into one contiguous
- *     sub-range per lane of the ambient runner (the engine's ShardGroup
- *     while idle lanes are reserved for this proof), and each unit
- *     accumulates its sub-range on that lane's private pool;
- *   - within a lane: rt::parallelReduce chunks the (sub-)range over the
- *     pool's workers.
- * Partial accumulators are summed in ascending range order either way, and
- * field addition is exact, so the result is bit-identical to the serial
- * loop at any lane count and any thread count.
- */
-template <class FillRange>
-std::vector<Fr>
-accumulatePairs(std::size_t half, std::size_t acc_len, const FillRange &fill)
-{
-    std::vector<std::vector<Fr>> parts(rt::unitCount(half, kShardMinPairs));
-    rt::forUnits(half, kShardMinPairs,
-                 [&](std::size_t u, std::size_t b, std::size_t e) {
-                     parts[u] = accumulatePairRange(b, e, acc_len, fill);
-                 });
-    std::vector<Fr> acc = std::move(parts[0]);
-    for (std::size_t u = 1; u < parts.size(); ++u)
-        for (std::size_t p = 0; p < acc_len; ++p)
-            acc[p] += parts[u][p];
-    return acc;
 }
 
 /**
@@ -166,16 +134,15 @@ prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg)
             poly.fixFirstVarInPlace(r);
             continue;
         }
-        // Fuse this round's fold with the next round's evaluation when the
-        // round is not sharded across lanes: each chunk of the halved table
-        // is evaluated in the same walk that writes it, so a streamed table
-        // is touched once per round instead of twice. Values are
-        // bit-identical either way (exact arithmetic, identical per-index
-        // formulas) — this only moves wall-clock and RSS, never bytes.
+        // Fuse this round's fold with the next round's evaluation: each
+        // chunk of the halved table is evaluated in the same walk that
+        // writes it, so a streamed table is touched once per round instead
+        // of twice. Values are bit-identical either way (exact arithmetic,
+        // identical per-index formulas) — this only moves wall-clock and
+        // RSS, never bytes.
         const std::size_t next_half = std::size_t(1)
                                       << (poly.numVars() - 2);
-        if (rt::unitCount(next_half, kShardMinPairs) == 1 &&
-            (poly.anyTableMapped() || next_half >= kFuseMinPairs)) {
+        if (poly.anyTableMapped() || next_half >= kFuseMinPairs) {
             evals = poly.plan().finalizeRoundEvals(poly.foldAndAccumulate(r));
         } else {
             poly.fixFirstVarInPlace(r);

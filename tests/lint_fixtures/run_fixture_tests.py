@@ -24,7 +24,7 @@ LINT = os.path.join(ROOT, "tools", "lint", "zkphire_lint.py")
 EXPECT = {
     "ct_branch_violation.cpp": ("ct-kernel", 3, True),
     "lock_order_violation.cpp": ("lock-order", 1, True),
-    "parallel_capture_violation.cpp": ("parallel-capture", 2, True),
+    "parallel_capture_violation.cpp": ("parallel-capture", 1, True),
     "transcript_unordered_violation.cpp": ("transcript-determinism", 2, True),
     "clean.cpp": (None, 0, True),
 }

@@ -9,9 +9,11 @@
 #include "ec/g1.hpp"
 #include "ec/msm.hpp"
 #include "ec/recode.hpp"
+#include "msm_oracle.hpp"
 #include "rt/parallel.hpp"
 
 using namespace zkphire::ec;
+using zkphire::oracle::msmNaive;
 using zkphire::ff::Fq;
 using zkphire::ff::Fr;
 using zkphire::ff::Rng;

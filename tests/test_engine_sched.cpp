@@ -1,18 +1,19 @@
 /**
  * @file
- * ProofService scheduling, admission, sharding, and lifecycle tests.
+ * ProofService scheduling, admission, lending, and lifecycle tests.
  *
  * Three families:
  *   - Admission/scheduling semantics: bounded queue under both policies,
  *     typed deadline expiry, priority ordering, budget splits.
  *   - Lifecycle: the submit/shutdown race (every future resolves with a
  *     typed status, never a broken promise), destructor drain.
- *   - Determinism: intra-proof sharding at 1/2/4 lanes produces bytes
- *     identical to the one-shot hyperplonk::prove path — the service may
- *     move work between lanes but may never move the transcript.
+ *   - Lending: a lone proof borrows the idle lanes' threads at 1/2/4
+ *     lanes and still produces bytes identical to the one-shot
+ *     hyperplonk::prove path; arrivals send the lenders home; faults on
+ *     lent threads and degraded retries stay the proving job's.
  *
- * The lifecycle, hot-swap and SRS-level tests are the TSan targets
- * (-DZKPHIRE_TSAN CI leg runs every test_engine* suite).
+ * The lifecycle, lending and SRS-level tests are the TSan targets (CI's
+ * -DZKPHIRE_TSAN leg runs every suite).
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +25,8 @@
 #include "engine/service.hpp"
 #include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
+#include "poly/mle_store.hpp"
+#include "rt/failpoint.hpp"
 #include "srs_oracle.hpp"
 
 using namespace zkphire;
@@ -407,25 +410,43 @@ TEST(ProofServiceBudget, LaneBudgetsSumToContextBudget)
         EXPECT_EQ(b, 1u);
 }
 
-TEST(ProofServiceSharding, ShardedProofBitIdenticalAcrossLaneCounts)
+namespace {
+
+/** Give every lane time to reach its idle state — lenders of the last
+ *  phase finish the chunk they are in before they go home — so the next
+ *  dispatch finds the idle lanes it may borrow. */
+void
+settle()
 {
-    // The tentpole determinism claim: one request sharded across idle lanes
-    // serializes to exactly the single-lane (and one-shot legacy) bytes.
+    std::this_thread::sleep_for(milliseconds(50));
+}
+
+/** Poll pred every 100 us until it holds or ten seconds pass. */
+template <class Pred>
+bool
+pollUntil(Pred pred)
+{
+    const auto until = steady_clock::now() + std::chrono::seconds(10);
+    while (!pred() && steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return pred();
+}
+
+} // namespace
+
+TEST(ProofServiceLending, LoneProofBitIdenticalAcrossLaneCounts)
+{
+    // One request alone on the service borrows every idle lane's threads
+    // and still serializes to exactly the one-shot legacy bytes. No option
+    // asks for it: lending is the service's only way to use idle lanes.
     Fixture vanilla = makeFixture(7, false, 912);
     Fixture jelly = makeFixture(6, true, 913);
 
     for (unsigned lanes : {1u, 2u, 4u}) {
         engine::ProverContext ctx(sharedSrs(), {.threads = 4});
-        engine::ServiceOptions so;
-        so.lanes = lanes;
-        so.sharding = true;
-        so.shardMinRows = 1; // force the decision for these small circuits
-        engine::ProofService service(ctx, so);
-        // Let every lane reach its idle state so the reservation scan can
-        // actually see helpers.
-        std::this_thread::sleep_for(milliseconds(10));
-
+        engine::ProofService service(ctx, lanes);
         for (const Fixture *fx : {&vanilla, &jelly}) {
+            settle();
             engine::ProofResult r =
                 service.submit({&fx->keys.pk, &fx->circuit, nullptr}).get();
             ASSERT_TRUE(r.ok) << "lanes=" << lanes << ": " << r.error;
@@ -434,7 +455,7 @@ TEST(ProofServiceSharding, ShardedProofBitIdenticalAcrossLaneCounts)
             EXPECT_TRUE(verify(fx->keys.vk, r.proof).ok);
             if (lanes >= 2) {
                 EXPECT_GE(r.shardLanes, 2u)
-                    << "sharding never engaged at lanes=" << lanes;
+                    << "no phase borrowed a lane at lanes=" << lanes;
             } else {
                 EXPECT_EQ(r.shardLanes, 1u);
             }
@@ -443,87 +464,171 @@ TEST(ProofServiceSharding, ShardedProofBitIdenticalAcrossLaneCounts)
         if (lanes >= 2) {
             EXPECT_GT(sm.shardedPhases, 0u);
             EXPECT_GT(sm.shardHelperLanes, 0u);
+        } else {
+            EXPECT_EQ(sm.shardedPhases, 0u);
         }
     }
 }
 
-TEST(ProofServiceSharding, ConcurrentMixStaysByteIdentical)
+TEST(ProofServiceLending, BurstDuringLendingRecallsLenders)
 {
-    // Sharding under contention: a burst of mixed jobs on 4 lanes, where
-    // groups form and dissolve as the queue drains. Every proof must still
-    // match its reference bytes regardless of which phases sharded.
+    // A large proof starts alone and borrows the three idle lanes; a mixed
+    // burst submitted while that phase lends must send the lenders home
+    // (shardRecalls) and then run on them. Every proof, the large one
+    // included, must still match its reference bytes.
+    Fixture large = makeFixture(8, true, 914);
     std::vector<Fixture> fleet;
-    fleet.push_back(makeFixture(7, false, 914));
-    fleet.push_back(makeFixture(4, true, 915));
-    fleet.push_back(makeFixture(6, true, 916));
-    fleet.push_back(makeFixture(5, false, 917));
+    fleet.push_back(makeFixture(7, false, 915));
+    fleet.push_back(makeFixture(4, true, 916));
+    fleet.push_back(makeFixture(6, true, 917));
+    fleet.push_back(makeFixture(5, false, 918));
 
     engine::ProverContext ctx(sharedSrs(), {.threads = 4});
-    engine::ServiceOptions so;
-    so.lanes = 4;
-    so.sharding = true;
-    so.shardMinRows = 1;
-    engine::ProofService service(ctx, so);
+    engine::ProofService service(ctx, 4);
+    settle();
+    auto largeFut =
+        service.submit({&large.keys.pk, &large.circuit, nullptr});
+    ASSERT_TRUE(pollUntil([&] { return service.metrics().shardedPhases > 0; }))
+        << "the lone large proof never borrowed a lane";
 
     std::vector<std::future<engine::ProofResult>> futures;
     for (int round = 0; round < 3; ++round)
         for (const Fixture &fx : fleet)
             futures.push_back(
                 service.submit({&fx.keys.pk, &fx.circuit, nullptr}));
+    engine::ProofResult lr = largeFut.get();
+    ASSERT_TRUE(lr.ok) << lr.error;
+    EXPECT_EQ(proofBytes(lr.proof), large.reference);
+    EXPECT_GE(lr.shardLanes, 2u);
     for (std::size_t i = 0; i < futures.size(); ++i) {
         engine::ProofResult r = futures[i].get();
         ASSERT_TRUE(r.ok) << "job " << i << ": " << r.error;
         EXPECT_EQ(proofBytes(r.proof), fleet[i % fleet.size()].reference)
             << "job " << i;
     }
+    EXPECT_GT(service.metrics().shardRecalls, 0u);
 }
 
-TEST(ProofServiceSharding, ShardingOffNeverReservesHelpers)
+TEST(ProofServiceLending, WorkerFaultOnLentThreadResolvesProverError)
 {
-    Fixture fx = makeFixture(6, false, 918);
+    // rt.worker fires in whichever thread runs the chosen chunk; on 4
+    // lanes x 1 thread every multi-chunk region of a lone proof runs on
+    // the owner and three lent lane threads, so most of these trials fire
+    // on a lent thread (ThreadPool.ServingThreadFaultPropagatesToRegionCaller
+    // pins that case on its own). Each fault must resolve the proving job
+    // ProverError, and afterwards every lane must prove again.
+    rt::clearFailpoints();
+    Fixture fx = makeFixture(8, false, 919);
     engine::ProverContext ctx(sharedSrs(), {.threads = 4});
-    engine::ServiceOptions so;
-    so.lanes = 4;
-    so.sharding = false;
-    engine::ProofService service(ctx, so);
-    std::this_thread::sleep_for(milliseconds(5));
-    engine::ProofResult r =
+    engine::ProofService service(ctx, 4);
+
+    // Count the proof's rt.worker hits with a spec that never fires.
+    rt::setFailpoint("rt.worker", rt::FailSpec{.p = 0.0});
+    settle();
+    engine::ProofResult clean =
         service.submit({&fx.keys.pk, &fx.circuit, nullptr}).get();
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.shardLanes, 1u);
-    EXPECT_EQ(proofBytes(r.proof), fx.reference);
-    EXPECT_EQ(service.metrics().shardedPhases, 0u);
-}
+    ASSERT_TRUE(clean.ok) << clean.error;
+    ASSERT_GE(clean.shardLanes, 2u);
+    const std::uint64_t hits = rt::failpointHits("rt.worker");
+    ASSERT_GE(hits, 8u);
 
-TEST(ProofServiceConfig, HotSwapDuringTrafficIsRaceFreeAndDeterministic)
-{
-    // ProverContext::setConfig used to race the lanes' per-job config read;
-    // under -DZKPHIRE_TSAN this test is the regression for the synchronized
-    // snapshot. Determinism must also hold: minGrain changes how work is
-    // chunked, never what bytes come out.
-    Fixture fx = makeFixture(6, true, 919);
-    engine::ProverContext ctx(sharedSrs(), {.threads = 2});
-    engine::ProofService service(ctx, 2);
+    for (std::uint64_t k = 1; k < 8; ++k) {
+        rt::setFailpoint("rt.worker", rt::FailSpec{.nth = hits * k / 8});
+        const std::uint64_t lentBefore = service.metrics().shardedPhases;
+        settle();
+        engine::ProofResult r =
+            service.submit({&fx.keys.pk, &fx.circuit, nullptr}).get();
+        EXPECT_EQ(r.status, ProofStatus::ProverError) << "trial " << k;
+        EXPECT_NE(r.error.find("rt.worker"), std::string::npos) << r.error;
+        EXPECT_EQ(rt::failpointFires("rt.worker"), 1u) << "trial " << k;
+        EXPECT_GT(service.metrics().shardedPhases, lentBefore)
+            << "trial " << k << " never lent";
+    }
+    rt::clearFailpoints();
 
-    std::atomic<bool> stop{false};
-    std::thread swapper([&] {
-        std::size_t grain = 1;
-        while (!stop.load(std::memory_order_relaxed)) {
-            ctx.setConfig({.threads = 2, .minGrain = grain});
-            grain = grain >= 4096 ? 1 : grain * 2;
-        }
-    });
-
+    // Every lane usable: four proofs at once occupy all four lanes, then a
+    // lone one borrows them all again.
     std::vector<std::future<engine::ProofResult>> futures;
-    for (int i = 0; i < 8; ++i)
+    for (int i = 0; i < 4; ++i)
         futures.push_back(service.submit({&fx.keys.pk, &fx.circuit, nullptr}));
     for (auto &f : futures) {
         engine::ProofResult r = f.get();
         ASSERT_TRUE(r.ok) << r.error;
         EXPECT_EQ(proofBytes(r.proof), fx.reference);
     }
-    stop.store(true);
-    swapper.join();
+    settle();
+    engine::ProofResult r =
+        service.submit({&fx.keys.pk, &fx.circuit, nullptr}).get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(proofBytes(r.proof), fx.reference);
+    EXPECT_GE(r.shardLanes, 2u);
+}
+
+namespace {
+
+/** What one degraded retry allocated, and how it lent. */
+struct RetryAllocs {
+    poly::StoreCounters delta;
+    unsigned shardLanes = 0;
+    std::uint64_t lentPhases = 0;
+};
+
+/**
+ * Run fx once on a fresh service whose first attempt fails with ENOSPC at
+ * the first sumcheck round, and count the table allocations of the
+ * degraded retry alone: the backoff holds the retry back long enough to
+ * snapshot the counters between the attempts.
+ */
+RetryAllocs
+degradedRetryAllocs(const Fixture &fx, unsigned lanes)
+{
+    engine::ProverContext ctx(sharedSrs(), {.threads = 4});
+    engine::ProofService service(ctx, lanes);
+    rt::setFailpoint("sumcheck.round",
+                     rt::FailSpec{.kind = rt::FailKind::Enospc, .nth = 1});
+    engine::SubmitOptions sub;
+    sub.retry.maxAttempts = 2;
+    sub.retry.backoff = milliseconds(500);
+    settle();
+    auto fut = service.submit({&fx.keys.pk, &fx.circuit, nullptr}, sub);
+    EXPECT_TRUE(pollUntil([&] { return service.metrics().retries > 0; }));
+    const std::uint64_t lentBefore = service.metrics().shardedPhases;
+    const poly::StoreCounters before = poly::storeCounters();
+    engine::ProofResult r = fut.get();
+    const poly::StoreCounters after = poly::storeCounters();
+    rt::clearFailpoints();
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(proofBytes(r.proof), fx.reference);
+    EXPECT_EQ(service.metrics().degradedRetries, 1u);
+    RetryAllocs out;
+    out.delta.ramAllocs = after.ramAllocs - before.ramAllocs;
+    out.delta.mappedAllocs = after.mappedAllocs - before.mappedAllocs;
+    out.shardLanes = r.shardLanes;
+    out.lentPhases = service.metrics().shardedPhases - lentBefore;
+    return out;
+}
+
+} // namespace
+
+TEST(ProofServiceLending, DegradedRetryThatLendsAllocatesLikeOneLane)
+{
+    // A degraded retry runs under forced streaming, which only the proving
+    // lane's thread carries. Lent threads run pool chunks and allocate
+    // nothing, so a retry whose two phases both lend — the online one,
+    // with the openings, included — must allocate exactly the tables, on
+    // exactly the backends, that the same retry allocates on one lane with
+    // the same four threads.
+    rt::clearFailpoints();
+    Fixture fx = makeFixture(8, true, 920);
+    const RetryAllocs lent = degradedRetryAllocs(fx, 4);
+    const RetryAllocs alone = degradedRetryAllocs(fx, 1);
+    EXPECT_EQ(lent.shardLanes, 4u);
+    EXPECT_EQ(lent.lentPhases, 2u);
+    EXPECT_EQ(alone.shardLanes, 1u);
+    EXPECT_EQ(alone.lentPhases, 0u);
+    EXPECT_GT(lent.delta.mappedAllocs, 0u);
+    EXPECT_EQ(lent.delta.mappedAllocs, alone.delta.mappedAllocs);
+    EXPECT_EQ(lent.delta.ramAllocs, alone.delta.ramAllocs);
 }
 
 TEST(ProofServiceMetrics, SnapshotIsConsistentAfterQuiesce)

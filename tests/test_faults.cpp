@@ -666,7 +666,7 @@ TEST(FaultSoak, MixedLoadEveryFutureResolvesTyped)
                 ASSERT_TRUE(res.ok);
                 const Fixture &fx = fixtures[i % fixtures.size()];
                 // Whatever mix of faults, retries, degradation, and
-                // sharding the job saw, Ok means reference bytes.
+                // lending the job saw, Ok means reference bytes.
                 EXPECT_EQ(proofBytes(res.proof), fx.reference)
                     << "job " << i;
                 ++ok;

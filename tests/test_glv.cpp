@@ -13,11 +13,13 @@
 #include "ec/glv.hpp"
 #include "ec/msm.hpp"
 #include "ff/rng.hpp"
+#include "msm_oracle.hpp"
 
 using namespace zkphire;
 using namespace zkphire::ec;
 using zkphire::ff::BigInt;
 using zkphire::ff::Fr;
+using zkphire::oracle::msmNaive;
 using zkphire::ff::Rng;
 
 namespace {

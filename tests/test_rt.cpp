@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -246,12 +247,9 @@ TEST(ThreadPool, ScopedConfigAppliesAllFieldsAndRestores)
     unsigned base = rt::currentThreads();
     rt::ThreadPool private_pool(2);
     {
-        rt::ScopedConfig cfg(
-            rt::Config{.threads = 3, .minGrain = 512, .pool = &private_pool});
+        rt::ScopedConfig cfg(rt::Config{.threads = 3, .pool = &private_pool});
         EXPECT_EQ(rt::currentThreads(), 3u);
         EXPECT_EQ(&rt::currentPool(), &private_pool);
-        // The floor propagates into auto-grain decisions.
-        EXPECT_GE(rt::suggestedGrain(100), 512u);
         {
             // Default nested config inherits everything.
             rt::ScopedConfig inner((rt::Config{}));
@@ -261,7 +259,6 @@ TEST(ThreadPool, ScopedConfigAppliesAllFieldsAndRestores)
     }
     EXPECT_EQ(rt::currentThreads(), base);
     EXPECT_EQ(&rt::currentPool(), &rt::ThreadPool::global());
-    EXPECT_LT(rt::suggestedGrain(100), 512u);
 }
 
 TEST(ThreadPool, ScopedConfigPoolOverrideRunsRegions)
@@ -278,7 +275,6 @@ TEST(ThreadPool, ConfigDefaultsResolveThreads)
 {
     rt::Config cfg = rt::Config::defaults();
     EXPECT_EQ(cfg.threads, rt::ThreadPool::defaultThreads());
-    EXPECT_EQ(cfg.minGrain, 0u);
     EXPECT_EQ(cfg.pool, nullptr);
 }
 
@@ -298,4 +294,131 @@ TEST(ThreadPool, GrainClampsFinalChunk)
     EXPECT_EQ(chunks[0].second, 4u);
     EXPECT_EQ(chunks[1].second, 4u);
     EXPECT_EQ(chunks[2].second, 2u);
+}
+
+namespace {
+
+/** Spin until pred() holds or two seconds pass; returns pred(). */
+template <class Pred>
+bool
+waitFor(Pred pred)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!pred() && std::chrono::steady_clock::now() < until)
+        std::this_thread::yield();
+    return pred();
+}
+
+} // namespace
+
+TEST(ThreadPool, ServingThreadRunsChunksOfAOneThreadPool)
+{
+    // A pool of one has no workers; an outside thread serving it is what
+    // lets a region with a cap above one run in parallel. The caller's
+    // first chunk holds until the guest has run one, so the guest must
+    // take part.
+    rt::ThreadPool pool(1);
+    std::atomic<bool> leave{false};
+    std::thread guest([&] { pool.serve(leave); });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<unsigned> guestChunks{0};
+    std::vector<int> hits(64, 0);
+    pool.forChunks(
+        0, 64, 1,
+        [&](std::size_t b, std::size_t, std::size_t) {
+            if (std::this_thread::get_id() == caller)
+                EXPECT_TRUE(waitFor([&] { return guestChunks > 0; }));
+            else
+                ++guestChunks;
+            EXPECT_TRUE(rt::ThreadPool::insideWorker());
+            ++hits[b];
+        },
+        /*maxWorkers=*/2);
+    EXPECT_GT(guestChunks.load(), 0u);
+    for (int h : hits)
+        EXPECT_EQ(h, 1);
+
+    // A cap of one keeps the region on the caller even with a guest there.
+    bool all_on_caller = true;
+    pool.forChunks(
+        0, 64, 1,
+        [&](std::size_t, std::size_t, std::size_t) {
+            if (std::this_thread::get_id() != caller)
+                all_on_caller = false;
+        },
+        /*maxWorkers=*/1);
+    EXPECT_TRUE(all_on_caller);
+
+    pool.dismiss(leave);
+    guest.join();
+    EXPECT_FALSE(rt::ThreadPool::insideWorker());
+}
+
+TEST(ThreadPool, ServingThreadLeavesBetweenChunks)
+{
+    // The guest is dismissed from inside its first chunk: it must take no
+    // further chunk, and the caller finishes the region alone.
+    rt::ThreadPool pool(1);
+    std::atomic<bool> leave{false};
+    std::atomic<bool> served{false};
+    std::thread guest([&] {
+        pool.serve(leave);
+        served = true;
+    });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<unsigned> guestChunks{0};
+    std::vector<int> hits(64, 0);
+    pool.forChunks(
+        0, 64, 1,
+        [&](std::size_t b, std::size_t, std::size_t) {
+            if (std::this_thread::get_id() == caller) {
+                EXPECT_TRUE(waitFor([&] { return guestChunks > 0; }));
+            } else {
+                ++guestChunks;
+                pool.dismiss(leave);
+            }
+            ++hits[b];
+        },
+        /*maxWorkers=*/2);
+    guest.join();
+    EXPECT_TRUE(served.load());
+    EXPECT_EQ(guestChunks.load(), 1u);
+    for (int h : hits)
+        EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, ServingThreadFaultPropagatesToRegionCaller)
+{
+    // An exception thrown in a chunk a guest runs is the region's error:
+    // the caller rethrows it, and the guest keeps serving later regions.
+    // Every other thread's chunk holds until the guest has thrown, so the
+    // guest is sure to get one.
+    rt::ThreadPool pool(2);
+    std::atomic<bool> leave{false};
+    std::thread guest([&] { pool.serve(leave); });
+    const std::thread::id guestId = guest.get_id();
+    std::atomic<bool> guestThrew{false};
+    const auto body = [&](std::size_t, std::size_t, std::size_t) {
+        if (std::this_thread::get_id() != guestId)
+            EXPECT_TRUE(waitFor([&] { return guestThrew.load(); }));
+        else if (!guestThrew.exchange(true))
+            throw std::runtime_error("chunk fault");
+    };
+    EXPECT_THROW(pool.forChunks(0, 64, 1, body, /*maxWorkers=*/3),
+                 std::runtime_error);
+    EXPECT_TRUE(guestThrew.load());
+
+    std::atomic<std::size_t> sum{0};
+    pool.forChunks(
+        0, 1000, 10,
+        [&](std::size_t b, std::size_t e, std::size_t) {
+            for (std::size_t i = b; i < e; ++i)
+                sum += i;
+        },
+        /*maxWorkers=*/3);
+    EXPECT_EQ(sum.load(), std::size_t(1000) * 999 / 2);
+
+    pool.dismiss(leave);
+    guest.join();
 }

@@ -15,6 +15,7 @@
 #include "hyperplonk/prover.hpp"
 #include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
+#include "msm_oracle.hpp"
 #include "poly/mle.hpp"
 #include "poly/mle_store.hpp"
 #include "rt/parallel.hpp"
@@ -187,7 +188,7 @@ TEST(Stream, MsmAccumulatorMatchesNaive)
     std::vector<ec::G1Affine> ref(k);
     for (std::size_t j = 0; j < k; ++j) {
         spans[j] = cols[j];
-        ref[j] = ec::msmNaive(cols[j], points).toAffine();
+        ref[j] = oracle::msmNaive(cols[j], points).toAffine();
     }
 
     // One chunk, four equal chunks, and chunks with an uneven last one.

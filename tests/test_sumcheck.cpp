@@ -8,7 +8,6 @@
 
 #include "gates/gate_library.hpp"
 #include "poly/virtual_poly.hpp"
-#include "rt/unit_runner.hpp"
 #include "sumcheck/grand_product.hpp"
 #include "sumcheck/opencheck.hpp"
 #include "sumcheck/prover.hpp"
@@ -51,30 +50,6 @@ randomInstance(Rng &rng, unsigned num_vars, unsigned num_slots,
     }
     return inst;
 }
-
-/**
- * Test stand-in for engine::ShardGroup: runs each batch on the calling
- * thread in reverse unit order, with the ambient runner cleared as the
- * group does, so a unit that relies on running in index order (or that
- * re-shards from inside a unit) shows up.
- */
-class ReverseRunner final : public rt::UnitRunner
-{
-  public:
-    explicit ReverseRunner(unsigned width) : w(width) {}
-    unsigned width() const override { return w; }
-    void run(std::span<const std::function<void()>> units) override
-    {
-        ++batches;
-        rt::ScopedUnitRunner no_nesting(nullptr);
-        for (std::size_t i = units.size(); i-- > 0;)
-            units[i]();
-    }
-    unsigned batches = 0;
-
-  private:
-    unsigned w;
-};
 
 } // namespace
 
@@ -203,38 +178,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{8u, 8u, 8u, 8u}, std::tuple{5u, 2u, 3u, 12u},
                       std::tuple{3u, 16u, 10u, 4u},
                       std::tuple{10u, 4u, 2u, 6u}));
-
-TEST(SumcheckShard, CrossLaneRoundsMatchUnsharded)
-{
-    // The cross-lane split engages from 2^12 pairs, so mu = 13 shards the
-    // first round; the HyperPlonk sharding tests' circuits never get there.
-    Rng rng(23);
-    const unsigned mu = 13;
-    const gates::Gate jf = gates::tableIGate(22); // Jellyfish, degree 7
-    const std::vector<Mle> tables = jf.randomTables(mu, rng);
-    hash::Transcript t_ref("sc-shard");
-    const ProverOutput ref = prove(VirtualPoly(jf.expr, tables), t_ref,
-                                   rt::Config{.threads = 1});
-    for (unsigned width : {2u, 3u, 4u}) {
-        for (unsigned threads : {1u, 3u}) {
-            ReverseRunner runner(width);
-            hash::Transcript tr("sc-shard");
-            ProverOutput out = [&] {
-                rt::ScopedUnitRunner scope(&runner);
-                return prove(VirtualPoly(jf.expr, tables), tr,
-                             rt::Config{.threads = threads});
-            }();
-            EXPECT_GE(runner.batches, 1u)
-                << "width " << width << " threads " << threads;
-            EXPECT_EQ(out.challenges, ref.challenges)
-                << "width " << width << " threads " << threads;
-            EXPECT_EQ(out.proof.roundEvals, ref.proof.roundEvals)
-                << "width " << width << " threads " << threads;
-            EXPECT_EQ(out.proof.finalSlotEvals, ref.proof.finalSlotEvals)
-                << "width " << width << " threads " << threads;
-        }
-    }
-}
 
 TEST(ZeroCheck, AcceptsVanishingWitness)
 {

@@ -16,10 +16,9 @@ cannot see (see DESIGN.md "Static analysis"):
                           (tools/lint/zkphire_lint.json, "lockOrder").
   parallel-capture        Flag writes to [&]-captured variables inside
                           rt::parallelFor / parallelForChunks /
-                          parallelReduce / forUnits bodies when the write
-                          is not subscripted by a loop-local index — the
-                          any-thread-count (and any-lane-count)
-                          determinism guard.
+                          parallelReduce bodies when the write is not
+                          subscripted by a loop-local index — the
+                          any-thread-count determinism guard.
   transcript-determinism  Ban unordered-container use, rand()/srand,
                           std::random_device, and pointer-keyed ordered
                           containers in any TU that (transitively) feeds
