@@ -20,6 +20,7 @@
 #include "engine/service.hpp"
 #include "ff/batch_inverse.hpp"
 #include "ff/mul_asm_x86.hpp"
+#include "ff/mul_ifma_x86.hpp"
 #include "ff/mul_impl.hpp"
 #include "ff/vec_ops.hpp"
 #include "gates/gate_library.hpp"
@@ -98,7 +99,9 @@ BENCHMARK(BM_FqMul);
 // ---------------------------------------------------------------------------
 
 /** asm_mode: -1 inherits the ambient dispatch, 0 forces the unrolled C++
- *  kernel, 1 forces the ADX/BMI2 assembly kernel (skipped on non-ADX). */
+ *  kernel, 1 forces the asm switch on (skipped on non-ADX): the ADX/BMI2
+ *  assembly kernel, and for mulVec<Fq> on an IFMA host the IFMA kernel.
+ *  BM_FieldMulVec_FqAsm keeps the scalar ADX span price. */
 template <class F>
 static void
 fieldMulBench(benchmark::State &state, bool generic, bool square,
@@ -207,6 +210,129 @@ BENCHMARK(BM_FieldSquare_FrUnrolled);
 BENCHMARK(BM_FieldSquare_FrAsm);
 BENCHMARK(BM_FieldSquare_FqUnrolled);
 BENCHMARK(BM_FieldSquare_FqAsm);
+
+// ---------------------------------------------------------------------------
+// BM_FieldMulVec_Fq / BM_BatchInverse_Fq: the two batched Fq primitives of
+// the MSM bucket rounds, each kernel called directly. `Asm` runs the scalar
+// ADX multiplier (a per-element loop over the span; the 8-lane scalar
+// Montgomery trick), `Ifma` the AVX-512 IFMA kernels that ff::mulVec<Fq> and
+// batchInverseSerial<Fq> dispatch to on hosts that have them (skipped
+// elsewhere). Items = field elements; BatchInverse includes its one true
+// inversion, which dominates at 64 elements.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool
+skipWithoutAdx(benchmark::State &state)
+{
+    if (ff::kernels::cpuSupportsAdxBmi2())
+        return false;
+    state.SkipWithError("host lacks ADX/BMI2");
+    return true;
+}
+
+bool
+skipWithoutIfma(benchmark::State &state)
+{
+    if (ff::kernels::cpuSupportsIfma())
+        return false;
+    state.SkipWithError("host or build lacks AVX-512 IFMA");
+    return true;
+}
+
+std::vector<ff::Fq>
+randomFq(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<ff::Fq> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v.push_back(ff::Fq::random(rng));
+    return v;
+}
+
+} // namespace
+
+static void
+BM_FieldMulVec_FqAsm(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    constexpr std::size_t kSpan = 1024;
+    const std::vector<ff::Fq> a = randomFq(kSpan, 18), b = randomFq(kSpan, 19);
+    std::vector<ff::Fq> dst(kSpan);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < kSpan; ++i)
+            dst[i] = a[i] * b[i];
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kSpan);
+}
+
+static void
+BM_FieldMulVec_FqIfma(benchmark::State &state)
+{
+    if (skipWithoutIfma(state))
+        return;
+#if ZKPHIRE_HAVE_X86_IFMA
+    constexpr std::size_t kSpan = 1024;
+    const std::vector<ff::Fq> a = randomFq(kSpan, 18), b = randomFq(kSpan, 19);
+    std::vector<ff::Fq> dst(kSpan);
+    for (auto _ : state) {
+        ff::kernels::mulVecFqIfma(dst.data(), a.data(), b.data(), kSpan);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kSpan);
+#endif
+}
+
+static void
+BM_BatchInverse_FqAsm(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    const std::size_t n = std::size_t(state.range(0));
+    const std::vector<ff::Fq> xs = randomFq(n, 20);
+    std::vector<ff::Fq> out(n);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        ff::detail::batchInverseLanes<ff::Fq>(xs, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+
+static void
+BM_BatchInverse_FqIfma(benchmark::State &state)
+{
+    if (skipWithoutIfma(state))
+        return;
+#if ZKPHIRE_HAVE_X86_IFMA
+    const std::size_t n = std::size_t(state.range(0));
+    const std::vector<ff::Fq> xs = randomFq(n, 20);
+    std::vector<ff::Fq> out(n);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        ff::kernels::batchInverseFqIfma(xs.data(), out.data(), n);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+#endif
+}
+
+BENCHMARK(BM_FieldMulVec_FqAsm);
+BENCHMARK(BM_FieldMulVec_FqIfma);
+BENCHMARK(BM_BatchInverse_FqAsm)->Arg(64)->Arg(4096);
+BENCHMARK(BM_BatchInverse_FqIfma)->Arg(64)->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // BM_FieldAddSub family: modular add, sub, neg and dbl for Fr and Fq, in two
@@ -869,4 +995,24 @@ BENCHMARK(BM_ServiceMixedLoad)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // Which kernel the batched Fq primitives (ff::mulVec<Fq>, the batch
+    // inversion) dispatch to on this host, so every result file says
+    // whether its runner had IFMA.
+    const char *fq_batch = "unrolled";
+    if (ff::kernels::genericKernelsForced())
+        fq_batch = "generic";
+    else if (ff::kernels::ifmaSelected())
+        fq_batch = "ifma";
+    else if (ff::kernels::asmKernelsEnabled())
+        fq_batch = "adx";
+    benchmark::AddCustomContext("fq_batch_kernel", fq_batch);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -22,7 +22,7 @@ enum PairKind : std::uint8_t {
  * are read this round. Pairs with an identity operand or that cancel get
  * their sum now; slope pairs write their first operand to the slot and
  * push the slope numerator and denominator for the batched inversion,
- * and finishPair completes them from the slot. Denominators are nonzero
+ * and finishRound completes them from the slot. Denominators are nonzero
  * by construction: a generic add has x2 != x1 and a doubling has y != 0
  * (a zero y falls into the cancellation case, since then -y == y).
  * `slot` may alias `a`: every read of a and b comes before the write.
@@ -59,23 +59,6 @@ stagePair(const G1Affine &a, const G1Affine &b, G1Affine &slot,
     return kAdd;
 }
 
-/**
- * Finish a slope pair in place: the slot holds P1 = (x1, y1), lam is the
- * resolved slope, and denom is the pair's intact denominator. The affine
- * law needs x1 + x2, which is 2*x1 + (x2 - x1) for an add and 2*x1 for a
- * doubling, so P2 is never read again.
- */
-inline void
-finishPair(std::uint8_t kind, G1Affine &slot, const Fq &lam, const Fq &denom)
-{
-    Fq x_sum = slot.x.dbl();
-    if (kind == kAdd)
-        x_sum += denom;
-    const Fq x3 = lam.square() - x_sum;
-    slot.y = lam * (slot.x - x3) - slot.y;
-    slot.x = x3;
-}
-
 /** Clear the per-round staging arrays. */
 void
 beginRound(BatchAffineScratch &scratch)
@@ -85,38 +68,67 @@ beginRound(BatchAffineScratch &scratch)
     scratch.denom.clear();
 }
 
+/** fn(kind, slot, d) for each slope pair of the round, in staging order:
+ *  d indexes the pair's numer/denom entries. */
+template <class Fn>
+void
+forEachSlopePair(G1Affine *slots, std::span<const std::uint32_t> slot_off,
+                 const BatchAffineScratch &scratch, Fn &&fn)
+{
+    std::size_t pi = 0, di = 0;
+    for (std::size_t s = 0; s < scratch.len.size(); ++s) {
+        G1Affine *dst = slots + slot_off[s];
+        for (std::size_t j = 0; j < scratch.len[s] / 2; ++j, ++pi)
+            if (scratch.kind[pi] != kDone)
+                fn(scratch.kind[pi], dst[j], di++);
+    }
+}
+
 /**
- * Finish a staged round. One true field inversion covers every
- * denominator (Montgomery's trick, out of place so the denominators stay
- * intact), one fused ff::mulVec pass turns numer[] into the slopes
- * lambda = numer * denom^{-1}, and finishPair completes each slope pair
- * in its slot. Segment s's pairs sit at slots[slot_off[s] ...] and
- * scratch.len holds the lengths the round started from.
+ * Finish a staged round: one batch inversion and three batched multiply
+ * passes. The inversion runs out of place (Montgomery's trick), so the
+ * denominators stay intact; then
+ *  1. numer *= inv turns the numerators into the slopes lambda;
+ *  2. inv = lambda^2;
+ *  3. between passes, each slope pair's slot, which holds P1 = (x1, y1),
+ *     gets x3 = lambda^2 - (x1 + x2) and inv keeps x1 - x3. The affine law
+ *     needs x1 + x2, which is 2*x1 + (x2 - x1) for an add and 2*x1 for a
+ *     doubling, so P2 is never read again;
+ *  4. inv *= lambda, and y3 = lambda * (x1 - x3) - y1 completes the slot.
+ * Every multiply of the round thus runs as an ff::mulVec span (eight at a
+ * time on an IFMA host). Segment s's pairs sit at slots[slot_off[s] ...]
+ * and scratch.len holds the lengths the round started from.
  */
 void
 finishRound(G1Affine *slots, std::span<const std::uint32_t> slot_off,
             BatchAffineScratch &scratch, BatchAffineStats *stats)
 {
-    if (!scratch.denom.empty()) {
-        ff::batchInverseSerialInto(std::span<const Fq>(scratch.denom),
-                                   scratch.inv);
-        ff::mulVec(scratch.numer.data(), scratch.numer.data(),
-                   scratch.inv.data(), scratch.denom.size());
-        if (stats) {
-            stats->affineAdds += scratch.denom.size();
-            ++stats->batchInversions;
-        }
-    }
-    std::size_t pi = 0, di = 0;
-    for (std::size_t s = 0; s < scratch.len.size(); ++s) {
-        G1Affine *dst = slots + slot_off[s];
-        for (std::size_t j = 0; j < scratch.len[s] / 2; ++j, ++pi) {
-            const std::uint8_t kind = scratch.kind[pi];
-            if (kind == kDone)
-                continue;
-            finishPair(kind, dst[j], scratch.numer[di], scratch.denom[di]);
-            ++di;
-        }
+    const std::size_t n = scratch.denom.size();
+    if (n == 0)
+        return;
+    ff::batchInverseSerialInto(std::span<const Fq>(scratch.denom),
+                               scratch.inv);
+    Fq *lam = scratch.numer.data();
+    Fq *t = scratch.inv.data();
+    ff::mulVec(lam, lam, t, n);
+    ff::mulVec(t, lam, lam, n);
+    forEachSlopePair(slots, slot_off, scratch,
+                     [&](std::uint8_t kind, G1Affine &slot, std::size_t d) {
+                         Fq x_sum = slot.x.dbl();
+                         if (kind == kAdd)
+                             x_sum += scratch.denom[d];
+                         const Fq x3 = t[d] - x_sum;
+                         t[d] = slot.x - x3;
+                         slot.x = x3;
+                     });
+    ff::mulVec(t, lam, t, n);
+    forEachSlopePair(slots, slot_off, scratch,
+                     [&](std::uint8_t, G1Affine &slot, std::size_t d) {
+                         slot.y = t[d] - slot.y;
+                     });
+    if (stats) {
+        stats->affineAdds += n;
+        ++stats->batchInversions;
     }
 }
 

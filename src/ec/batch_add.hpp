@@ -15,11 +15,12 @@
  * round reads every pair once: a staging pass classifies it (identity /
  * cancellation / doubling / generic add) and writes its output slot —
  * the sum itself, or the first operand plus a staged slope numerator and
- * denominator; one batch inversion then resolves all slopes, and a finish
- * pass completes the slope pairs from their slots. The pairing order is
- * fixed by the segment layout, so results are deterministic regardless of
- * thread count, and inverses are canonical field values, so the output is
- * bit-identical to a serial affine evaluation.
+ * denominator; one batch inversion then resolves all slopes, and three
+ * batched multiply passes (ff::mulVec) with two element-wise passes
+ * between them complete the slope pairs in their slots. The pairing order
+ * is fixed by the segment layout, so results are deterministic regardless
+ * of thread count, and inverses are canonical field values, so the output
+ * is bit-identical to a serial affine evaluation.
  */
 #ifndef ZKPHIRE_EC_BATCH_ADD_HPP
 #define ZKPHIRE_EC_BATCH_ADD_HPP
@@ -44,12 +45,14 @@ struct BatchAffineScratch {
     std::vector<std::uint32_t> len;
     std::vector<std::uint8_t> kind; ///< One per pair of the current round.
     /** Slope numerators while staging; the finished slopes (numer *
-     *  denom^{-1}, one fused mulVec pass) after the round resolves. */
+     *  denom^{-1}, one mulVec pass) after the round resolves. */
     std::vector<ff::Fq> numer;
     /** Slope denominators; left intact by the inversion, since the finish
      *  pass reads x2 - x1 from them. */
     std::vector<ff::Fq> denom;
-    std::vector<ff::Fq> inv;        ///< denom^{-1}; prefix products first.
+    /** denom^{-1} (prefix products first); then the apply passes' lambda^2,
+     *  x1 - x3 and lambda * (x1 - x3). */
+    std::vector<ff::Fq> inv;
     std::vector<G1Affine> buf;      ///< Indexed round-0 output buffer.
     std::vector<std::uint32_t> off; ///< Its compacted segment offsets.
 };

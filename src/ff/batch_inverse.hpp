@@ -24,18 +24,20 @@
 #include <cassert>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "ff/mul_ifma_x86.hpp"
 #include "rt/parallel.hpp"
 
 namespace zkphire::ff {
 
 namespace detail {
 
-/** Serial Montgomery trick: out[i] = xs[i]^{-1}, xs left intact. out
- * holds the prefix products during the forward sweep and is overwritten
- * with the inverses by the backward sweep, so the trick needs no scratch
- * beyond the output. out must not alias xs.
+/** Serial Montgomery trick on the scalar kernels: out[i] = xs[i]^{-1}, xs
+ * left intact. out holds the prefix products during the forward sweep and
+ * is overwritten with the inverses by the backward sweep, so the trick
+ * needs no scratch beyond the output. out must not alias xs.
  *
  * Both sweeps are dependent multiplication chains (acc *= x feeds the next
  * step), so a single chain runs at multiplier latency, not throughput. The
@@ -46,7 +48,7 @@ namespace detail {
  * laned sweep is bit-identical to a single chain. */
 template <class F>
 void
-batchInverseSerial(std::span<const F> xs, std::span<F> out)
+batchInverseLanes(std::span<const F> xs, std::span<F> out)
 {
     const std::size_t n = xs.size();
     constexpr std::size_t kLanes = 8;
@@ -126,6 +128,24 @@ batchInverseSerial(std::span<const F> xs, std::span<F> out)
             out[i] = x_inv;
         }
     }
+}
+
+/** batchInverseLanes, except for Fq on an IFMA host
+ *  (kernels::ifmaSelected()): there the lanes are SIMD lanes, 16 of them
+ *  in two vector chains (kernels::batchInverseFqIfma). Same contract. */
+template <class F>
+void
+batchInverseSerial(std::span<const F> xs, std::span<F> out)
+{
+#if ZKPHIRE_HAVE_X86_IFMA
+    if constexpr (std::is_same_v<F, Fq>) {
+        if (kernels::ifmaSelected()) {
+            kernels::batchInverseFqIfma(xs.data(), out.data(), xs.size());
+            return;
+        }
+    }
+#endif
+    batchInverseLanes(xs, out);
 }
 
 /** In-place form of batchInverseSerial, through a temporary. */

@@ -45,8 +45,15 @@
  * unconditionally (inline asm bypasses -march gates), and dispatch checks
  * cpuid once at startup — BMI2 (mulx) and ADX (adcx/adox) CPUID bits —
  * plus the ZKPHIRE_ASM env toggle ("0" forces the portable kernels, for
- * A/B runs and the CI forced-fallback leg). tests/test_ff_kernels.cpp
- * locks asm == unrolled == generic on random and edge operands.
+ * A/B runs and the CI forced-fallback leg). The same switch governs the
+ * AVX-512 IFMA batched Fq kernels (ff/mul_ifma_x86.hpp): a second probe
+ * (AVX512F and AVX512IFMA CPUID bits, plus the opmask and ZMM state the
+ * OS enables in XCR0) arms them, and ZKPHIRE_ASM=0, ScopedAsmKernels(false)
+ * and -DZKPHIRE_ASM=OFF turn them off along with the ADX multiplier. The
+ * generic oracle (ZKPHIRE_FF_GENERIC) still wins over both.
+ * tests/test_ff_kernels.cpp locks asm == unrolled == generic on random
+ * and edge operands, and IFMA == ADX == unrolled == generic for the
+ * batched primitives.
  */
 #ifndef ZKPHIRE_FF_MUL_ASM_X86_HPP
 #define ZKPHIRE_FF_MUL_ASM_X86_HPP
@@ -64,13 +71,20 @@
 
 #include "ff/mul_impl.hpp"
 
-// __OPTIMIZE__ guard: at -O0 the frame pointer is pinned and every
-// operand lives in memory, leaving too few registers to satisfy the
-// kernels' constraints ("asm operand has impossible constraints" on the
-// Debug/sanitizer legs) — unoptimized builds take the C++ kernels.
-#if defined(__x86_64__) && !defined(ZKPHIRE_NO_ASM) && defined(__OPTIMIZE__)
-#define ZKPHIRE_HAVE_X86_ASM 1
+// The IFMA kernels are intrinsics, so they build at every optimization
+// level. The ADX asm adds an __OPTIMIZE__ guard: at -O0 the frame pointer
+// is pinned and every operand lives in memory, leaving too few registers
+// to satisfy the kernels' constraints ("asm operand has impossible
+// constraints" on the Debug/sanitizer legs) — unoptimized builds take the
+// C++ scalar kernels.
+#if defined(__x86_64__) && !defined(ZKPHIRE_NO_ASM)
+#define ZKPHIRE_HAVE_X86_IFMA 1
 #include <cpuid.h>
+#else
+#define ZKPHIRE_HAVE_X86_IFMA 0
+#endif
+#if ZKPHIRE_HAVE_X86_IFMA && defined(__OPTIMIZE__)
+#define ZKPHIRE_HAVE_X86_ASM 1
 #else
 #define ZKPHIRE_HAVE_X86_ASM 0
 #endif
@@ -99,15 +113,53 @@ cpuSupportsAdxBmi2()
 #endif
 }
 
+/**
+ * True when the host can run the AVX-512 IFMA kernels: CPUID leaf 7
+ * subleaf 0 EBX bits 16 (AVX512F) and 21 (AVX512IFMA), and an OS that
+ * saves the opmask and all 32 ZMM registers (OSXSAVE, then XCR0 bits 1, 2
+ * and 5-7). Always false on builds without the x86-64 kernels.
+ */
+inline bool
+cpuSupportsIfma()
+{
+#if ZKPHIRE_HAVE_X86_IFMA
+    static const bool ok = [] {
+        unsigned a = 0, b = 0, c = 0, d = 0;
+        constexpr unsigned kOsxsave = 1u << 27;
+        if (!__get_cpuid(1, &a, &b, &c, &d) || (c & kOsxsave) == 0)
+            return false;
+        if (!__get_cpuid_count(7, 0, &a, &b, &c, &d))
+            return false;
+        constexpr unsigned kAvx512f = 1u << 16;
+        constexpr unsigned kIfma = 1u << 21;
+        if ((b & kAvx512f) == 0 || (b & kIfma) == 0)
+            return false;
+        unsigned xcr0 = 0, xcr0_hi = 0;
+        __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+        constexpr unsigned kZmmState = 0xe6; // SSE, AVX, opmask, ZMM0-31
+        return (xcr0 & kZmmState) == kZmmState;
+    }();
+    return ok;
+#else
+    return false;
+#endif
+}
+
 namespace detail {
 
-/** Runtime asm toggle; see asmKernelsEnabled(). */
-inline std::atomic<bool> g_asm_enabled{[] {
-    if (!cpuSupportsAdxBmi2())
-        return false;
+/** The ZKPHIRE_ASM switch as read at startup: on unless set to "0". */
+inline bool
+asmSwitchFromEnv()
+{
     const char *env = std::getenv("ZKPHIRE_ASM");
     return env == nullptr || env[0] == '\0' || env[0] != '0';
-}()};
+}
+
+/** Runtime kernel toggles; see asmKernelsEnabled(), ifmaKernelsEnabled(). */
+inline std::atomic<bool> g_asm_enabled{asmSwitchFromEnv() &&
+                                       cpuSupportsAdxBmi2()};
+inline std::atomic<bool> g_ifma_enabled{asmSwitchFromEnv() &&
+                                        cpuSupportsIfma()};
 
 } // namespace detail
 
@@ -124,29 +176,50 @@ asmKernelsEnabled()
     return detail::g_asm_enabled.load(std::memory_order_relaxed);
 }
 
-/** Flip the asm leg at runtime (tests/benches). Enabling on a host
- *  without ADX/BMI2 is ignored — the portable kernels stay selected. */
+/**
+ * Whether the batched Fq primitives may take the IFMA kernels: the same
+ * switch as asmKernelsEnabled(), on a host where cpuSupportsIfma() holds.
+ * As there, the generic oracle is checked first and wins.
+ */
+inline bool
+ifmaKernelsEnabled()
+{
+    return detail::g_ifma_enabled.load(std::memory_order_relaxed);
+}
+
+/** Flip the asm leg at runtime (tests/benches): the ADX multiplier and
+ *  the IFMA batch kernels together. Enabling a kernel the host lacks is
+ *  ignored — the portable kernels stay selected. */
 inline void
 forceAsmKernels(bool on)
 {
     detail::g_asm_enabled.store(on && cpuSupportsAdxBmi2(),
                                 std::memory_order_relaxed);
+    detail::g_ifma_enabled.store(on && cpuSupportsIfma(),
+                                 std::memory_order_relaxed);
 }
 
-/** RAII asm-kernel scope for A/B tests and benches. */
+/** RAII asm-kernel scope for A/B tests and benches; restores both
+ *  toggles exactly. */
 class ScopedAsmKernels
 {
   public:
-    explicit ScopedAsmKernels(bool on) : saved(asmKernelsEnabled())
+    explicit ScopedAsmKernels(bool on)
+        : savedAsm(asmKernelsEnabled()), savedIfma(ifmaKernelsEnabled())
     {
         forceAsmKernels(on);
     }
-    ~ScopedAsmKernels() { forceAsmKernels(saved); }
+    ~ScopedAsmKernels()
+    {
+        detail::g_asm_enabled.store(savedAsm, std::memory_order_relaxed);
+        detail::g_ifma_enabled.store(savedIfma, std::memory_order_relaxed);
+    }
     ScopedAsmKernels(const ScopedAsmKernels &) = delete;
     ScopedAsmKernels &operator=(const ScopedAsmKernels &) = delete;
 
   private:
-    bool saved;
+    bool savedAsm;
+    bool savedIfma;
 };
 
 #if ZKPHIRE_HAVE_X86_ASM

@@ -135,6 +135,18 @@ currentStorePolicy()
     return p;
 }
 
+namespace {
+
+/** The backend currentStorePolicy() picks for an n-element table. */
+StoreKind
+policyKind(std::size_t n)
+{
+    return n >= currentStorePolicy().thresholdElems ? StoreKind::Mapped
+                                                    : StoreKind::Ram;
+}
+
+} // namespace
+
 const char *
 streamDir()
 {
@@ -196,12 +208,17 @@ FrTable::operator=(FrTable &&o) noexcept
 
 FrTable::FrTable(const FrTable &o)
 {
-    // Copies handed to a VirtualPoly go back to the arena with it, so they
-    // come from the arena too; otherwise the pool grows with every proof.
+    // A copy stays Mapped when its source is, and is Mapped whenever the
+    // ambient policy maps its size: the proving key's RAM tables copied
+    // under forced streaming must not land in RAM. Copies handed to a
+    // VirtualPoly go back to the arena with it, so they come from the
+    // arena too; otherwise the pool grows with every proof.
+    const StoreKind kind =
+        o.isMapped() ? StoreKind::Mapped : policyKind(o.size_);
     if (o.size_ != 0 && t_arena != nullptr)
-        *this = t_arena->acquire(o.size_, o.kind());
+        *this = t_arena->acquire(o.size_, kind);
     else
-        *this = make(o.size_, o.kind());
+        *this = make(o.size_, kind);
     if (size_ != 0)
         std::memcpy(ptr_, o.ptr_, size_ * sizeof(Fr));
 }
@@ -340,8 +357,7 @@ FrTable::growMapped(std::size_t n)
 FrTable
 FrTable::make(std::size_t n)
 {
-    const StorePolicy p = currentStorePolicy();
-    return make(n, n >= p.thresholdElems ? StoreKind::Mapped : StoreKind::Ram);
+    return make(n, policyKind(n));
 }
 
 FrTable
@@ -378,7 +394,7 @@ FrTable::resize(std::size_t n)
     if (map_ == nullptr) {
         // Empty default-constructed tables route through the policy so a
         // scratch buffer sized for a big table lands on the mapped backend.
-        if (ptr_ == nullptr && n >= currentStorePolicy().thresholdElems) {
+        if (ptr_ == nullptr && policyKind(n) == StoreKind::Mapped) {
             allocMapped(n);
             return;
         }
@@ -462,14 +478,14 @@ FrTable::operator==(const FrTable &o) const
 // ---------------------------------------------------------------------------
 
 FrTable
-BufferArena::acquire(std::size_t n, std::optional<StoreKind> kind)
+BufferArena::acquire(std::size_t n, StoreKind kind)
 {
     {
         std::lock_guard<std::mutex> lk(arenaMu);
         std::size_t best = free_.size();
         for (std::size_t i = 0; i < free_.size(); ++i) {
             const std::size_t cap = free_[i].capacity();
-            if (cap >= n && (!kind || free_[i].kind() == *kind) &&
+            if (cap >= n && free_[i].kind() == kind &&
                 (best == free_.size() || cap < free_[best].capacity()))
                 best = i;
         }
@@ -482,7 +498,7 @@ BufferArena::acquire(std::size_t n, std::optional<StoreKind> kind)
         }
     }
     g_arenaMisses.fetch_add(1, std::memory_order_relaxed);
-    return kind ? FrTable::make(n, *kind) : FrTable::make(n);
+    return FrTable::make(n, kind);
 }
 
 void
@@ -523,7 +539,7 @@ FrTable
 arenaAcquire(std::size_t n)
 {
     if (t_arena != nullptr)
-        return t_arena->acquire(n);
+        return t_arena->acquire(n, policyKind(n));
     return FrTable::make(n);
 }
 

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -80,9 +79,10 @@ StoreCounters storeCounters();
 
 /**
  * A dense table of Fr values behind the Ram/Mapped backend seam.
- * Move-only-cheap (moves steal the backing), copyable (deep copy, same
- * backend, storage from the ambient arena when one is installed, so a
- * copy the arena later takes back does not grow its pool). resize
+ * Move-only-cheap (moves steal the backing), copyable (deep copy: Mapped
+ * when the source is Mapped or the ambient policy maps its size, else Ram;
+ * storage from the ambient arena when one is installed, so a copy the
+ * arena later takes back does not grow its pool). resize
  * preserves the prefix and zero-fills growth, matching
  * std::vector semantics; on the Mapped backend a shrink additionally
  * releases the tail pages (madvise(MADV_DONTNEED)), which is what keeps
@@ -171,11 +171,9 @@ class BufferArena
     BufferArena(const BufferArena &) = delete;
     BufferArena &operator=(const BufferArena &) = delete;
 
-    /** Smallest free table with capacity >= n, resized to n; a fresh
-     *  policy-routed allocation when none fits. With a kind, only tables
-     *  on that backend fit, and a miss allocates on it. */
-    FrTable acquire(std::size_t n,
-                    std::optional<StoreKind> kind = std::nullopt);
+    /** Smallest free table on backend `kind` with capacity >= n, resized
+     *  to n; a fresh table on that backend when none fits. */
+    FrTable acquire(std::size_t n, StoreKind kind);
     /** Return a table to the free list (empty tables are dropped). */
     void release(FrTable &&t);
     /** Drop every pooled table. */
@@ -201,7 +199,8 @@ class ScopedArena
     BufferArena *saved;
 };
 
-/** acquire from the ambient arena, or a fresh policy-routed table. */
+/** A table on the backend the ambient policy picks for n, from the
+ *  ambient arena or fresh. */
 FrTable arenaAcquire(std::size_t n);
 /** release to the ambient arena, or drop. */
 void arenaRelease(FrTable &&t);

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "engine/context.hpp"
+#include "ff/batch_inverse.hpp"
 #include "ff/fq.hpp"
 #include "ff/fr.hpp"
 #include "ff/mul_asm_x86.hpp"
+#include "ff/mul_ifma_x86.hpp"
 #include "ff/mul_impl.hpp"
 #include "ff/rng.hpp"
 #include "ff/vec_ops.hpp"
@@ -216,19 +218,230 @@ TEST(FfKernels, FqAsmMatchesUnrolledAndGeneric)
 TEST(FfKernels, AsmScopeRoundTrips)
 {
     // Enabling is clamped by CPU/build support (a no-asm build or
-    // non-ADX host silently keeps the portable kernels selected).
+    // non-ADX host silently keeps the portable kernels selected). The
+    // switch carries the IFMA batch kernels with it, clamped the same way.
     const bool avail = ff::kernels::cpuSupportsAdxBmi2();
+    const bool ifma = ff::kernels::cpuSupportsIfma();
     const bool ambient = ff::kernels::asmKernelsEnabled();
+    const bool ambient_ifma = ff::kernels::ifmaKernelsEnabled();
     {
         ff::kernels::ScopedAsmKernels on(true);
         EXPECT_EQ(ff::kernels::asmKernelsEnabled(), avail);
+        EXPECT_EQ(ff::kernels::ifmaKernelsEnabled(), ifma);
         {
             ff::kernels::ScopedAsmKernels off(false);
             EXPECT_FALSE(ff::kernels::asmKernelsEnabled());
+            EXPECT_FALSE(ff::kernels::ifmaKernelsEnabled());
+            EXPECT_FALSE(ff::kernels::ifmaSelected());
         }
         EXPECT_EQ(ff::kernels::asmKernelsEnabled(), avail);
+        EXPECT_EQ(ff::kernels::ifmaKernelsEnabled(), ifma);
+        // The generic oracle wins over the IFMA kernels too.
+        ScopedGenericKernels oracle(true);
+        EXPECT_FALSE(ff::kernels::ifmaSelected());
     }
     EXPECT_EQ(ff::kernels::asmKernelsEnabled(), ambient);
+    EXPECT_EQ(ff::kernels::ifmaKernelsEnabled(), ambient_ifma);
+}
+
+// ---------------------------------------------------------------------------
+// The AVX-512 IFMA batched Fq kernels (ff/mul_ifma_x86.hpp) against the
+// scalar kernels: IFMA == ADX == unrolled == generic, element for element.
+// Skipped (not failed) on hosts and builds without IFMA, which never
+// dispatch to them.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Why the IFMA tests cannot run here, or nullptr when they can. */
+const char *
+ifmaSkipReason()
+{
+#if ZKPHIRE_HAVE_X86_IFMA
+    if (!ff::kernels::cpuSupportsIfma())
+        return "host lacks AVX512F/AVX512IFMA or OS ZMM state; IFMA path "
+               "never dispatched";
+    return nullptr;
+#else
+    return "build without the x86-64 kernels (-DZKPHIRE_ASM=OFF or non-x86); "
+           "IFMA path not compiled";
+#endif
+}
+
+/** n operands cycling through the edge operands, then random ones: every
+ *  edge pair meets in the first edges^2 positions of a (i % e) x (i / e)
+ *  layout when n is that large. */
+std::vector<ff::Fq>
+fqOperands(std::size_t n, bool second, ff::Rng &rng)
+{
+    const std::vector<ff::Fq> edges = edgeOperands<ff::Fq>();
+    const std::size_t e = edges.size();
+    std::vector<ff::Fq> v;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i < e * e)
+            v.push_back(second ? edges[(i / e) % e] : edges[i % e]);
+        else
+            v.push_back(ff::Fq::random(rng));
+    }
+    return v;
+}
+
+/** Per-element products under each scalar kernel, which must agree. */
+std::vector<ff::Fq>
+scalarProducts(const std::vector<ff::Fq> &a, const std::vector<ff::Fq> &b)
+{
+    const std::size_t n = a.size();
+    std::vector<ff::Fq> generic(n), unrolled(n), adx(n);
+    {
+        ScopedGenericKernels oracle(true);
+        for (std::size_t i = 0; i < n; ++i)
+            generic[i] = a[i] * b[i];
+    }
+    ScopedGenericKernels fixed(false);
+    {
+        ff::kernels::ScopedAsmKernels no_asm(false);
+        for (std::size_t i = 0; i < n; ++i)
+            unrolled[i] = a[i] * b[i];
+    }
+    {
+        ff::kernels::ScopedAsmKernels with_asm(true);
+        for (std::size_t i = 0; i < n; ++i)
+            adx[i] = a[i] * b[i];
+    }
+    EXPECT_EQ(unrolled, generic);
+    EXPECT_EQ(adx, generic);
+    return generic;
+}
+
+} // namespace
+
+TEST(FfKernels, FqIfmaMulVecMatchesScalarKernels)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+#if ZKPHIRE_HAVE_X86_IFMA
+    ff::Rng rng(52);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 33; ++n)
+        lengths.push_back(n);
+    lengths.push_back(1000);
+    const std::size_t e = edgeOperands<ff::Fq>().size();
+    lengths.push_back(e * e); // every pair of edge operands
+    for (const std::size_t n : lengths) {
+        const std::vector<ff::Fq> a = fqOperands(n, false, rng);
+        const std::vector<ff::Fq> b = fqOperands(n, true, rng);
+        const std::vector<ff::Fq> expect = scalarProducts(a, b);
+
+        // Sentinels past the end catch a tail mask that writes one lane
+        // too many.
+        const ff::Fq sentinel = ff::Fq::fromU64(0x5e47);
+        std::vector<ff::Fq> dst(n + 8, sentinel);
+        ff::kernels::mulVecFqIfma(dst.data(), a.data(), b.data(), n);
+        EXPECT_EQ(std::vector<ff::Fq>(dst.begin(), dst.begin() + n), expect)
+            << "n = " << n;
+        EXPECT_EQ(std::vector<ff::Fq>(dst.begin() + n, dst.end()),
+                  std::vector<ff::Fq>(8, sentinel))
+            << "n = " << n;
+        std::vector<ff::Fq> alias_a = a;
+        ff::kernels::mulVecFqIfma(alias_a.data(), alias_a.data(), b.data(), n);
+        EXPECT_EQ(alias_a, expect) << "dst == a, n = " << n;
+        std::vector<ff::Fq> alias_b = b;
+        ff::kernels::mulVecFqIfma(alias_b.data(), a.data(), alias_b.data(), n);
+        EXPECT_EQ(alias_b, expect) << "dst == b, n = " << n;
+
+        // The dispatching entry point takes the same kernel.
+        ScopedGenericKernels fixed(false);
+        ff::kernels::ScopedAsmKernels with_asm(true);
+        ASSERT_TRUE(ff::kernels::ifmaSelected());
+        std::vector<ff::Fq> via_dispatch(n);
+        ff::mulVec(via_dispatch.data(), a.data(), b.data(), n);
+        EXPECT_EQ(via_dispatch, expect) << "ff::mulVec, n = " << n;
+    }
+#endif
+}
+
+TEST(FfKernels, FqIfmaBatchInverseMatchesPerElementInverse)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+#if ZKPHIRE_HAVE_X86_IFMA
+    ff::Rng rng(53);
+    std::vector<ff::Fq> edges;
+    for (const ff::Fq &x : edgeOperands<ff::Fq>())
+        if (!x.isZero())
+            edges.push_back(x);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 1; n <= 64; ++n)
+        lengths.push_back(n);
+    lengths.push_back(1000);
+    lengths.push_back(4097);
+    for (const std::size_t n : lengths) {
+        std::vector<ff::Fq> xs;
+        for (std::size_t i = 0; i < n; ++i)
+            xs.push_back(i % 3 == 0 ? edges[(i / 3) % edges.size()]
+                                    : ff::Fq::random(rng));
+        std::vector<ff::Fq> expect(n);
+        {
+            ScopedGenericKernels oracle(true);
+            for (std::size_t i = 0; i < n; ++i)
+                expect[i] = xs[i].inverse();
+        }
+
+        const ff::Fq sentinel = ff::Fq::fromU64(0x5e47);
+        std::vector<ff::Fq> out(n + 16, sentinel);
+        ff::kernels::batchInverseFqIfma(xs.data(), out.data(), n);
+        EXPECT_EQ(std::vector<ff::Fq>(out.begin(), out.begin() + n), expect)
+            << "n = " << n;
+        EXPECT_EQ(std::vector<ff::Fq>(out.begin() + n, out.end()),
+                  std::vector<ff::Fq>(16, sentinel))
+            << "n = " << n;
+
+        // The scalar lanes on the ADX and the unrolled multiplier, and the
+        // dispatching entry point, agree.
+        ScopedGenericKernels fixed(false);
+        std::vector<ff::Fq> adx(n), unrolled(n), via_dispatch(n);
+        {
+            ff::kernels::ScopedAsmKernels no_asm(false);
+            ff::detail::batchInverseLanes<ff::Fq>(xs, unrolled);
+        }
+        EXPECT_EQ(unrolled, expect) << "unrolled lanes, n = " << n;
+        ff::kernels::ScopedAsmKernels with_asm(true);
+        ff::detail::batchInverseLanes<ff::Fq>(xs, adx);
+        EXPECT_EQ(adx, expect) << "ADX lanes, n = " << n;
+        ff::detail::batchInverseSerial<ff::Fq>(xs, via_dispatch);
+        EXPECT_EQ(via_dispatch, expect) << "dispatch, n = " << n;
+    }
+#endif
+}
+
+/**
+ * Full-prover byte identity with the IFMA kernels on and off: every Fq
+ * batch of the MSM bucket rounds, commitments and openings runs on IFMA
+ * in one proof and on the scalar kernels in the other.
+ * ScopedAsmKernels(false) turns IFMA off along with the ADX multiplier.
+ */
+TEST(FfKernels, HyperPlonkTranscriptIdenticalIfmaOnOff)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+    ff::Rng rng(5219);
+    pcs::Srs srs = pcs::Srs::generate(9, rng);
+    engine::ProverContext ctx(srs);
+    hyperplonk::Circuit circuit = hyperplonk::randomVanillaCircuit(8, rng);
+    const hyperplonk::Keys &keys = ctx.preprocess(circuit);
+
+    ScopedGenericKernels fixed(false);
+    auto prove_bytes = [&](bool asm_on, unsigned threads) {
+        ff::kernels::ScopedAsmKernels asm_scope(asm_on);
+        EXPECT_EQ(ff::kernels::ifmaSelected(), asm_on);
+        rt::ScopedThreads pin(threads);
+        auto proof = ctx.prove(keys.pk, circuit);
+        return hyperplonk::serializeProof(proof);
+    };
+    const std::vector<std::uint8_t> reference = prove_bytes(false, 1);
+    EXPECT_EQ(prove_bytes(true, 1), reference);
+    EXPECT_EQ(prove_bytes(false, 4), reference);
+    EXPECT_EQ(prove_bytes(true, 4), reference);
 }
 
 TEST(FfKernels, SquareKernelMatchesMulOnEdges)

@@ -345,3 +345,28 @@ TEST(Stream, ContextArenaRecyclesBuffersAcrossProofs)
     EXPECT_GT(sc.arenaHits, 0u);
     EXPECT_LT(a2 - a1, a1 - a0);
 }
+
+TEST(Stream, StreamedProofOnWarmRamArenaAllocatesNoRamTable)
+{
+    // An in-RAM proof leaves RAM tables in the context's arena, and the
+    // proving key's tables are RAM. A proof with every table forced onto
+    // the streaming backend must still allocate none in RAM: its copies of
+    // the key's tables and its scratch acquisitions go to Mapped storage,
+    // not to RAM tables, fresh or pooled.
+    Rng rng(12);
+    hyperplonk::Circuit c = hyperplonk::randomVanillaCircuit(7, rng);
+    engine::ProverContext ctx(sharedSrs(), ramOnly());
+    const hyperplonk::Keys &keys = ctx.preprocess(c);
+    const std::vector<std::uint8_t> oracle =
+        hyperplonk::serializeProof(ctx.prove(keys.pk, c));
+    ASSERT_GT(ctx.arena().pooled(), 0u);
+
+    const rt::Config streamed = streamAll(std::size_t(1) << 10);
+    const poly::StoreCounters before = poly::storeCounters();
+    const std::vector<std::uint8_t> bytes = hyperplonk::serializeProof(
+        ctx.prove(keys.pk, c, nullptr, &streamed));
+    const poly::StoreCounters after = poly::storeCounters();
+    EXPECT_EQ(after.ramAllocs - before.ramAllocs, 0u);
+    EXPECT_GT(after.mappedAllocs - before.mappedAllocs, 0u);
+    EXPECT_EQ(bytes, oracle);
+}
