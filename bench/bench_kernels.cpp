@@ -16,6 +16,8 @@
 #include <string>
 #include <thread>
 
+#include "ec/batch_add.hpp"
+#include "ec/bucket_ifma_x86.hpp"
 #include "ec/msm.hpp"
 #include "engine/service.hpp"
 #include "ff/batch_inverse.hpp"
@@ -33,6 +35,7 @@
 #include "rt/parallel.hpp"
 #include "sumcheck/prover.hpp"
 
+#include "../tests/msm_oracle.hpp"
 #include "../tests/sumcheck_oracle.hpp"
 
 using namespace zkphire;
@@ -440,6 +443,163 @@ BM_G1Double(benchmark::State &state)
     }
 }
 BENCHMARK(BM_G1Double);
+
+// ---------------------------------------------------------------------------
+// The two point kernels of the MSM bucket phase, scalar code on the ADX
+// multiplier against the IFMA lanes (skipped without IFMA), each called
+// directly.
+//
+// BM_BucketAggregate_*/B: one (window, column) chain of B affine bucket
+// sums to its window sum. `Scalar` and `Ifma` run the kAggregateTiles tile
+// recurrences (ec::detail::bucketTilesScalar, ec::bucketTilesIfma) and the
+// tile combine; `Serial` is the untiled suffix sum (the test oracle) for
+// reference. Items = buckets.
+//
+// BM_BatchAffineRound_*/n: the finish of one batched-affine round over n
+// staged slope pairs, every eighth a doubling, whose slots are every other
+// element of a 2n-point array: the batch inversion of the denominators and
+// the fused slope-and-point pass (ec::detail::finishSlopePairsScalar,
+// ec::finishSlopePairsIfma). Items = slope pairs.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** B distinct affine points Q + i * D, normalized together. */
+std::vector<ec::G1Affine>
+benchBuckets(std::size_t num)
+{
+    Rng rng(24);
+    const ec::G1Jacobian d = ec::G1Jacobian::fromAffine(ec::randomG1(rng));
+    ec::G1Jacobian q = ec::G1Jacobian::fromAffine(ec::randomG1(rng));
+    std::vector<ec::G1Jacobian> jac;
+    for (std::size_t i = 0; i < num; ++i) {
+        jac.push_back(q);
+        q = q.add(d);
+    }
+    return ec::batchToAffine(jac);
+}
+
+template <class Tiles>
+void
+bucketAggregateBench(benchmark::State &state, Tiles &&tiles_fn)
+{
+    const std::size_t num = std::size_t(state.range(0));
+    const std::vector<ec::G1Affine> buckets = benchBuckets(num);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        ec::BucketTiles tiles;
+        tiles_fn(buckets, tiles);
+        auto r = ec::detail::combineBucketTiles(tiles,
+                                                num / ec::kAggregateTiles);
+        benchmark::DoNotOptimize(r);
+    }
+    state.SetItemsProcessed(state.iterations() * num);
+}
+
+/** Staged slope pairs for BM_BatchAffineRound_*. */
+struct RoundFixture {
+    std::vector<ec::G1Affine> slots;
+    std::vector<std::uint32_t> slot;
+    std::vector<ff::Fq> numer, denom, inv;
+
+    explicit RoundFixture(std::size_t n)
+        : numer(randomFq(n, 25)), denom(randomFq(n, 26)), inv(n)
+    {
+        const std::vector<ec::G1Affine> pts = benchBuckets(256);
+        for (std::size_t i = 0; i < 2 * n; ++i)
+            slots.push_back(pts[i % pts.size()]);
+        for (std::size_t j = 0; j < n; ++j)
+            slot.push_back(std::uint32_t(2 * j) |
+                           (j % 8 == 7 ? ec::kSlotDoubling : 0u));
+    }
+};
+
+} // namespace
+
+static void
+BM_BucketAggregate_Serial(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    const std::size_t num = std::size_t(state.range(0));
+    const std::vector<ec::G1Affine> buckets = benchBuckets(num);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        auto r = oracle::bucketSumSerial(buckets);
+        benchmark::DoNotOptimize(r);
+    }
+    state.SetItemsProcessed(state.iterations() * num);
+}
+
+static void
+BM_BucketAggregate_Scalar(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    bucketAggregateBench(state, [](const auto &buckets, auto &tiles) {
+        ec::detail::bucketTilesScalar(buckets, tiles);
+    });
+}
+
+static void
+BM_BucketAggregate_Ifma(benchmark::State &state)
+{
+    if (skipWithoutIfma(state))
+        return;
+#if ZKPHIRE_HAVE_X86_IFMA
+    bucketAggregateBench(state, [](const auto &buckets, auto &tiles) {
+        ec::bucketTilesIfma(buckets.data(), buckets.size(), tiles);
+    });
+#endif
+}
+
+static void
+BM_BatchAffineRound_Scalar(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    const std::size_t n = std::size_t(state.range(0));
+    RoundFixture f(n);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        ff::detail::batchInverseLanes<ff::Fq>(f.denom, f.inv);
+        ec::detail::finishSlopePairsScalar(f.slots.data(), f.slot.data(),
+                                           f.numer.data(), f.inv.data(),
+                                           f.denom.data(), n);
+        benchmark::DoNotOptimize(f.slots.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+
+static void
+BM_BatchAffineRound_Ifma(benchmark::State &state)
+{
+    if (skipWithoutIfma(state))
+        return;
+#if ZKPHIRE_HAVE_X86_IFMA
+    const std::size_t n = std::size_t(state.range(0));
+    RoundFixture f(n);
+    for (auto _ : state) {
+        ff::kernels::batchInverseFqIfma(f.denom.data(), f.inv.data(), n);
+        ec::finishSlopePairsIfma(f.slots.data(), f.slot.data(),
+                                 f.numer.data(), f.inv.data(),
+                                 f.denom.data(), n);
+        benchmark::DoNotOptimize(f.slots.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+#endif
+}
+
+BENCHMARK(BM_BucketAggregate_Serial)->Arg(64)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_BucketAggregate_Scalar)->Arg(64)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_BucketAggregate_Ifma)->Arg(64)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_BatchAffineRound_Scalar)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_BatchAffineRound_Ifma)->Arg(4096)->Arg(65536);
 
 static void
 BM_MsmPippenger(benchmark::State &state)

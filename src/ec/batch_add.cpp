@@ -1,9 +1,10 @@
 #include "ec/batch_add.hpp"
 
+#include <bit>
 #include <cassert>
 
+#include "ec/bucket_ifma_x86.hpp"
 #include "ff/batch_inverse.hpp"
-#include "ff/vec_ops.hpp"
 
 namespace zkphire::ec {
 
@@ -11,34 +12,31 @@ namespace {
 
 using ff::Fq;
 
-enum PairKind : std::uint8_t {
-    kDone = 0, ///< Identity operand or cancellation: the slot holds the sum.
-    kAdd = 1,  ///< Generic add: the slot holds P1, the slope is pending.
-    kDbl = 2,  ///< Doubling: the slot holds P1, the slope is pending.
-};
-
 /**
- * Stage one pair into its output slot, the only place the pair's points
- * are read this round. Pairs with an identity operand or that cancel get
- * their sum now; slope pairs write their first operand to the slot and
- * push the slope numerator and denominator for the batched inversion,
- * and finishRound completes them from the slot. Denominators are nonzero
- * by construction: a generic add has x2 != x1 and a doubling has y != 0
- * (a zero y falls into the cancellation case, since then -y == y).
- * `slot` may alias `a`: every read of a and b comes before the write.
+ * Stage one pair into its output slot, slots[slot], the only place the
+ * pair's points are read this round. Pairs with an identity operand or
+ * that cancel get their sum now; slope pairs write their first operand to
+ * the slot and push the slope numerator and denominator for the batched
+ * inversion, with the slot's index (flagged for a doubling), and
+ * finishRound completes them from the slot. Denominators are nonzero by
+ * construction: a generic add has x2 != x1 and a doubling has y != 0 (a
+ * zero y falls into the cancellation case, since then -y == y). The slot
+ * may alias `a`: every read of a and b comes before the write.
  */
 // zkphire-lint: ct-exempt(identity/cancellation classification is what batched-affine MSM buckets require; scalar-shaped timing is inherent to Pippenger)
-inline std::uint8_t
-stagePair(const G1Affine &a, const G1Affine &b, G1Affine &slot,
-          BatchAffineScratch &s)
+inline void
+stagePair(const G1Affine &a, const G1Affine &b, G1Affine *slots,
+          std::uint32_t slot, BatchAffineScratch &s)
 {
+    assert(slot < kSlotDoubling);
+    G1Affine &dst = slots[slot];
     if (b.infinity) {
-        slot = a;
-        return kDone;
+        dst = a;
+        return;
     }
     if (a.infinity) {
-        slot = b;
-        return kDone;
+        dst = b;
+        return;
     }
     if (a.x == b.x) {
         if (a.y == b.y && !a.y.isZero()) {
@@ -46,86 +44,55 @@ stagePair(const G1Affine &a, const G1Affine &b, G1Affine &slot,
             Fq sq = a.x.square();
             s.numer.push_back(sq.dbl() + sq);
             s.denom.push_back(a.y.dbl());
-            slot = a;
-            return kDbl;
+            s.slot.push_back(slot | kSlotDoubling);
+            dst = a;
+            return;
         }
-        slot = G1Affine{};
-        return kDone;
+        dst = G1Affine{};
+        return;
     }
     // Generic: lambda = (y2 - y1) / (x2 - x1).
     s.numer.push_back(b.y - a.y);
     s.denom.push_back(b.x - a.x);
-    slot = a;
-    return kAdd;
+    s.slot.push_back(slot);
+    dst = a;
 }
 
 /** Clear the per-round staging arrays. */
 void
 beginRound(BatchAffineScratch &scratch)
 {
-    scratch.kind.clear();
+    scratch.slot.clear();
     scratch.numer.clear();
     scratch.denom.clear();
 }
 
-/** fn(kind, slot, d) for each slope pair of the round, in staging order:
- *  d indexes the pair's numer/denom entries. */
-template <class Fn>
-void
-forEachSlopePair(G1Affine *slots, std::span<const std::uint32_t> slot_off,
-                 const BatchAffineScratch &scratch, Fn &&fn)
-{
-    std::size_t pi = 0, di = 0;
-    for (std::size_t s = 0; s < scratch.len.size(); ++s) {
-        G1Affine *dst = slots + slot_off[s];
-        for (std::size_t j = 0; j < scratch.len[s] / 2; ++j, ++pi)
-            if (scratch.kind[pi] != kDone)
-                fn(scratch.kind[pi], dst[j], di++);
-    }
-}
-
 /**
- * Finish a staged round: one batch inversion and three batched multiply
- * passes. The inversion runs out of place (Montgomery's trick), so the
- * denominators stay intact; then
- *  1. numer *= inv turns the numerators into the slopes lambda;
- *  2. inv = lambda^2;
- *  3. between passes, each slope pair's slot, which holds P1 = (x1, y1),
- *     gets x3 = lambda^2 - (x1 + x2) and inv keeps x1 - x3. The affine law
- *     needs x1 + x2, which is 2*x1 + (x2 - x1) for an add and 2*x1 for a
- *     doubling, so P2 is never read again;
- *  4. inv *= lambda, and y3 = lambda * (x1 - x3) - y1 completes the slot.
- * Every multiply of the round thus runs as an ff::mulVec span (eight at a
- * time on an IFMA host). Segment s's pairs sit at slots[slot_off[s] ...]
- * and scratch.len holds the lengths the round started from.
+ * Finish a staged round: one batch inversion (out of place, so the
+ * denominators stay intact) and one fused pass over the slope pairs,
+ * which computes each slope and completes its slot
+ * (detail::finishSlopePairsScalar; eight pairs at a time on the IFMA
+ * lanes, ec/bucket_ifma_x86.hpp).
  */
 void
-finishRound(G1Affine *slots, std::span<const std::uint32_t> slot_off,
-            BatchAffineScratch &scratch, BatchAffineStats *stats)
+finishRound(G1Affine *slots, BatchAffineScratch &scratch,
+            BatchAffineStats *stats)
 {
     const std::size_t n = scratch.denom.size();
     if (n == 0)
         return;
     ff::batchInverseSerialInto(std::span<const Fq>(scratch.denom),
                                scratch.inv);
-    Fq *lam = scratch.numer.data();
-    Fq *t = scratch.inv.data();
-    ff::mulVec(lam, lam, t, n);
-    ff::mulVec(t, lam, lam, n);
-    forEachSlopePair(slots, slot_off, scratch,
-                     [&](std::uint8_t kind, G1Affine &slot, std::size_t d) {
-                         Fq x_sum = slot.x.dbl();
-                         if (kind == kAdd)
-                             x_sum += scratch.denom[d];
-                         const Fq x3 = t[d] - x_sum;
-                         t[d] = slot.x - x3;
-                         slot.x = x3;
-                     });
-    ff::mulVec(t, lam, t, n);
-    forEachSlopePair(slots, slot_off, scratch,
-                     [&](std::uint8_t, G1Affine &slot, std::size_t d) {
-                         slot.y = t[d] - slot.y;
-                     });
+#if ZKPHIRE_HAVE_X86_IFMA
+    if (ff::kernels::ifmaSelected())
+        finishSlopePairsIfma(slots, scratch.slot.data(), scratch.numer.data(),
+                             scratch.inv.data(), scratch.denom.data(), n);
+    else
+#endif
+        detail::finishSlopePairsScalar(slots, scratch.slot.data(),
+                                       scratch.numer.data(),
+                                       scratch.inv.data(),
+                                       scratch.denom.data(), n);
     if (stats) {
         stats->affineAdds += n;
         ++stats->batchInversions;
@@ -172,12 +139,12 @@ reduceSegments(std::span<G1Affine> buf, std::span<const std::uint32_t> off,
             G1Affine *seg = buf.data() + off[s];
             const std::size_t L = scratch.len[s];
             for (std::size_t j = 0; j < L / 2; ++j)
-                scratch.kind.push_back(
-                    stagePair(seg[2 * j], seg[2 * j + 1], seg[j], scratch));
+                stagePair(seg[2 * j], seg[2 * j + 1], buf.data(),
+                          std::uint32_t(off[s] + j), scratch);
             if (L % 2 == 1 && L > 1)
                 seg[L / 2] = seg[L - 1];
         }
-        finishRound(buf.data(), off, scratch, stats);
+        finishRound(buf.data(), scratch, stats);
         again = halveLengths(scratch.len);
     }
 }
@@ -235,6 +202,7 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
         }
     };
     trim(scratch.buf, need);
+    trim(scratch.slot, need);
     trim(scratch.numer, need);
     trim(scratch.denom, need);
     trim(scratch.inv, need);
@@ -260,26 +228,114 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
         const std::uint32_t *e = enc.data() + off[s];
         const std::size_t L = off[s + 1] - off[s];
         G1Affine *dst = scratch.buf.data() + scratch.off[s];
+        const std::uint32_t slot0 = scratch.off[s];
         for (std::size_t j = 0; j < L / 2; ++j) {
             if (const std::size_t k = off[s] + 2 * j + kAhead;
                 k + 1 < enc.size()) {
                 prefetch(k);
                 prefetch(k + 1);
             }
-            scratch.kind.push_back(stagePair(decodeEntry(points, e[2 * j]),
-                                             decodeEntry(points, e[2 * j + 1]),
-                                             dst[j], scratch));
+            stagePair(decodeEntry(points, e[2 * j]),
+                      decodeEntry(points, e[2 * j + 1]), scratch.buf.data(),
+                      slot0 + std::uint32_t(j), scratch);
         }
         if (L % 2 == 1)
             dst[L / 2] = decodeEntry(points, e[L - 1]);
         scratch.len[s] = std::uint32_t(L);
     }
-    finishRound(scratch.buf.data(), scratch.off, scratch, stats);
+    finishRound(scratch.buf.data(), scratch, stats);
     const bool again = halveLengths(scratch.len);
 
     reduceSegments(scratch.buf, scratch.off, again, scratch, stats);
     for (std::size_t s = 0; s < num_segs; ++s)
         out[s] = scratch.len[s] ? scratch.buf[scratch.off[s]] : G1Affine{};
+}
+
+namespace detail {
+
+void
+finishSlopePairsScalar(G1Affine *slots, const std::uint32_t *slot,
+                       const Fq *numer, const Fq *inv, const Fq *denom,
+                       std::size_t n)
+{
+    for (std::size_t j = 0; j < n; ++j) {
+        G1Affine &p = slots[slot[j] & ~kSlotDoubling];
+        const Fq lambda = numer[j] * inv[j];
+        Fq x_sum = p.x.dbl();
+        if ((slot[j] & kSlotDoubling) == 0)
+            x_sum += denom[j];
+        const Fq x3 = lambda.square() - x_sum;
+        p.y = lambda * (p.x - x3) - p.y;
+        p.x = x3;
+    }
+}
+
+void
+bucketTilesScalar(std::span<const G1Affine> buckets, BucketTiles &tiles)
+{
+    constexpr std::size_t T = kAggregateTiles;
+    const std::size_t len = buckets.size() / T;
+    assert(len > 0 && len * T == buckets.size());
+    for (std::size_t t = 0; t < T; ++t)
+        tiles.total[t] = tiles.weighted[t] = G1Jacobian::identity();
+    for (std::size_t b = len; b-- > 0;) {
+        for (std::size_t t = 0; t < T; ++t) {
+            tiles.total[t] = tiles.total[t].addMixed(buckets[t * len + b]);
+            tiles.weighted[t] = tiles.weighted[t].add(tiles.total[t]);
+        }
+    }
+}
+
+G1Jacobian
+combineBucketTiles(const BucketTiles &tiles, std::size_t tile_len)
+{
+    constexpr std::size_t T = kAggregateTiles;
+    assert(tile_len > 0 && (tile_len & (tile_len - 1)) == 0);
+    // Sum_{t >= 1} t * R_t by a suffix sum over the tiles, then times L.
+    G1Jacobian running = G1Jacobian::identity();
+    G1Jacobian offsets = G1Jacobian::identity();
+    for (std::size_t t = T; t-- > 1;) {
+        running = running.add(tiles.total[t]);
+        offsets = offsets.add(running);
+    }
+    for (std::size_t l = tile_len; l > 1; l /= 2)
+        offsets = offsets.dbl();
+    G1Jacobian sum = tiles.weighted[0];
+    for (std::size_t t = 1; t < T; ++t)
+        sum = sum.add(tiles.weighted[t]);
+    return sum.add(offsets);
+}
+
+} // namespace detail
+
+G1Jacobian
+aggregateBuckets(std::span<const G1Affine> buckets, BatchAffineStats *stats)
+{
+    const std::size_t num = buckets.size();
+    if (num < kAggregateMinBuckets || (num & (num - 1)) != 0) {
+        G1Jacobian running = G1Jacobian::identity();
+        G1Jacobian sum = G1Jacobian::identity();
+        for (std::size_t b = num; b-- > 0;) {
+            running = running.addMixed(buckets[b]);
+            sum = sum.add(running);
+        }
+        if (stats)
+            stats->pointAdds += 2 * num;
+        return sum;
+    }
+    BucketTiles tiles;
+#if ZKPHIRE_HAVE_X86_IFMA
+    if (ff::kernels::ifmaSelected())
+        bucketTilesIfma(buckets.data(), num, tiles);
+    else
+#endif
+        detail::bucketTilesScalar(buckets, tiles);
+    const std::size_t tile_len = num / kAggregateTiles;
+    if (stats) {
+        stats->pointAdds += 2 * num + 3 * kAggregateTiles - 2;
+        stats->pointDoubles += std::uint64_t(std::countr_zero(tile_len));
+    }
+    return detail::combineBucketTiles(tiles, tile_len);
 }
 
 } // namespace zkphire::ec

@@ -86,11 +86,7 @@ msmGlvProfitable(std::size_t n, bool batch_affine)
 namespace {
 
 /** Per-window op counts, summed into MsmStats in window order. */
-struct WindowAcc {
-    std::uint64_t pointAdds = 0;
-    std::uint64_t affineAdds = 0;
-    std::uint64_t batchInversions = 0;
-};
+using WindowAcc = BatchAffineStats;
 
 inline G1Affine
 negAffine(const G1Affine &p)
@@ -152,8 +148,15 @@ windowSumJacobian(std::span<const G1Affine> points,
  * segmented batched-affine reduction sums every bucket of every selected
  * (window, column) — reading the shared point array through the references
  * and amortizing each round's single true inversion over all
- * num_win * |cols| * B buckets — and a per-(window, column) suffix sum
- * aggregates the affine bucket values with mixed adds.
+ * num_win * |cols| * B buckets — and aggregateBuckets turns each
+ * (window, column) chain of affine bucket sums into its window sum, in
+ * tiles that run side by side on the IFMA lanes.
+ *
+ * Per staged pair in one-thread GLV MSMs at 2^12..2^16 on an IFMA host,
+ * the whole call costs 198-281 ns (EXPERIMENTS.md, "Fused finish and tiled
+ * aggregation"; 316-510 ns before the finish was fused and the
+ * aggregation tiled), of which the scatter is 6-10 ns and the
+ * aggregation 12-31.
  *
  * The parallel path calls this per window (num_win = 1); the serial path
  * passes the whole window range, which ROUND-SYNCHRONIZES the batch
@@ -238,27 +241,17 @@ windowSumBatchAffine(std::span<const G1Affine> points,
     }
 
     bucket_sums.resize(total_buckets);
-    BatchAffineStats bst;
     batchAffineSegmentSumsIndexed(
         points, std::span<const std::uint32_t>(enc.data(), off[total_buckets]),
-        off, bucket_sums, scratch, &bst);
-    acc.affineAdds += bst.affineAdds;
-    acc.batchInversions += bst.batchInversions;
-
-    for (std::size_t w = 0; w < num_win; ++w) {
-        for (std::size_t jj = 0; jj < kk; ++jj) {
-            G1Jacobian running = G1Jacobian::identity();
-            G1Jacobian sum = G1Jacobian::identity();
-            const G1Affine *wsums =
-                bucket_sums.data() + w * win_buckets + jj * num_buckets;
-            for (std::size_t b = num_buckets; b-- > 0;) {
-                running = running.addMixed(wsums[b]);
-                sum = sum.add(running);
-                acc.pointAdds += 2;
-            }
-            sums_out[w * k + cols[jj]] = sum;
-        }
-    }
+        off, bucket_sums, scratch, &acc);
+    for (std::size_t w = 0; w < num_win; ++w)
+        for (std::size_t jj = 0; jj < kk; ++jj)
+            sums_out[w * k + cols[jj]] = aggregateBuckets(
+                std::span<const G1Affine>(bucket_sums.data() +
+                                              w * win_buckets +
+                                              jj * num_buckets,
+                                          num_buckets),
+                &acc);
 }
 
 } // namespace
@@ -519,6 +512,7 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     if (stats_) {
         for (const WindowAcc &a : wacc) {
             stats_->pointAdds += a.pointAdds;
+            stats_->pointDoubles += a.pointDoubles;
             stats_->affineAdds += a.affineAdds;
             stats_->batchInversions += a.batchInversions;
         }

@@ -143,14 +143,17 @@ std::vector<G1Jacobian> msmBatch(std::span<const std::span<const Fr>> cols,
  * with the multiplier (S = M), and modular add/sub/dbl are not priced at
  * all, although a batched-affine add spends about six of them (each about
  * 0.1 M on the asm path; EXPERIMENTS.md, "Flag-carry field kernels"). On
- * an AVX-512 IFMA host the batched-affine add's multiplies run eight at a
- * time (ff/mul_ifma_x86.hpp): in one-thread GLV MSMs at 2^12..2^16 a
- * staged pair (classify, inversion share, slope and finish) measured
- * 228-248 ns with IFMA against 573-640 ns on the scalar ADX multiplier
- * (EXPERIMENTS.md, PR 19), while a Jacobian add stays scalar. So these
- * are relative prices for the argmin, not a time model. They stay as
- * they are: changing them moves the chosen window and with it every ec.*
- * op count.
+ * an AVX-512 IFMA host the batched-affine add runs eight lanes at a time
+ * (ff/mul_ifma_x86.hpp, ec/bucket_ifma_x86.hpp): in one-thread GLV MSMs
+ * at 2^12..2^16 a staged pair (classify, inversion share and the fused
+ * finish) measured 165-214 ns with IFMA against 410-510 ns on the scalar
+ * ADX multiplier (EXPERIMENTS.md, "Fused finish and tiled aggregation").
+ * The suffix-sum aggregation runs in eight tiles
+ * on the IFMA lanes at 0.35-0.45 us per bucket against 1.7-2.2 us
+ * serial, while the bucket adds of the Jacobian path stay scalar. So
+ * these are relative prices for the argmin, not a time model. They stay
+ * as they are: changing them moves the chosen window and with it every
+ * ec.* op count.
  */
 namespace msm_cost {
 /** Batched-affine pair addition: 2M + 1S, plus the 3 M of the amortized

@@ -24,6 +24,7 @@
 #define ZKPHIRE_FF_FIELD_HPP
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "ff/bigint.hpp"
@@ -448,17 +449,36 @@ class PrimeField
         return f;
     }
 
-    /** Exponentiation by a canonical BigInt exponent (square-and-multiply). */
+    /**
+     * Exponentiation by a canonical BigInt exponent in fixed 4-bit
+     * windows: a table of this^0 .. this^15 (14 multiplies), then four
+     * squarings and one table multiply per window, most significant
+     * first (a zero window skips its multiply). The Fq inverse costs 485
+     * multiplies this way against 610 bit by bit, the Fr inverse 325
+     * against 419; the bit-by-bit ladder is the test oracle
+     * (tests/field_oracle.hpp).
+     */
     // zkphire-lint: ct-exempt(every call site passes a public modulus-derived exponent: inversion, sqrt, subgroup checks)
     PrimeField
     pow(const Big &e) const
     {
-        PrimeField acc = one();
-        std::size_t nbits = e.bitLength();
-        for (std::size_t i = nbits; i-- > 0;) {
-            acc = acc.square();
-            if (e.bit(i))
-                acc *= *this;
+        constexpr std::size_t kWindow = 4;
+        const std::size_t nbits = e.bitLength();
+        if (nbits == 0)
+            return one();
+        PrimeField table[std::size_t(1) << kWindow];
+        table[0] = one();
+        table[1] = *this;
+        for (std::size_t i = 2; i < std::size(table); ++i)
+            table[i] = table[i - 1] * *this;
+        // 4 divides 64, so no window straddles a limb.
+        std::size_t w = (nbits + kWindow - 1) / kWindow - 1;
+        PrimeField acc = table[e.bits(w * kWindow, kWindow)];
+        while (w-- > 0) {
+            for (std::size_t k = 0; k < kWindow; ++k)
+                acc = acc.square();
+            if (const u64 digit = e.bits(w * kWindow, kWindow))
+                acc *= table[digit];
         }
         return acc;
     }

@@ -1,10 +1,13 @@
 /**
  * @file
  * AVX-512 IFMA batched Fq kernels: eight Montgomery products at once on
- * vpmadd52luq/vpmadd52huq, for the two batched Fq primitives the MSM
- * bucket rounds, commitments and SRS level builds run on — element-wise
- * ff::mulVec<Fq> and the laned batch inversion
- * (ff::detail::batchInverseSerial<Fq>).
+ * vpmadd52luq/vpmadd52huq, for the two batched Fq primitives: the laned
+ * batch inversion (ff::detail::batchInverseSerial<Fq>), which the MSM
+ * bucket rounds and the batched affine normalizations of commitments and
+ * SRS level builds run on, and element-wise ff::mulVec<Fq>. The bucket
+ * rounds' other multiplies run in the fused point kernels of
+ * ec/bucket_ifma_x86.hpp, so mulVec<Fq> has no prover caller left; the
+ * benchmark's ff.fq_mul_ns prices it.
  *
  * Each of the eight SIMD lanes holds one field element in radix 2^52
  * (eight limbs, the top one 17 bits wide). The multiplier keeps R = 2^384,
@@ -14,7 +17,9 @@
  * that montMulAsmX86 and montMulNoCarry return, and no conversion in or
  * out of Montgomery form is needed. Operands move between the 48-byte
  * element arrays and the limb vectors by gathers and scatters; partial
- * vectors use masks, so no lane reads or writes past an array.
+ * vectors use masks, so no lane reads or writes past an array. The lane
+ * layout and its arithmetic are in the private ff/fq8_ifma_x86.hpp,
+ * which the point kernels of ec/bucket_ifma_x86.hpp share.
  *
  * Selection: PrimeField dispatch never calls these directly. mulVec<Fq>
  * and batchInverseSerial<Fq> take them when ifmaSelected() holds — the

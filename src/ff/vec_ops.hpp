@@ -2,9 +2,9 @@
  * @file
  * Batched element-wise field primitives.
  *
- * The prover's hottest loops — GatePlan round evaluation over blocks of
- * table pairs, batched-affine slope resolution in the MSM bucket adder —
- * apply one field operation across a contiguous span of operands. Routing
+ * The prover's hottest SumCheck loop — GatePlan round evaluation over
+ * blocks of table pairs — applies one field operation across a contiguous
+ * span of operands. Routing
  * them through these helpers instead of per-element operator calls keeps
  * the unrolled fixed-limb kernels (ff/mul_impl.hpp) in a tight loop the
  * compiler can software-pipeline, and gives -DZKPHIRE_NATIVE builds a

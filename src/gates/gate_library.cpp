@@ -14,6 +14,20 @@ using poly::Mle;
 using poly::SlotId;
 using poly::SymPoly;
 
+namespace {
+
+/** A slot name: prefix then decimal index, built by appending (GCC 12
+ *  reports a false -Wrestrict overlap on an inlined "x" + std::to_string). */
+std::string
+indexedName(const char *prefix, unsigned i)
+{
+    std::string name(prefix);
+    name += std::to_string(i);
+    return name;
+}
+
+} // namespace
+
 std::vector<Mle>
 Gate::randomTables(unsigned num_vars, ff::Rng &rng) const
 {
@@ -148,9 +162,9 @@ permCoreGate(unsigned num_witnesses, const Fr &alpha)
     SymPoly prod_d = SymPoly::constant(Fr::one());
     SymPoly prod_n = SymPoly::constant(Fr::one());
     for (unsigned j = 1; j <= num_witnesses; ++j)
-        prod_d = prod_d * b.slot("D" + std::to_string(j), SlotRole::Dense);
+        prod_d = prod_d * b.slot(indexedName("D", j), SlotRole::Dense);
     for (unsigned j = 1; j <= num_witnesses; ++j)
-        prod_n = prod_n * b.slot("N" + std::to_string(j), SlotRole::Dense);
+        prod_n = prod_n * b.slot(indexedName("N", j), SlotRole::Dense);
     SymPoly a = SymPoly::constant(alpha);
     return b.finish(pi - p1 * p2 + a * (phi * prod_d - prod_n));
 }
@@ -182,9 +196,9 @@ makeOpenCheck()
     GateBuilder b(24, "OpenCheck");
     std::vector<SymPoly> ys, frs;
     for (int i = 1; i <= 6; ++i)
-        ys.push_back(b.slot("y" + std::to_string(i), SlotRole::Witness));
+        ys.push_back(b.slot(indexedName("y", i), SlotRole::Witness));
     for (int i = 1; i <= 6; ++i)
-        frs.push_back(b.slot("f_r" + std::to_string(i), SlotRole::Dense));
+        frs.push_back(b.slot(indexedName("f_r", i), SlotRole::Dense));
     SymPoly sum;
     for (int i = 0; i < 6; ++i)
         sum = sum + ys[i] * frs[i];

@@ -20,10 +20,16 @@ batchedExpr(std::size_t k, const Fr &eta)
 {
     GateExpr expr("OpenCheck");
     std::vector<SlotId> poly_slots(k), eq_slots(k);
-    for (std::size_t i = 0; i < k; ++i)
-        poly_slots[i] = expr.addSlot("P" + std::to_string(i));
-    for (std::size_t i = 0; i < k; ++i)
-        eq_slots[i] = expr.addSlot("eq" + std::to_string(i));
+    // Names are built by appending: GCC 12 reports a false -Wrestrict
+    // overlap on an inlined "P" + std::to_string(i).
+    for (std::size_t i = 0; i < k; ++i) {
+        std::string name("P");
+        poly_slots[i] = expr.addSlot(name += std::to_string(i));
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+        std::string name("eq");
+        eq_slots[i] = expr.addSlot(name += std::to_string(i));
+    }
     Fr coeff = Fr::one();
     for (std::size_t i = 0; i < k; ++i) {
         expr.addTerm(coeff, {poly_slots[i], eq_slots[i]});

@@ -1,7 +1,8 @@
 /**
  * @file
  * Per-point double-and-add MSM: the oracle for ec::msmPippenger,
- * ec::msmBatch and the streamed commitments.
+ * ec::msmBatch and the streamed commitments; and the serial bucket
+ * aggregation.
  *
  * Every term is its own scalar multiplication, summed in index order, so
  * the result shares no window, bucket or recoding logic with the library.
@@ -28,6 +29,22 @@ msmNaive(std::span<const ff::Fr> scalars, std::span<const ec::G1Affine> points)
         acc = acc.add(
             ec::G1Jacobian::fromAffine(points[i]).mulScalar(scalars[i]));
     return acc;
+}
+
+/**
+ * Sum_b (b + 1) * buckets[b] by the serial suffix sum: the bucket
+ * aggregation oracle for ec::aggregateBuckets.
+ */
+inline ec::G1Jacobian
+bucketSumSerial(std::span<const ec::G1Affine> buckets)
+{
+    ec::G1Jacobian running = ec::G1Jacobian::identity();
+    ec::G1Jacobian sum = ec::G1Jacobian::identity();
+    for (std::size_t b = buckets.size(); b-- > 0;) {
+        running = running.addMixed(buckets[b]);
+        sum = sum.add(running);
+    }
+    return sum;
 }
 
 } // namespace zkphire::oracle

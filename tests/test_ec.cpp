@@ -6,14 +6,21 @@
 #include <gtest/gtest.h>
 
 #include "ec/batch_add.hpp"
+#include "ec/bucket_ifma_x86.hpp"
 #include "ec/g1.hpp"
 #include "ec/msm.hpp"
 #include "ec/recode.hpp"
+#include "ff/mul_ifma_x86.hpp"
+#include "ifma_skip.hpp"
 #include "msm_oracle.hpp"
 #include "rt/parallel.hpp"
 
 using namespace zkphire::ec;
+using zkphire::ff::kernels::ScopedAsmKernels;
+using zkphire::ff::kernels::ScopedGenericKernels;
+using zkphire::oracle::bucketSumSerial;
 using zkphire::oracle::msmNaive;
+using zkphire::testutil::ifmaSkipReason;
 using zkphire::ff::Fq;
 using zkphire::ff::Fr;
 using zkphire::ff::Rng;
@@ -561,5 +568,277 @@ TEST(Msm, ParallelMatchesSerial)
             zkphire::rt::Config{.threads = threads});
         EXPECT_EQ(msmPippenger(scalars, points), serial)
             << "threads " << threads;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The IFMA point kernels (ec/bucket_ifma_x86.hpp) against the scalar code:
+// the fused round finish and the bucket-aggregation tiles must give the
+// same coordinates bit for bit. ScopedAsmKernels(false) turns IFMA off.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** n affine points Q + i * D for random Q and D, normalized together. */
+std::vector<G1Affine>
+pointRun(std::size_t n, Rng &rng)
+{
+    const G1Jacobian d = G1Jacobian::fromAffine(randomG1(rng));
+    std::vector<G1Jacobian> jac;
+    G1Jacobian q = G1Jacobian::fromAffine(randomG1(rng));
+    for (std::size_t i = 0; i < n; ++i) {
+        jac.push_back(q);
+        q = q.add(d);
+    }
+    return batchToAffine(jac);
+}
+
+G1Affine
+negate(const G1Affine &p)
+{
+    return p.infinity ? p : G1Affine{p.x, p.y.neg(), false};
+}
+
+void
+expectSameCoordinates(const std::vector<G1Affine> &a,
+                      const std::vector<G1Affine> &b, const char *what,
+                      std::size_t pairs)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string at = std::string(what) + ", " +
+                               std::to_string(pairs) + " pairs, slot " +
+                               std::to_string(i);
+        EXPECT_EQ(a[i].infinity, b[i].infinity) << at;
+        EXPECT_EQ(a[i].x, b[i].x) << at;
+        EXPECT_EQ(a[i].y, b[i].y) << at;
+    }
+}
+
+} // namespace
+
+TEST(BatchAffine, SlotsBitIdenticalIfmaOnOff)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+    ScopedGenericKernels fixed(false); // IFMA runs under every oracle flag
+    Rng rng(86);
+    std::vector<G1Affine> pool = pointRun(2048, rng);
+    const std::uint32_t id = std::uint32_t(pool.size()) << 1;
+    pool.push_back(G1Affine{});
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 0; n <= 33; ++n)
+        counts.push_back(n);
+    counts.push_back(1000);
+    for (const bool all_doublings : {false, true}) {
+        for (const std::size_t pairs : counts) {
+            // Round 0 stages exactly `pairs` slope pairs (adds, or
+            // doublings), with pairs that resolve at staging between them
+            // so slot indices and pair indices differ. A trailing segment
+            // whose round-0 pairs all meet the identity gives rounds 1
+            // and 2 slope pairs too.
+            std::vector<std::uint32_t> enc, off = {0};
+            for (std::size_t i = 0; i < pairs; ++i) {
+                const std::uint32_t a = std::uint32_t(2 * i);
+                enc.push_back(a << 1);
+                enc.push_back(all_doublings ? a << 1 : (a + 1) << 1);
+                off.push_back(std::uint32_t(enc.size()));
+                if (i % 5 == 2) { // cancellation
+                    enc.push_back(std::uint32_t(2 * i + 1) << 1);
+                    enc.push_back((std::uint32_t(2 * i + 1) << 1) | 1u);
+                    off.push_back(std::uint32_t(enc.size()));
+                }
+            }
+            for (std::uint32_t e : {0u, 4u, 8u, 0u}) {
+                enc.push_back(e);
+                enc.push_back(id);
+            }
+            off.push_back(std::uint32_t(enc.size()));
+            std::vector<G1Affine> buf;
+            for (std::uint32_t e : enc)
+                buf.push_back((e & 1) ? negate(pool[e >> 1]) : pool[e >> 1]);
+
+            const std::size_t segs = off.size() - 1;
+            std::vector<G1Affine> got[2], got_indexed[2];
+            BatchAffineStats stats[2];
+            for (const bool ifma : {false, true}) {
+                ScopedAsmKernels scope(ifma);
+                std::vector<G1Affine> b = buf;
+                BatchAffineScratch scratch, scratch_indexed;
+                got[ifma].resize(segs);
+                got_indexed[ifma].resize(segs);
+                batchAffineSegmentSums(b, off, got[ifma], scratch,
+                                       &stats[ifma]);
+                batchAffineSegmentSumsIndexed(pool, enc, off,
+                                              got_indexed[ifma],
+                                              scratch_indexed);
+            }
+            // The trailing segment adds two slope pairs in round 1 and one
+            // in round 2.
+            EXPECT_EQ(stats[0].affineAdds, pairs + 3);
+            EXPECT_EQ(stats[1].affineAdds, pairs + 3);
+            expectSameCoordinates(got[1], got[0], "materialized", pairs);
+            expectSameCoordinates(got_indexed[1], got[0], "indexed", pairs);
+            for (std::size_t i = 0; i < segs; ++i) {
+                G1Jacobian want = G1Jacobian::identity();
+                for (std::uint32_t k = off[i]; k < off[i + 1]; ++k)
+                    want = want.addMixed(buf[k]);
+                EXPECT_EQ(G1Jacobian::fromAffine(got[1][i]), want)
+                    << pairs << " pairs, segment " << i;
+            }
+        }
+    }
+}
+
+namespace {
+
+/** The bucket arrays of the aggregation tests, B buckets each. */
+std::vector<std::pair<const char *, std::vector<G1Affine>>>
+bucketArrays(std::size_t num, Rng &rng)
+{
+    const std::vector<G1Affine> run = pointRun(num, rng);
+    const G1Affine p = run[0];
+    std::vector<std::pair<const char *, std::vector<G1Affine>>> out;
+    out.emplace_back("random", run);
+    std::vector<G1Affine> holes = run;
+    for (std::size_t b = 0; b < num; b += 3)
+        holes[b] = G1Affine{};
+    out.emplace_back("every third empty", holes);
+    out.emplace_back("all equal", std::vector<G1Affine>(num, p));
+    std::vector<G1Affine> alternating(num);
+    for (std::size_t b = 0; b < num; ++b)
+        alternating[b] = b % 2 ? negate(p) : p;
+    out.emplace_back("P and -P alternating", alternating);
+    out.emplace_back("all empty", std::vector<G1Affine>(num));
+    return out;
+}
+
+void
+expectSameJacobian(const G1Jacobian &a, const G1Jacobian &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.X, b.X) << what;
+    EXPECT_EQ(a.Y, b.Y) << what;
+    EXPECT_EQ(a.Z, b.Z) << what;
+}
+
+} // namespace
+
+TEST(Aggregate, TiledSumMatchesSerialSuffixSum)
+{
+    Rng rng(87);
+    for (const std::size_t num : {64u, 128u, 1024u, 4096u}) {
+        for (const auto &[name, buckets] : bucketArrays(num, rng)) {
+            BatchAffineStats stats;
+            const G1Jacobian got = aggregateBuckets(buckets, &stats);
+            EXPECT_EQ(got, bucketSumSerial(buckets))
+                << name << ", B = " << num;
+            // 2B chain adds, 3T - 2 to combine the tiles, log2 L doublings.
+            EXPECT_EQ(stats.pointAdds, 2 * num + 3 * kAggregateTiles - 2);
+            EXPECT_EQ(std::size_t(1) << stats.pointDoubles,
+                      num / kAggregateTiles);
+        }
+    }
+    // Below the tile threshold the chain is the serial suffix sum itself.
+    const std::vector<G1Affine> short_chain = pointRun(32, rng);
+    BatchAffineStats stats;
+    expectSameJacobian(aggregateBuckets(short_chain, &stats),
+                       bucketSumSerial(short_chain), "B = 32");
+    EXPECT_EQ(stats.pointAdds, 64u);
+    EXPECT_EQ(stats.pointDoubles, 0u);
+}
+
+TEST(Aggregate, IfmaTilesMatchScalarTiles)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+    ScopedGenericKernels fixed(false); // IFMA runs under every oracle flag
+    Rng rng(88);
+    for (const std::size_t num : {64u, 128u, 1024u, 4096u}) {
+        for (const auto &[name, buckets] : bucketArrays(num, rng)) {
+            BucketTiles scalar, ifma;
+            detail::bucketTilesScalar(buckets, scalar);
+#if ZKPHIRE_HAVE_X86_IFMA
+            bucketTilesIfma(buckets.data(), buckets.size(), ifma);
+#endif
+            const std::string what =
+                std::string(name) + ", B = " + std::to_string(num);
+            for (std::size_t t = 0; t < kAggregateTiles; ++t) {
+                expectSameJacobian(ifma.total[t], scalar.total[t],
+                                   what + ", R_" + std::to_string(t));
+                expectSameJacobian(ifma.weighted[t], scalar.weighted[t],
+                                   what + ", W_" + std::to_string(t));
+            }
+            G1Jacobian with_ifma, without;
+            {
+                ScopedAsmKernels scope(true);
+                ASSERT_TRUE(zkphire::ff::kernels::ifmaSelected());
+                with_ifma = aggregateBuckets(buckets);
+            }
+            {
+                ScopedAsmKernels scope(false);
+                without = aggregateBuckets(buckets);
+            }
+            expectSameJacobian(with_ifma, without, what);
+        }
+    }
+}
+
+TEST(Msm, AllPointsEqualWideWindowMatchesNaive)
+{
+    // Every bucket holds a multiple of one point, so the aggregation's
+    // running and weighted sums keep meeting equal x coordinates: the
+    // doubling and cancellation cases of every tile lane.
+    Rng rng(89);
+    const std::size_t n = 300;
+    const G1Affine p = randomG1(rng);
+    std::vector<G1Affine> points(n, p);
+    std::vector<Fr> scalars;
+    for (std::size_t i = 0; i < n; ++i)
+        scalars.push_back(Fr::random(rng));
+    const G1Jacobian want = msmNaive(scalars, points);
+    for (const unsigned c : {7u, 8u, 11u}) {
+        const MsmOptions opts{.windowBits = c, .batchAffineMinPoints = 0};
+        EXPECT_EQ(msmPippenger(scalars, points, opts), want) << "c = " << c;
+        const MsmOptions no_glv{
+            .windowBits = c, .glv = false, .batchAffineMinPoints = 0};
+        EXPECT_EQ(msmPippenger(scalars, points, no_glv), want)
+            << "c = " << c << ", no GLV";
+    }
+}
+
+TEST(Msm, JacobianOutputsIdenticalIfmaOnOff)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+    ScopedGenericKernels fixed(false); // IFMA runs under every oracle flag
+    Rng rng(90);
+    const std::size_t n = 1500;
+    const std::vector<G1Affine> run = pointRun(64, rng);
+    std::vector<G1Affine> points;
+    std::vector<Fr> col_a, col_b;
+    for (std::size_t i = 0; i < n; ++i) {
+        points.push_back(i % 7 == 0 ? G1Affine{} : run[i % run.size()]);
+        col_a.push_back(Fr::random(rng));
+        col_b.push_back(i % 3 == 0 ? Fr::one() : Fr::random(rng));
+    }
+    const std::vector<std::span<const Fr>> cols = {col_a, col_b};
+    const G1Jacobian want_a = msmNaive(col_a, points);
+    for (const unsigned c : {0u, 6u, 9u}) {
+        const MsmOptions opts{.windowBits = c};
+        std::vector<G1Jacobian> got[2];
+        MsmStats stats[2];
+        for (const bool ifma : {false, true}) {
+            ScopedAsmKernels scope(ifma);
+            got[ifma] = msmBatch(cols, points, opts, &stats[ifma]);
+        }
+        for (std::size_t j = 0; j < cols.size(); ++j)
+            expectSameJacobian(got[1][j], got[0][j],
+                               "c = " + std::to_string(c) + ", column " +
+                                   std::to_string(j));
+        EXPECT_EQ(stats[1].pointAdds, stats[0].pointAdds);
+        EXPECT_EQ(stats[1].pointDoubles, stats[0].pointDoubles);
+        EXPECT_EQ(stats[1].affineAdds, stats[0].affineAdds);
+        EXPECT_EQ(got[1][0], want_a) << "c = " << c;
     }
 }

@@ -10,6 +10,7 @@
 #include "ff/fq.hpp"
 #include "ff/fr.hpp"
 #include "ff/rng.hpp"
+#include "field_oracle.hpp"
 
 using namespace zkphire::ff;
 
@@ -213,6 +214,62 @@ TEST(BatchInverse, SerialIntoLeavesInputsIntact)
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_EQ(out[i], xs[i].inverse()) << "n=" << n << " i=" << i;
     }
+}
+
+namespace {
+
+/**
+ * pow and inverse against the bit-by-bit ladder: random exponents of every
+ * length up to the limb width, and the exponents 0, 1, p - 2, (p - 1) / 2
+ * and all ones (every window nonzero, including the top limb's).
+ */
+template <class F>
+void
+expectPowMatchesLadder(std::uint64_t seed)
+{
+    using Big = typename F::Big;
+    Rng rng(seed);
+    Big pm2 = F::modulus(), half = F::modulus();
+    pm2.subInPlace(Big(2));
+    half.subInPlace(Big(1));
+    half.shr1InPlace();
+    Big all_ones;
+    for (auto &limb : all_ones.limb)
+        limb = ~std::uint64_t(0);
+    std::vector<Big> exps = {Big(0), Big(1), pm2, half, all_ones};
+    for (std::size_t bits = 1; bits <= 64 * F::numLimbs; bits += 13) {
+        Big e;
+        for (auto &limb : e.limb)
+            limb = rng.next();
+        for (std::size_t i = bits; i < 64 * F::numLimbs; ++i)
+            e.limb[i / 64] &= ~(std::uint64_t(1) << (i % 64));
+        exps.push_back(e);
+    }
+    std::vector<F> bases = {F::zero(), F::one(), F::one().neg()};
+    for (int i = 0; i < 4; ++i)
+        bases.push_back(F::random(rng));
+    for (const F &x : bases) {
+        for (const Big &e : exps)
+            EXPECT_EQ(x.pow(e), zkphire::oracle::powLadder(x, e))
+                << F::name() << " e = " << e.toHex();
+        if (!x.isZero()) {
+            EXPECT_EQ(x.inverse(), zkphire::oracle::powLadder(x, pm2))
+                << F::name();
+            EXPECT_EQ(x.inverse() * x, F::one()) << F::name();
+        }
+    }
+}
+
+} // namespace
+
+TEST(Fr, PowMatchesBitLadder)
+{
+    expectPowMatchesLadder<Fr>(91);
+}
+
+TEST(Fq, PowMatchesBitLadder)
+{
+    expectPowMatchesLadder<Fq>(92);
 }
 
 TEST(Rng, Deterministic)

@@ -21,6 +21,7 @@
 #include "hyperplonk/circuit.hpp"
 #include "hyperplonk/prover.hpp"
 #include "hyperplonk/serialize.hpp"
+#include "ifma_skip.hpp"
 #include "pcs/srs.hpp"
 #include "rt/parallel.hpp"
 
@@ -253,20 +254,7 @@ TEST(FfKernels, AsmScopeRoundTrips)
 
 namespace {
 
-/** Why the IFMA tests cannot run here, or nullptr when they can. */
-const char *
-ifmaSkipReason()
-{
-#if ZKPHIRE_HAVE_X86_IFMA
-    if (!ff::kernels::cpuSupportsIfma())
-        return "host lacks AVX512F/AVX512IFMA or OS ZMM state; IFMA path "
-               "never dispatched";
-    return nullptr;
-#else
-    return "build without the x86-64 kernels (-DZKPHIRE_ASM=OFF or non-x86); "
-           "IFMA path not compiled";
-#endif
-}
+using testutil::ifmaSkipReason;
 
 /** n operands cycling through the edge operands, then random ones: every
  *  edge pair meets in the first edges^2 positions of a (i % e) x (i / e)
