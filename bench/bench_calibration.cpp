@@ -35,8 +35,7 @@ namespace {
  */
 void
 measuredMsmRow(const char *name, std::size_t n, double frac_zero,
-               double frac_one, const ec::MsmOptions &opts,
-               const CpuModel &cpu)
+               double frac_one, const CpuModel &cpu)
 {
     ff::Rng rng(97);
     std::vector<ec::G1Affine> pool;
@@ -57,7 +56,7 @@ measuredMsmRow(const char *name, std::size_t n, double frac_zero,
 
     ec::MsmStats st;
     auto t0 = std::chrono::steady_clock::now();
-    auto r = ec::msmPippenger(scalars, points, opts, &st);
+    auto r = ec::msmPippenger(scalars, points, {}, &st);
     (void)r;
     double total_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
@@ -86,13 +85,10 @@ main()
         std::printf("%-26s %9s %8s %8s %6s %9s %8s %7s\n", "kernel",
                     "total ms", "recode", "bucket", "fold", "model ms",
                     "ratio", "ns/add");
-        const ec::MsmOptions def{};
-        const ec::MsmOptions sig{.batchAffine = false};
-        measuredMsmRow("dense 2^12 batched-aff", 1u << 12, 0, 0, def, cpu1);
-        measuredMsmRow("dense 2^14 batched-aff", 1u << 14, 0, 0, def, cpu1);
-        measuredMsmRow("dense 2^16 batched-aff", 1u << 16, 0, 0, def, cpu1);
-        measuredMsmRow("dense 2^14 signed-jac", 1u << 14, 0, 0, sig, cpu1);
-        measuredMsmRow("sparse 2^16 batched-aff", 1u << 16, 0.60, 0.30, def,
+        measuredMsmRow("dense 2^12 batched-aff", 1u << 12, 0, 0, cpu1);
+        measuredMsmRow("dense 2^14 batched-aff", 1u << 14, 0, 0, cpu1);
+        measuredMsmRow("dense 2^16 batched-aff", 1u << 16, 0, 0, cpu1);
+        measuredMsmRow("sparse 2^16 batched-aff", 1u << 16, 0.60, 0.30,
                        cpu1);
     }
 

@@ -94,7 +94,7 @@ BENCHMARK(BM_FqMul);
 // BM_FieldMul family: the unrolled fixed-limb kernels against the generic
 // loop-over-limbs oracle, measured in the deployment shape — element-wise
 // span multiplication (ff::mulVec), which is how GatePlan round evaluation
-// and the batched-affine slope resolution consume them. Items processed =
+// consumes them. Items processed =
 // field multiplications, so the items/sec counter reads as mul throughput;
 // the Unrolled/Generic ratio is the kernel-overhaul speedup. The BM_*Square
 // variants isolate the dedicated squaring kernel (EC point ops are
@@ -103,8 +103,7 @@ BENCHMARK(BM_FqMul);
 
 /** asm_mode: -1 inherits the ambient dispatch, 0 forces the unrolled C++
  *  kernel, 1 forces the asm switch on (skipped on non-ADX): the ADX/BMI2
- *  assembly kernel, and for mulVec<Fq> on an IFMA host the IFMA kernel.
- *  BM_FieldMulVec_FqAsm keeps the scalar ADX span price. */
+ *  assembly kernel, in both fields (ff::mulVec has no IFMA branch). */
 template <class F>
 static void
 fieldMulBench(benchmark::State &state, bool generic, bool square,
@@ -215,13 +214,12 @@ BENCHMARK(BM_FieldSquare_FqUnrolled);
 BENCHMARK(BM_FieldSquare_FqAsm);
 
 // ---------------------------------------------------------------------------
-// BM_FieldMulVec_Fq / BM_BatchInverse_Fq: the two batched Fq primitives of
-// the MSM bucket rounds, each kernel called directly. `Asm` runs the scalar
-// ADX multiplier (a per-element loop over the span; the 8-lane scalar
-// Montgomery trick), `Ifma` the AVX-512 IFMA kernels that ff::mulVec<Fq> and
-// batchInverseSerial<Fq> dispatch to on hosts that have them (skipped
-// elsewhere). Items = field elements; BatchInverse includes its one true
-// inversion, which dominates at 64 elements.
+// BM_BatchInverse_Fq: the batched Fq inversion of the MSM bucket rounds,
+// each kernel called directly. `Asm` runs the 8-lane scalar Montgomery
+// trick on the ADX multiplier, `Ifma` the AVX-512 IFMA kernel that
+// batchInverseSerial<Fq> dispatches to on hosts that have it (skipped
+// elsewhere). Items = field elements, including the one true inversion,
+// which dominates at 64 elements.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -256,43 +254,6 @@ randomFq(std::size_t n, std::uint64_t seed)
 }
 
 } // namespace
-
-static void
-BM_FieldMulVec_FqAsm(benchmark::State &state)
-{
-    if (skipWithoutAdx(state))
-        return;
-    constexpr std::size_t kSpan = 1024;
-    const std::vector<ff::Fq> a = randomFq(kSpan, 18), b = randomFq(kSpan, 19);
-    std::vector<ff::Fq> dst(kSpan);
-    ff::kernels::ScopedGenericKernels fixed(false);
-    ff::kernels::ScopedAsmKernels asm_scope(true);
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < kSpan; ++i)
-            dst[i] = a[i] * b[i];
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() * kSpan);
-}
-
-static void
-BM_FieldMulVec_FqIfma(benchmark::State &state)
-{
-    if (skipWithoutIfma(state))
-        return;
-#if ZKPHIRE_HAVE_X86_IFMA
-    constexpr std::size_t kSpan = 1024;
-    const std::vector<ff::Fq> a = randomFq(kSpan, 18), b = randomFq(kSpan, 19);
-    std::vector<ff::Fq> dst(kSpan);
-    for (auto _ : state) {
-        ff::kernels::mulVecFqIfma(dst.data(), a.data(), b.data(), kSpan);
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() * kSpan);
-#endif
-}
 
 static void
 BM_BatchInverse_FqAsm(benchmark::State &state)
@@ -332,8 +293,6 @@ BM_BatchInverse_FqIfma(benchmark::State &state)
 #endif
 }
 
-BENCHMARK(BM_FieldMulVec_FqAsm);
-BENCHMARK(BM_FieldMulVec_FqIfma);
 BENCHMARK(BM_BatchInverse_FqAsm)->Arg(64)->Arg(4096);
 BENCHMARK(BM_BatchInverse_FqIfma)->Arg(64)->Arg(4096);
 
@@ -623,11 +582,12 @@ BM_MsmPippenger(benchmark::State &state)
 BENCHMARK(BM_MsmPippenger)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ---------------------------------------------------------------------------
-// BM_Msm family: the MSM pipeline variants head to head — Jacobian buckets,
-// batched-affine buckets without the GLV split, the full default pipeline,
-// and the multi-column msmBatch against k independent MSMs on the
-// witness-commit shape. Points are a tiled pool of random points so the
-// 2^18 fixtures build quickly; every variant sees identical inputs.
+// BM_Msm family: the MSM pipeline variants head to head — batched-affine
+// buckets without the GLV split, the full default pipeline (from 16
+// points, the small MSMs that end mKZG opening chains, to 2^18), and the
+// multi-column msmBatch against k independent MSMs on the witness-commit
+// shape. Points are a tiled pool of random points so the 2^18 fixtures
+// build quickly; every variant sees identical inputs.
 // ---------------------------------------------------------------------------
 
 static const std::vector<ec::G1Affine> &
@@ -672,12 +632,6 @@ msmVariantBench(benchmark::State &state, const ec::MsmOptions &opts)
 }
 
 static void
-BM_Msm_Signed(benchmark::State &state)
-{
-    msmVariantBench(state, {.batchAffine = false});
-}
-
-static void
 BM_Msm_SignedBatchAffine(benchmark::State &state)
 {
     msmVariantBench(state, {.glv = false});
@@ -691,11 +645,10 @@ BM_Msm_Glv(benchmark::State &state)
     msmVariantBench(state, {});
 }
 
-BENCHMARK(BM_Msm_Signed)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_Msm_SignedBatchAffine)
     ->RangeMultiplier(4)
     ->Range(1 << 12, 1 << 18);
-BENCHMARK(BM_Msm_Glv)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
+BENCHMARK(BM_Msm_Glv)->RangeMultiplier(4)->Range(1 << 4, 1 << 18);
 
 static constexpr std::size_t kMsmBenchColumns = 4;
 
@@ -1158,9 +1111,9 @@ BENCHMARK(BM_ServiceMixedLoad)
 int
 main(int argc, char **argv)
 {
-    // Which kernel the batched Fq primitives (ff::mulVec<Fq>, the batch
-    // inversion) dispatch to on this host, so every result file says
-    // whether its runner had IFMA.
+    // Which kernel the batched Fq inversion and the bucket-round point
+    // kernels dispatch to on this host, so every result file says whether
+    // its runner had IFMA.
     const char *fq_batch = "unrolled";
     if (ff::kernels::genericKernelsForced())
         fq_batch = "generic";

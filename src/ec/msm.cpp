@@ -18,21 +18,19 @@ namespace {
 /**
  * Per-MSM cost of window width c in Fq-multiplication units (prices in
  * ec::msm_cost, shared with sim::CpuModel): every dense point pays one
- * bucket add per window, and each of the 2^(c-1) buckets one mixed + one
- * full aggregation add in the suffix sum, once per chunk. The cost depends
- * only on (n, scalar_bits, batch_affine, num_chunks) — never on per-column
- * dense counts — so a batch run and each column's solo run always agree
- * on c.
+ * batched-affine bucket add per window, and each of the 2^(c-1) buckets
+ * one mixed + one full aggregation add in the suffix sum, once per chunk.
+ * The cost depends only on (n, scalar_bits, num_chunks) — never on
+ * per-column dense counts — so a batch run and each column's solo run
+ * always agree on c.
  */
 double
 windowCost(std::size_t n, std::size_t scalar_bits, unsigned c,
-           bool batch_affine, std::size_t num_chunks)
+           std::size_t num_chunks)
 {
-    const double bucket_add =
-        batch_affine ? msm_cost::kBatchAffineAdd : msm_cost::kMixedAdd;
     const double nw = double(signedDigitWindows(scalar_bits, c));
     const double buckets = double(std::size_t(1) << (c - 1));
-    return nw * (double(n) * bucket_add +
+    return nw * (double(n) * msm_cost::kBatchAffineAdd +
                  double(num_chunks) * buckets * msm_cost::kAggPerBucket);
 }
 
@@ -40,7 +38,7 @@ windowCost(std::size_t n, std::size_t scalar_bits, unsigned c,
 
 unsigned
 pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
-                              bool batch_affine, std::size_t num_chunks)
+                              std::size_t num_chunks)
 {
     // Wider windows mean fewer passes over the points but more aggregation
     // work; the halved bucket count of signed digits shifts the optimum ~1
@@ -53,8 +51,7 @@ pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
     double best_cost = 0;
     unsigned best = 2;
     for (unsigned c = 2; c <= 16; ++c) {
-        const double cost =
-            windowCost(n, scalar_bits, c, batch_affine, num_chunks);
+        const double cost = windowCost(n, scalar_bits, c, num_chunks);
         if (best_cost == 0 || cost < best_cost) {
             best_cost = cost;
             best = c;
@@ -64,7 +61,7 @@ pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
 }
 
 bool
-msmGlvProfitable(std::size_t n, bool batch_affine)
+msmGlvProfitable(std::size_t n)
 {
     // Same op-count model as the window argmin, totaled for both scalar
     // structures. GLV wins while the halved window count outruns the
@@ -73,9 +70,8 @@ msmGlvProfitable(std::size_t n, bool batch_affine)
     // points the plain 255-bit slicing (16 passes over n) beats GLV's 9
     // passes over 2n, and the split turns itself off.
     const auto total = [&](std::size_t pts, std::size_t bits) {
-        const unsigned c =
-            pippengerAutoWindowSignedBits(pts, bits, batch_affine);
-        return windowCost(pts, bits, c, batch_affine, 1) +
+        const unsigned c = pippengerAutoWindowSignedBits(pts, bits);
+        return windowCost(pts, bits, c, 1) +
                double(bits) * msm_cost::kDouble;
     };
     // + n prices the one-time phi(P) materialization (one Fq mul/point).
@@ -88,13 +84,6 @@ namespace {
 /** Per-window op counts, summed into MsmStats in window order. */
 using WindowAcc = BatchAffineStats;
 
-inline G1Affine
-negAffine(const G1Affine &p)
-{
-    // zkphire-lint: ct-exempt(identity-encoding check, same profile as the group law)
-    return p.infinity ? p : G1Affine{p.x, p.y.neg(), false};
-}
-
 double
 msSince(std::chrono::steady_clock::time_point t0)
 {
@@ -104,53 +93,18 @@ msSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * Jacobian bucket accumulation + suffix-sum aggregation for one (window,
- * column). Digits are read at digits[i * stride]; a negative digit adds
- * the negated point into bucket |d|. This is the per-window body of
- * Pippenger's loop; windows are independent, which is what the parallel
- * path exploits (the paper's MSM unit similarly processes bucket sets in
- * parallel PEs).
- */
-G1Jacobian
-windowSumJacobian(std::span<const G1Affine> points,
-                  std::span<const std::uint32_t> dense_idx,
-                  const std::int32_t *digits, std::size_t stride,
-                  std::size_t num_buckets, WindowAcc &acc)
-{
-    std::vector<G1Jacobian> buckets(num_buckets, G1Jacobian::identity());
-    for (std::uint32_t i : dense_idx) {
-        const std::int32_t d = digits[std::size_t(i) * stride];
-        if (d == 0)
-            continue;
-        const std::size_t b = std::size_t(d < 0 ? -d : d) - 1;
-        buckets[b] = d > 0 ? buckets[b].addMixed(points[i])
-                           : buckets[b].addMixed(negAffine(points[i]));
-        ++acc.pointAdds;
-    }
-    // Suffix-sum aggregation: Sum_d d * bucket[d] with 2(B-1) adds.
-    G1Jacobian running = G1Jacobian::identity();
-    G1Jacobian sum = G1Jacobian::identity();
-    for (std::size_t b = num_buckets; b-- > 0;) {
-        running = running.add(buckets[b]);
-        sum = sum.add(running);
-        acc.pointAdds += 2;
-    }
-    return sum;
-}
-
-/**
- * Batched-affine bucket accumulation for `num_win` consecutive windows
- * across the selected columns (cols[jj] indexes the digit row; columns
- * below the batch-affine floor take the Jacobian path instead so each
- * column's representation matches its solo run): one pass over the digit
- * slabs scatters each point's 4-byte encoded reference (index + negation
- * bit for negative digits) into its (window, column, bucket) segment, one
- * segmented batched-affine reduction sums every bucket of every selected
- * (window, column) — reading the shared point array through the references
- * and amortizing each round's single true inversion over all
- * num_win * |cols| * B buckets — and aggregateBuckets turns each
- * (window, column) chain of affine bucket sums into its window sum, in
- * tiles that run side by side on the IFMA lanes.
+ * Bucket accumulation + aggregation for `num_win` consecutive windows
+ * across all k columns, the one bucket path of every MSM: one pass over
+ * the digit slabs scatters each point's 4-byte encoded reference (index +
+ * negation bit for negative digits) into its (window, column, bucket)
+ * segment, one segmented batched-affine reduction sums every bucket of
+ * every (window, column) — reading the shared point array through the
+ * references and amortizing each round's single true inversion over all
+ * num_win * k * B buckets — and aggregateBuckets turns each (window,
+ * column) chain of affine bucket sums into its window sum, in tiles that
+ * run side by side on the IFMA lanes. Bucket sums are affine, hence
+ * canonical, so a column's window sums do not depend on the other columns
+ * of its batch.
  *
  * Per staged pair in one-thread GLV MSMs at 2^12..2^16 on an IFMA host,
  * the whole call costs 198-281 ns (EXPERIMENTS.md, "Fused finish and tiled
@@ -177,7 +131,6 @@ windowSumBatchAffine(std::span<const G1Affine> points,
                      std::span<const std::uint32_t> dense_idx,
                      const std::int32_t *digits, std::size_t stride,
                      std::size_t num_win, std::size_t k,
-                     std::span<const std::uint32_t> cols,
                      std::size_t num_buckets, G1Jacobian *sums_out,
                      WindowAcc &acc)
 {
@@ -185,8 +138,7 @@ windowSumBatchAffine(std::span<const G1Affine> points,
     thread_local std::vector<G1Affine> bucket_sums;
     thread_local BatchAffineScratch scratch;
 
-    const std::size_t kk = cols.size();
-    const std::size_t win_buckets = kk * num_buckets;
+    const std::size_t win_buckets = k * num_buckets;
     const std::size_t total_buckets = num_win * win_buckets;
     // Same >4x-the-current-job release rule as enc below, applied to the
     // bucket-count-sized buffers too: a combined sparse call can have far
@@ -207,10 +159,10 @@ windowSumBatchAffine(std::span<const G1Affine> points,
         std::uint32_t *woff = off.data() + w * win_buckets;
         for (std::uint32_t i : dense_idx) {
             const std::int32_t *row = wdig + std::size_t(i) * k;
-            for (std::size_t jj = 0; jj < kk; ++jj) {
-                const std::int32_t d = row[cols[jj]];
+            for (std::size_t j = 0; j < k; ++j) {
+                const std::int32_t d = row[j];
                 if (d != 0)
-                    ++woff[jj * num_buckets + std::size_t(d < 0 ? -d : d)];
+                    ++woff[j * num_buckets + std::size_t(d < 0 ? -d : d)];
             }
         }
     }
@@ -229,12 +181,12 @@ windowSumBatchAffine(std::span<const G1Affine> points,
         std::uint32_t *wcur = cur.data() + w * win_buckets;
         for (std::uint32_t i : dense_idx) {
             const std::int32_t *row = wdig + std::size_t(i) * k;
-            for (std::size_t jj = 0; jj < kk; ++jj) {
-                const std::int32_t d = row[cols[jj]];
+            for (std::size_t j = 0; j < k; ++j) {
+                const std::int32_t d = row[j];
                 if (d == 0)
                     continue;
                 const std::size_t b =
-                    jj * num_buckets + std::size_t(d < 0 ? -d : d) - 1;
+                    j * num_buckets + std::size_t(d < 0 ? -d : d) - 1;
                 enc[wcur[b]++] = (i << 1) | std::uint32_t(d < 0);
             }
         }
@@ -244,14 +196,11 @@ windowSumBatchAffine(std::span<const G1Affine> points,
     batchAffineSegmentSumsIndexed(
         points, std::span<const std::uint32_t>(enc.data(), off[total_buckets]),
         off, bucket_sums, scratch, &acc);
-    for (std::size_t w = 0; w < num_win; ++w)
-        for (std::size_t jj = 0; jj < kk; ++jj)
-            sums_out[w * k + cols[jj]] = aggregateBuckets(
-                std::span<const G1Affine>(bucket_sums.data() +
-                                              w * win_buckets +
-                                              jj * num_buckets,
-                                          num_buckets),
-                &acc);
+    for (std::size_t s = 0; s < num_win * k; ++s)
+        sums_out[s] = aggregateBuckets(
+            std::span<const G1Affine>(bucket_sums.data() + s * num_buckets,
+                                      num_buckets),
+            &acc);
 }
 
 } // namespace
@@ -283,7 +232,7 @@ msmBatch(std::span<const std::span<const Fr>> cols,
 MsmAccumulator::MsmAccumulator(std::size_t total_points, std::size_t num_cols,
                                const MsmOptions &opts, MsmStats *stats,
                                std::size_t chunk_hint)
-    : opts_(opts), stats_(stats), totalN_(total_points), k_(num_cols)
+    : stats_(stats), totalN_(total_points), k_(num_cols)
 {
     assert(total_points > 0 && num_cols > 0);
     // Structural choices (GLV split, window width) are fixed from the TOTAL
@@ -295,16 +244,14 @@ MsmAccumulator::MsmAccumulator(std::size_t total_points, std::size_t num_cols,
     // pass halves. It degrades transparently if the parameter self-checks
     // fail or the op-count model says the split loses at this size (the
     // window cap makes plain slicing cheaper past ~2^20 points).
-    useGlv_ = opts.glv && glv::available() &&
-              msmGlvProfitable(total_points, opts.batchAffine);
+    useGlv_ = opts.glv && glv::available() && msmGlvProfitable(total_points);
     scalarBits_ = useGlv_ ? glv::kHalfBits : Fr::modulusBits();
     const std::size_t n_ext = useGlv_ ? 2 * total_points : total_points;
     const std::size_t num_chunks =
         chunk_hint != 0 ? (total_points + chunk_hint - 1) / chunk_hint : 1;
     c_ = opts.windowBits;
     if (c_ == 0)
-        c_ = pippengerAutoWindowSignedBits(n_ext, scalarBits_,
-                                           opts.batchAffine, num_chunks);
+        c_ = pippengerAutoWindowSignedBits(n_ext, scalarBits_, num_chunks);
     assert(c_ >= 1 && c_ <= 16);
     numWindows_ = signedDigitWindows(scalarBits_, c_);
     numBuckets_ = std::size_t(1) << (c_ - 1);
@@ -378,7 +325,6 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     // thread count; chunks arrive in index order, so that is the global
     // order. A point enters the shared walk list if ANY column is dense
     // there.
-    std::vector<std::size_t> col_dense(k, 0);
     denseOrig_.clear();
     denseOrig_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -398,9 +344,6 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
                 break;
             default:
                 any_dense = true;
-                // The batch-affine floor compares bucket-add entries, of
-                // which a GLV-split scalar contributes two.
-                col_dense[j] += use_glv ? 2 : 1;
                 if (stats_)
                     ++stats_->denseScalars;
                 break;
@@ -440,20 +383,8 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     // Phase 2: bucket accumulation + per-window aggregation, windows in
     // parallel. Each window's sums are computed by exactly the serial
     // per-window sequence and per-window stats are summed in window order,
-    // so results and counts are thread-count independent. Path selection
-    // is per COLUMN on the column's own dense count, so a sparse column
-    // inside a dense batch takes exactly the path (and so produces exactly
-    // the Jacobian representation) its solo run would; the batched-affine
-    // path pays one true inversion per reduction round, which only
-    // amortizes over enough dense points.
+    // so results and counts are thread-count independent.
     t0 = Clock::now();
-    std::vector<std::uint32_t> ba_cols, jac_cols;
-    for (std::size_t j = 0; j < k; ++j) {
-        if (opts_.batchAffine && col_dense[j] >= opts_.batchAffineMinPoints)
-            ba_cols.push_back(std::uint32_t(j));
-        else
-            jac_cols.push_back(std::uint32_t(j));
-    }
     // The first chunk's window sums are stored in place; a later chunk's
     // are summed into them below. Window sums are linear in the buckets and
     // buckets are additive across chunks, so summing per-chunk aggregates
@@ -463,10 +394,13 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     std::vector<G1Jacobian> &sums = first_chunk ? windowSums_ : chunkSums_;
     std::vector<WindowAcc> wacc(num_windows);
     const std::size_t num_buckets = numBuckets_;
-    // Below ~256 dense points the per-window work is microseconds and pool
-    // dispatch would dominate (mKZG's opening loop issues many shrinking
-    // MSMs down to n = 1), so run the window loop inline.
-    rt::ScopedThreads serialSmall(dense_idx.size() < 256 ? 1u : 0u);
+    // Below 512 dense entries (a GLV-split scalar contributes two) the
+    // per-window work is microseconds and pool dispatch would dominate
+    // (mKZG's opening loop issues many shrinking MSMs down to n = 1), so
+    // run inline, which also takes the round-synchronized path below: a
+    // per-window reduction would pay one true inversion per window per
+    // round, the larger cost at these sizes.
+    rt::ScopedThreads serialSmall(dense_idx.size() < 512 ? 1u : 0u);
     // Serial path: round-synchronize the batch inversion across windows by
     // reducing every window in ONE segmented batched-affine call — each
     // pairwise round then pays a single true inversion instead of one per
@@ -478,31 +412,20 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     // independently (which is also what the parallel path needs).
     constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
     const bool combine_windows =
-        !ba_cols.empty() && num_windows > 1 && rt::currentThreads() <= 1 &&
-        num_windows * dense_idx.size() * ba_cols.size() <=
-            kCombineMaxEntries;
+        num_windows > 1 && rt::currentThreads() <= 1 &&
+        num_windows * dense_idx.size() * k <= kCombineMaxEntries;
     if (combine_windows) {
         windowSumBatchAffine(walk_points, dense_idx, digits_.data(), stride,
-                             num_windows, k, ba_cols, num_buckets,
-                             sums.data(), wacc[0]);
-        for (std::size_t w = 0; w < num_windows && !jac_cols.empty(); ++w)
-            for (std::uint32_t j : jac_cols)
-                sums[w * k + j] = windowSumJacobian(
-                    walk_points, dense_idx, digits_.data() + w * stride + j,
-                    k, num_buckets, wacc[w]);
+                             num_windows, k, num_buckets, sums.data(),
+                             wacc[0]);
     } else {
         rt::parallelFor(
             0, num_windows,
             [&](std::size_t w) {
-                const std::int32_t *wdig = digits_.data() + w * stride;
-                if (!ba_cols.empty())
-                    windowSumBatchAffine(walk_points, dense_idx, wdig,
-                                         stride, /*num_win=*/1, k, ba_cols,
-                                         num_buckets, &sums[w * k], wacc[w]);
-                for (std::uint32_t j : jac_cols)
-                    sums[w * k + j] = windowSumJacobian(
-                        walk_points, dense_idx, wdig + j, k, num_buckets,
-                        wacc[w]);
+                windowSumBatchAffine(walk_points, dense_idx,
+                                     digits_.data() + w * stride, stride,
+                                     /*num_win=*/1, k, num_buckets,
+                                     &sums[w * k], wacc[w]);
             },
             /*grain=*/1);
     }

@@ -29,7 +29,9 @@ namespace zkphire::ec {
 
 /** Operation counts and phase timings gathered while running an MSM. */
 struct MsmStats {
-    std::uint64_t pointAdds = 0;   ///< Jacobian bucket/aggregation additions.
+    std::uint64_t pointAdds = 0;   ///< Jacobian additions: {1}-scalar adds,
+                                   ///< bucket aggregation, window fold,
+                                   ///< chunk merges.
     std::uint64_t pointDoubles = 0;///< Window-combining doublings.
     std::uint64_t trivialScalars = 0; ///< Scalars in {0, 1} skipped/fast-pathed.
     std::uint64_t denseScalars = 0;   ///< Full-width scalars.
@@ -49,8 +51,6 @@ struct MsmStats {
 struct MsmOptions {
     /** Bucket window size c; 0 selects automatically. */
     unsigned windowBits = 0;
-    /** Batched-affine bucket accumulation instead of Jacobian buckets. */
-    bool batchAffine = true;
     /**
      * GLV endomorphism splitting: every scalar is
      * decomposed as k1 + lambda*k2 with ~128-bit halves (src/ec/glv.hpp)
@@ -61,13 +61,6 @@ struct MsmOptions {
      * msmGlvProfitable says plain slicing is cheaper at this size.
      */
     bool glv = true;
-    /**
-     * Dense-point floor below which batchAffine falls back to Jacobian
-     * buckets: each reduction round pays one true field inversion per
-     * window, which only amortizes over enough points. 0 forces
-     * batched-affine at any size (tests).
-     */
-    std::size_t batchAffineMinPoints = 512;
 };
 
 namespace detail {
@@ -148,12 +141,12 @@ std::vector<G1Jacobian> msmBatch(std::span<const std::span<const Fr>> cols,
  * at 2^12..2^16 a staged pair (classify, inversion share and the fused
  * finish) measured 165-214 ns with IFMA against 410-510 ns on the scalar
  * ADX multiplier (EXPERIMENTS.md, "Fused finish and tiled aggregation").
- * The suffix-sum aggregation runs in eight tiles
- * on the IFMA lanes at 0.35-0.45 us per bucket against 1.7-2.2 us
- * serial, while the bucket adds of the Jacobian path stay scalar. So
- * these are relative prices for the argmin, not a time model. They stay
- * as they are: changing them moves the chosen window and with it every
- * ec.* op count.
+ * The suffix-sum aggregation runs in eight tiles on the IFMA lanes at
+ * 0.35-0.45 us per bucket against 1.7-2.2 us serial. kMixedAdd and
+ * kFullAdd price that aggregation, the {1}-scalar adds and nothing else:
+ * every bucket add is batched-affine. So these are relative prices for
+ * the argmin, not a time model. They stay as they are: changing them
+ * moves the chosen window and with it every ec.* op count.
  */
 namespace msm_cost {
 /** Batched-affine pair addition: 2M + 1S, plus the 3 M of the amortized
@@ -171,17 +164,14 @@ inline constexpr double kDouble = 8.0;
 
 /**
  * Automatic window size for signed-digit slicing: argmin of the add-count
- * model with 2^(c-1) buckets, priced for batched-affine or Jacobian
- * bucket adds per the flag (Jacobian adds are dearer, so the optimum sits
- * ~1 bit narrower). scalar_bits is the recoded width: the GLV path
- * optimizes over (2n points, glv::kHalfBits-bit halves) instead of
- * (n, Fr::modulusBits()). A streamed MSM aggregates its buckets once per
- * chunk, so the aggregation term scales with num_chunks (1 for one-shot
- * calls). Shared with sim::CpuModel::msmFieldMuls so kernel and cost model
- * pick identical c.
+ * model with 2^(c-1) buckets and batched-affine bucket adds. scalar_bits
+ * is the recoded width: the GLV path optimizes over (2n points,
+ * glv::kHalfBits-bit halves) instead of (n, Fr::modulusBits()). A
+ * streamed MSM aggregates its buckets once per chunk, so the aggregation
+ * term scales with num_chunks (1 for one-shot calls). Shared with
+ * sim::CpuModel::msmFieldMuls so kernel and cost model pick identical c.
  */
 unsigned pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
-                                       bool batch_affine = true,
                                        std::size_t num_chunks = 1);
 
 /**
@@ -192,7 +182,7 @@ unsigned pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
  * sim::CpuModel::msmFieldMuls mirrors it, so model and kernel always pick
  * the same structure.
  */
-bool msmGlvProfitable(std::size_t n, bool batch_affine = true);
+bool msmGlvProfitable(std::size_t n);
 
 /**
  * Multi-column Pippenger accumulator: the one MSM implementation. One-shot
@@ -200,8 +190,8 @@ bool msmGlvProfitable(std::size_t n, bool batch_affine = true);
  * feed tables too big to materialize one chunk at a time. Construction
  * fixes the window structure from the TOTAL point count (so per-point work
  * matches the one-shot run); each add() recodes one chunk of scalars into
- * a chunk-sized digit slab, accumulates its buckets (batched-affine where
- * profitable), and suffix-sums them into per-(window, column) sums. The
+ * a chunk-sized digit slab, accumulates its buckets by batched-affine
+ * reduction, and suffix-sums them into per-(window, column) sums. The
  * first chunk's sums are stored; later chunks' are added in — bucket
  * weights are linear, so per-chunk aggregation sums to exactly the
  * whole-run aggregate. Peak memory is O(chunk * num_windows) for the digit
@@ -238,7 +228,6 @@ class MsmAccumulator
     std::vector<G1Jacobian> finalize();
 
   private:
-    MsmOptions opts_;
     MsmStats *stats_;
     std::size_t totalN_;
     std::size_t k_;

@@ -235,16 +235,6 @@ batchInverseSerialInto(std::span<const F> xs, std::vector<F> &out)
     detail::batchInverseSerial(xs, std::span<F>(out.data(), xs.size()));
 }
 
-/** Batched inversion returning a new vector. */
-template <class F>
-std::vector<F>
-batchInverse(std::span<const F> xs)
-{
-    std::vector<F> out(xs.begin(), xs.end());
-    batchInverseInPlace(std::span<F>(out));
-    return out;
-}
-
 } // namespace zkphire::ff
 
 #endif // ZKPHIRE_FF_BATCH_INVERSE_HPP

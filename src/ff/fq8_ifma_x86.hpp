@@ -3,8 +3,9 @@
  * Eight Fq elements in AVX-512 IFMA registers: the radix-2^52 lane layout
  * and its arithmetic, shared by the batched Fq kernels
  * (ff/mul_ifma_x86.cpp) and the point kernels of the MSM bucket rounds
- * (ec/bucket_ifma_x86.cpp). Private to those files: include it only from
- * a .cpp whose callers dispatch on ff::kernels::ifmaSelected().
+ * (ec/bucket_ifma_x86.cpp). Private to those files and their tests:
+ * include it only from a .cpp whose callers dispatch on
+ * ff::kernels::ifmaSelected() or skip hosts without IFMA.
  *
  * Each of the eight SIMD lanes holds one field element in radix 2^52
  * (eight limbs, the top one 17 bits wide), always canonical: every

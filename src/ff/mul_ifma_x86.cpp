@@ -22,21 +22,6 @@ using ifma::montMul8;
 using ifma::ones;
 using ifma::scatter8;
 
-__attribute__((target("avx512f,avx512ifma"))) void
-mulVecFqIfma(Fq *dst, const Fq *a, const Fq *b, std::size_t n)
-{
-    const __m512i idx = consecutive();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        scatter8(dst + i, idx,
-                 montMul8(gather8(a + i, idx), gather8(b + i, idx)));
-    if (i < n) {
-        const __mmask8 m = firstLanes(n - i);
-        scatter8(dst + i, idx,
-                 montMul8(gather8(a + i, idx, m), gather8(b + i, idx, m)), m);
-    }
-}
-
 /**
  * The laned Montgomery trick of batchInverseSerial with its lanes in SIMD
  * lanes: 16 lanes in two vector chains of eight, each lane owning a

@@ -1,13 +1,11 @@
 /**
  * @file
  * AVX-512 IFMA batched Fq kernels: eight Montgomery products at once on
- * vpmadd52luq/vpmadd52huq, for the two batched Fq primitives: the laned
- * batch inversion (ff::detail::batchInverseSerial<Fq>), which the MSM
- * bucket rounds and the batched affine normalizations of commitments and
- * SRS level builds run on, and element-wise ff::mulVec<Fq>. The bucket
- * rounds' other multiplies run in the fused point kernels of
- * ec/bucket_ifma_x86.hpp, so mulVec<Fq> has no prover caller left; the
- * benchmark's ff.fq_mul_ns prices it.
+ * vpmadd52luq/vpmadd52huq, for the laned batch inversion
+ * (ff::detail::batchInverseSerial<Fq>), which the MSM bucket rounds and
+ * the batched affine normalizations of commitments and SRS level builds
+ * run on. The bucket rounds' other multiplies run in the fused point
+ * kernels of ec/bucket_ifma_x86.hpp on the same lane arithmetic.
  *
  * Each of the eight SIMD lanes holds one field element in radix 2^52
  * (eight limbs, the top one 17 bits wide). The multiplier keeps R = 2^384,
@@ -21,11 +19,12 @@
  * layout and its arithmetic are in the private ff/fq8_ifma_x86.hpp,
  * which the point kernels of ec/bucket_ifma_x86.hpp share.
  *
- * Selection: PrimeField dispatch never calls these directly. mulVec<Fq>
- * and batchInverseSerial<Fq> take them when ifmaSelected() holds — the
- * generic oracle off, the ZKPHIRE_ASM switch on, and a host that passes
- * cpuSupportsIfma() (ff/mul_asm_x86.hpp). Everything else, and every
- * scalar Fq operation, stays on the scalar kernels.
+ * Selection: PrimeField dispatch never calls the kernel directly.
+ * batchInverseSerial<Fq> takes it, and the bucket rounds take their point
+ * kernels, when ifmaSelected() holds — the generic oracle off, the
+ * ZKPHIRE_ASM switch on, and a host that passes cpuSupportsIfma()
+ * (ff/mul_asm_x86.hpp). Everything else, ff::mulVec<Fq> and every scalar
+ * Fq operation included, stays on the scalar kernels.
  */
 #ifndef ZKPHIRE_FF_MUL_IFMA_X86_HPP
 #define ZKPHIRE_FF_MUL_IFMA_X86_HPP
@@ -45,10 +44,6 @@ ifmaSelected()
 }
 
 #if ZKPHIRE_HAVE_X86_IFMA
-
-/** dst[i] = a[i] * b[i] for i < n. dst may alias a or b. @pre the host
- *  passes cpuSupportsIfma(). */
-void mulVecFqIfma(Fq *dst, const Fq *a, const Fq *b, std::size_t n);
 
 /** out[i] = xs[i]^{-1} for i < n, with one true inversion; out must not
  *  alias xs and holds the prefix products in between, so the kernel needs

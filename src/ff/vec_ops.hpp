@@ -18,22 +18,16 @@
  *  - addVec:    acc[i] += v[i]. acc must not alias v.
  *  - addMulVec: acc[i] += c * v[i] (fused multiply-accumulate span). acc
  *               must not alias v.
- *  - sumVec:    returns v[0] + ... + v[n-1] in index order.
  *
  * All results are canonical field elements, so every helper is
- * bit-identical to the equivalent per-element loop. mulVec<Fq> runs eight
- * products at once on the AVX-512 IFMA kernel where the host has it and
- * kernels::ifmaSelected() holds (ff/mul_ifma_x86.hpp); every other
- * helper and field runs the scalar kernels element by element.
+ * bit-identical to the equivalent per-element loop. Every helper runs the
+ * scalar kernels element by element, in both fields.
  */
 #ifndef ZKPHIRE_FF_VEC_OPS_HPP
 #define ZKPHIRE_FF_VEC_OPS_HPP
 
 #include <cstddef>
 #include <span>
-#include <type_traits>
-
-#include "ff/mul_ifma_x86.hpp"
 
 namespace zkphire::ff {
 
@@ -41,14 +35,6 @@ template <class F>
 inline void
 mulVec(F *dst, const F *a, const F *b, std::size_t n)
 {
-#if ZKPHIRE_HAVE_X86_IFMA
-    if constexpr (std::is_same_v<F, Fq>) {
-        if (kernels::ifmaSelected()) {
-            kernels::mulVecFqIfma(dst, a, b, n);
-            return;
-        }
-    }
-#endif
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = a[i] * b[i];
 }
@@ -82,16 +68,6 @@ addMulVec(F *acc, const F &c, const F *v, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         acc[i] += c * v[i];
-}
-
-template <class F>
-inline F
-sumVec(const F *v, std::size_t n)
-{
-    F s = F::zero();
-    for (std::size_t i = 0; i < n; ++i)
-        s += v[i];
-    return s;
 }
 
 } // namespace zkphire::ff

@@ -49,9 +49,9 @@ CpuModel::sumcheckMs(const PolyShape &shape, unsigned mu) const
 double
 CpuModel::msmFieldMuls(const MsmWorkload &wl)
 {
-    // Mirrors ec::MsmAccumulator since the PR 4/5/7 overhauls:
-    // signed-digit recoding (2^(c-1) buckets), batched-affine bucket
-    // accumulation for dense scalars, the trivial-scalar fast path (zeros
+    // Mirrors ec::MsmAccumulator: signed-digit recoding (2^(c-1)
+    // buckets), batched-affine bucket accumulation for dense scalars at
+    // every size (its one bucket path), the trivial-scalar fast path (zeros
     // skipped, ones one mixed add), a per-bucket mixed + full Jacobian
     // aggregation pair in the suffix sum, and — where the kernel's own
     // profitability rule enables it — the GLV split (half-width digits
@@ -61,13 +61,12 @@ CpuModel::msmFieldMuls(const MsmWorkload &wl)
     // counts and any future retune of either.
     const double n = wl.numPoints;
     const std::size_t ni = std::size_t(std::max(0.0, n));
-    const bool glv =
-        ec::glv::available() && ec::msmGlvProfitable(ni, /*batch_affine=*/true);
+    const bool glv = ec::glv::available() && ec::msmGlvProfitable(ni);
     const std::size_t scalar_bits =
         glv ? ec::glv::kHalfBits : ff::Fr::modulusBits();
     const double n_ext = glv ? 2.0 * n : n;
-    const unsigned c = ec::pippengerAutoWindowSignedBits(
-        glv ? 2 * ni : ni, scalar_bits, /*batch_affine=*/true);
+    const unsigned c =
+        ec::pippengerAutoWindowSignedBits(glv ? 2 * ni : ni, scalar_bits);
     const double windows = double(ec::signedDigitWindows(scalar_bits, c));
     const double buckets = double(std::size_t(1) << (c - 1));
     const double dense_muls =

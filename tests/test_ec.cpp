@@ -428,32 +428,31 @@ TEST(Msm, ModesAgreeWithNaive)
     }
     G1Jacobian expect = msmNaive(scalars, points);
 
-    MsmOptions signed_jac{.batchAffine = false};
-    MsmOptions signed_ba{.batchAffine = true, .batchAffineMinPoints = 0};
-    for (unsigned c : {0u, 4u, 9u}) {
-        signed_jac.windowBits = signed_ba.windowBits = c;
-        EXPECT_EQ(msmPippenger(scalars, points, signed_jac), expect);
-        EXPECT_EQ(msmPippenger(scalars, points, signed_ba), expect);
-    }
+    for (unsigned c : {0u, 4u, 9u})
+        EXPECT_EQ(msmPippenger(scalars, points, {.windowBits = c}), expect)
+            << "c = " << c;
 }
 
 TEST(Msm, BatchAffineCountsAffineAdds)
 {
+    // Every size takes batched-affine buckets, the small MSMs of mKZG
+    // opening chains (n = 200) as well as the large ones.
     Rng rng(83);
-    const std::size_t n = 600; // above the default batch-affine floor
-    std::vector<Fr> scalars;
-    std::vector<G1Affine> points;
-    G1Affine base = randomG1(rng);
-    for (std::size_t i = 0; i < n; ++i) {
-        scalars.push_back(Fr::random(rng) + Fr::fromU64(2));
-        points.push_back(i % 8 == 0 ? randomG1(rng) : base);
+    for (const std::size_t n : {std::size_t(200), std::size_t(600)}) {
+        std::vector<Fr> scalars;
+        std::vector<G1Affine> points;
+        G1Affine base = randomG1(rng);
+        for (std::size_t i = 0; i < n; ++i) {
+            scalars.push_back(Fr::random(rng) + Fr::fromU64(2));
+            points.push_back(i % 8 == 0 ? randomG1(rng) : base);
+        }
+        MsmStats stats;
+        G1Jacobian got = msmPippenger(scalars, points, {}, &stats);
+        EXPECT_EQ(got, msmNaive(scalars, points)) << "n = " << n;
+        EXPECT_GT(stats.affineAdds, 0u) << "n = " << n;
+        EXPECT_GT(stats.batchInversions, 0u) << "n = " << n;
+        EXPECT_EQ(stats.denseScalars, n);
     }
-    MsmStats stats;
-    G1Jacobian got = msmPippenger(scalars, points, {}, &stats);
-    EXPECT_EQ(got, msmNaive(scalars, points));
-    EXPECT_GT(stats.affineAdds, 0u);
-    EXPECT_GT(stats.batchInversions, 0u);
-    EXPECT_EQ(stats.denseScalars, n);
 }
 
 TEST(Msm, BatchMatchesIndependentColumns)
@@ -477,30 +476,27 @@ TEST(Msm, BatchMatchesIndependentColumns)
     }
     std::vector<std::span<const Fr>> spans(cols.begin(), cols.end());
 
-    for (const MsmOptions &opts :
-         {MsmOptions{}, MsmOptions{.batchAffineMinPoints = 0}}) {
-        auto batch = msmBatch(spans, points, opts);
-        ASSERT_EQ(batch.size(), cols.size());
-        for (std::size_t j = 0; j < cols.size(); ++j) {
-            G1Jacobian solo = msmPippenger(cols[j], points, opts);
-            // Bit-identical, not just equal as curve points: a batch run
-            // must replay each column's exact serial operation sequence.
-            EXPECT_EQ(batch[j].X, solo.X) << "col " << j;
-            EXPECT_EQ(batch[j].Y, solo.Y) << "col " << j;
-            EXPECT_EQ(batch[j].Z, solo.Z) << "col " << j;
-        }
+    auto batch = msmBatch(spans, points);
+    ASSERT_EQ(batch.size(), cols.size());
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+        G1Jacobian solo = msmPippenger(cols[j], points);
+        // Bit-identical, not just equal as curve points: a batch run
+        // must replay each column's exact serial operation sequence.
+        EXPECT_EQ(batch[j].X, solo.X) << "col " << j;
+        EXPECT_EQ(batch[j].Y, solo.Y) << "col " << j;
+        EXPECT_EQ(batch[j].Z, solo.Z) << "col " << j;
     }
 }
 
 TEST(Msm, BatchSparseColumnKeepsSoloPath)
 {
-    // A sparse column batched alongside dense ones must take the same
-    // bucket path (Jacobian, below the batch-affine floor) its solo run
-    // takes — the per-column gate, not the union of dense indices,
-    // decides — so results stay bit-identical to independent runs even
-    // when the batch as a whole is large.
+    // A sparse column batched alongside dense ones walks the union of
+    // the batch's dense indices, shares its batch inversions, and has its
+    // windows reduced one at a time where its solo run reduces them all
+    // in one call. Its bucket sums are affine, hence canonical, so its
+    // result stays bit-identical to an independent run.
     Rng rng(87);
-    const std::size_t n = 700; // dense cols above the default floor of 512
+    const std::size_t n = 700;
     std::vector<G1Affine> points;
     G1Affine base = randomG1(rng);
     for (std::size_t i = 0; i < n; ++i)
@@ -510,14 +506,14 @@ TEST(Msm, BatchSparseColumnKeepsSoloPath)
     for (std::size_t i = 0; i < n; ++i) {
         cols[0][i] = Fr::random(rng);
         cols[1][i] = Fr::random(rng);
-        // ~40 dense entries: far below the floor on its own.
+        // ~44 dense entries: inline and round-synchronized on its own.
         cols[2][i] = i % 16 == 3 ? Fr::random(rng) : Fr::zero();
     }
     std::vector<std::span<const Fr>> spans(cols.begin(), cols.end());
     auto batch = msmBatch(spans, points);
     MsmStats stats;
     msmBatch(spans, points, MsmOptions{}, &stats);
-    EXPECT_GT(stats.affineAdds, 0u); // dense columns did use batch-affine
+    EXPECT_GT(stats.affineAdds, 0u);
     for (std::size_t j = 0; j < cols.size(); ++j) {
         G1Jacobian solo = msmPippenger(cols[j], points);
         EXPECT_EQ(batch[j].X, solo.X) << "col " << j;
@@ -540,15 +536,13 @@ TEST(Msm, BatchEdgeCases)
     std::vector<G1Affine> one_point = {randomG1(rng)};
     cols = {one_col};
     EXPECT_EQ(msmBatch(cols, one_point)[0], msmNaive(one_col, one_point));
-    // All-identity points, forced batched-affine.
+    // All-identity points.
     std::vector<Fr> scalars;
     std::vector<G1Affine> inf_points(40, G1Affine{});
     for (int i = 0; i < 40; ++i)
         scalars.push_back(Fr::random(rng));
     cols = {scalars};
-    EXPECT_TRUE(
-        msmBatch(cols, inf_points, MsmOptions{.batchAffineMinPoints = 0})[0]
-            .isIdentity());
+    EXPECT_TRUE(msmBatch(cols, inf_points)[0].isIdentity());
 }
 
 TEST(Msm, ParallelMatchesSerial)
@@ -798,10 +792,9 @@ TEST(Msm, AllPointsEqualWideWindowMatchesNaive)
         scalars.push_back(Fr::random(rng));
     const G1Jacobian want = msmNaive(scalars, points);
     for (const unsigned c : {7u, 8u, 11u}) {
-        const MsmOptions opts{.windowBits = c, .batchAffineMinPoints = 0};
+        const MsmOptions opts{.windowBits = c};
         EXPECT_EQ(msmPippenger(scalars, points, opts), want) << "c = " << c;
-        const MsmOptions no_glv{
-            .windowBits = c, .glv = false, .batchAffineMinPoints = 0};
+        const MsmOptions no_glv{.windowBits = c, .glv = false};
         EXPECT_EQ(msmPippenger(scalars, points, no_glv), want)
             << "c = " << c << ", no GLV";
     }

@@ -334,14 +334,26 @@ TEST(ProofServiceLifecycle, SubmitShutdownRaceResolvesEveryFuture)
     // that window and stops at the first ServiceStopping it observes (which
     // arrives moments after ~ProofService sets the flag, while the drain
     // still has the blocker to finish). Every future must resolve.
-    // The blocker proof (tens of ms serial) must dwarf the 2 ms submit
-    // window below — that margin is what keeps the raw-pointer submits
-    // inside the destructor's drain.
-    Fixture blocker = makeFixture(5, true, 911);
+    // The blocker must dwarf the 2 ms submit window below — that margin
+    // is what keeps the raw-pointer submits inside the destructor's
+    // drain. A small proof whose first SumCheck round sleeps 20 ms gives
+    // that margin at any build speed; a large proof would too, but takes
+    // minutes per iteration under TSan.
+    Fixture blocker = makeFixture(4, false, 911);
     engine::ProverContext ctx(sharedSrs(), {.threads = 1});
+    struct DisarmOnExit {
+        DisarmOnExit() = default;
+        DisarmOnExit(const DisarmOnExit &) = delete;
+        DisarmOnExit &operator=(const DisarmOnExit &) = delete;
+        ~DisarmOnExit() { rt::clearFailpoint("sumcheck.round"); }
+    } disarm;
 
     const int iterations = 150;
     for (int it = 0; it < iterations; ++it) {
+        rt::setFailpoint("sumcheck.round",
+                         rt::FailSpec{.kind = rt::FailKind::Sleep,
+                                      .nth = 1,
+                                      .sleepMs = 20});
         auto service =
             std::make_unique<engine::ProofService>(ctx, /*lanes=*/1);
         // Raw handle for the submit loop: the unique_ptr itself belongs to

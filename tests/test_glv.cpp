@@ -136,8 +136,7 @@ TEST(Glv, MulScalarGlvMatchesPlainOracle)
 TEST(Glv, MsmGlvMatchesPlainAndNaive)
 {
     Rng rng(555);
-    // Mixed scalar population: dense, zero, one — over both bucket
-    // pipelines (batched-affine and Jacobian).
+    // Mixed scalar population: dense, zero, one.
     for (std::size_t n : {std::size_t(64), std::size_t(700)}) {
         std::vector<Fr> scalars(n);
         std::vector<G1Affine> points(n);
@@ -148,19 +147,12 @@ TEST(Glv, MsmGlvMatchesPlainAndNaive)
                                   : Fr::random(rng);
             points[i] = randomG1(rng);
         }
-        for (bool batch_affine : {false, true}) {
-            MsmOptions glv_on, glv_off;
-            glv_on.batchAffine = glv_off.batchAffine = batch_affine;
-            glv_on.batchAffineMinPoints = glv_off.batchAffineMinPoints = 0;
-            glv_on.glv = true;
-            glv_off.glv = false;
-            const G1Jacobian a = msmPippenger(scalars, points, glv_on);
-            const G1Jacobian b = msmPippenger(scalars, points, glv_off);
-            EXPECT_EQ(a, b);
-            EXPECT_EQ(a.toAffine(), b.toAffine());
-            if (n <= 64) {
-                EXPECT_EQ(a, msmNaive(scalars, points));
-            }
+        const G1Jacobian a = msmPippenger(scalars, points, {.glv = true});
+        const G1Jacobian b = msmPippenger(scalars, points, {.glv = false});
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(a.toAffine(), b.toAffine());
+        if (n <= 64) {
+            EXPECT_EQ(a, msmNaive(scalars, points));
         }
     }
 }
