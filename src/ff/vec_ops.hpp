@@ -13,8 +13,6 @@
  * Contracts (all spans are element counts, not bytes):
  *  - mulVec:    dst[i] = a[i] * b[i]. dst may alias a or b (element i is
  *               read before it is written).
- *  - sqrVec:    dst[i] = a[i]^2 via the dedicated squaring kernel; dst may
- *               alias a.
  *  - addVec:    acc[i] += v[i]. acc must not alias v.
  *  - addMulVec: acc[i] += c * v[i] (fused multiply-accumulate span). acc
  *               must not alias v.
@@ -44,14 +42,6 @@ inline void
 mulVec(std::span<F> dst, std::span<const F> a, std::span<const F> b)
 {
     mulVec(dst.data(), a.data(), b.data(), dst.size());
-}
-
-template <class F>
-inline void
-sqrVec(F *dst, const F *a, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = a[i].square();
 }
 
 template <class F>

@@ -41,7 +41,7 @@ beginTranscript(GateSystem sys, unsigned mu,
 /**
  * The mu-variable evaluation claims, in canonical order:
  * selectors@z_g, w@z_g, w@z_p, sigma@z_p, phi@z_p.
- * Tables are left empty (the prover splices them in afterwards).
+ * Tables are left empty: the prover passes them to OpenCheck by address.
  */
 inline std::vector<EvalClaim>
 buildClaimsA(unsigned num_selectors, unsigned num_witnesses,

@@ -184,29 +184,30 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
         numSelectorCols(pk.sys), k, z_g, z_p,
         proof.gateZC.sc.finalSlotEvals, proof.wAtZp, proof.sigmaAtZp,
         phi_at_zp);
-    // Splice in the tables in claim order.
-    std::size_t ci = 0;
+    // The claims' tables by address, in claim order; OpenCheck A and the
+    // batch opening both read them, and neither copies them.
+    std::vector<const Mle *> tables_a;
+    tables_a.reserve(claims_a.size());
     for (const Mle &sel : pk.selectors)
-        claims_a[ci++].table = sel;
+        tables_a.push_back(&sel);
     for (const Mle &w : witness)
-        claims_a[ci++].table = w;
+        tables_a.push_back(&w);
     for (const Mle &w : witness)
-        claims_a[ci++].table = w;
+        tables_a.push_back(&w);
     for (const Mle &sig : pk.perm.sigma)
-        claims_a[ci++].table = sig;
-    claims_a[ci++].table = fracs.phi;
-    assert(ci == claims_a.size());
+        tables_a.push_back(&sig);
+    tables_a.push_back(&fracs.phi);
+    assert(tables_a.size() == claims_a.size());
 
-    auto open_a = sumcheck::proveOpen(std::move(claims_a), tr);
+    auto open_a = sumcheck::proveOpen(claims_a, tables_a, tr);
     proof.openA = std::move(open_a.proof);
 
     std::vector<EvalClaim> claims_b = detail::buildClaimsB(
         pk.mu, z_p, proof.permZC.sc.finalSlotEvals[0],
         proof.permZC.sc.finalSlotEvals[1], proof.permZC.sc.finalSlotEvals[2],
         phi_at_zp);
-    for (auto &c : claims_b)
-        c.table = v;
-    auto open_b = sumcheck::proveOpen(std::move(claims_b), tr);
+    const std::vector<const Mle *> tables_b(claims_b.size(), &v);
+    auto open_b = sumcheck::proveOpen(claims_b, tables_b, tr);
     proof.openB = std::move(open_b.proof);
     st.batchEvalMs = msSince(t0);
 
@@ -214,22 +215,11 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     rt::checkCancel();
     t0 = Clock::now();
     Fr rho = tr.challengeFr("rho_a");
-    std::vector<Mle> polys_a;
-    polys_a.reserve(numSelectorCols(pk.sys) + 3 * k + 1);
-    for (const Mle &sel : pk.selectors)
-        polys_a.push_back(sel);
-    for (const Mle &w : witness)
-        polys_a.push_back(w);
-    for (const Mle &w : witness)
-        polys_a.push_back(w);
-    for (const Mle &sig : pk.perm.sigma)
-        polys_a.push_back(sig);
-    polys_a.push_back(fracs.phi);
     // Two independent opening chains (both challenges are already drawn):
     // g over mu variables and v over mu+1. Their quotient bases differ at
     // every level, so they share no MSM.
     proof.pcsA =
-        pcs::batchOpen(srs, polys_a, open_a.challenges, rho, &st.msm);
+        pcs::batchOpen(srs, tables_a, open_a.challenges, rho, &st.msm);
     proof.pcsB = pcs::open(srs, v, open_b.challenges, &st.msm);
     st.openingMs = msSince(t0);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ff/vec_ops.hpp"
 #include "rt/cancel.hpp"
 #include "rt/parallel.hpp"
 
@@ -125,31 +124,34 @@ open(const Srs &srs, const Mle &poly, std::span<const Fr> z,
     OpeningProof proof;
     proof.quotients.reserve(mu);
 
-    // The working copy, quotient buffer, and fold double buffer all come
-    // from the ambient arena (installed by engine::ProverContext), so a
-    // proof stream on one context reuses one set of allocations instead of
-    // reallocating ~2 * 2^mu elements per proof.
-    FrTable t = zkphire::poly::arenaAcquire(poly.size());
-    t.assign(poly.evals());
-    Mle cur(std::move(t));
+    // The quotient buffer and the folded tables come from the ambient arena
+    // (installed by engine::ProverContext), so a proof stream on one
+    // context reuses one set of allocations. The first quotient and the
+    // first fold read poly itself and write half-size tables: no full-size
+    // working copy.
+    Mle cur;
     FrTable q, fold_scratch;
     for (unsigned k = 0; k < mu; ++k) {
         // q_k(X_{k+1}..) = cur(1, X..) - cur(0, X..): adjacent differences,
         // committed over the level's suffix basis.
-        const std::size_t half = cur.size() / 2;
+        const Mle &src = k == 0 ? poly : cur;
+        const std::size_t half = src.size() / 2;
         if (q.capacity() == 0)
             q = zkphire::poly::arenaAcquire(half);
         else
             q.resize(half);
         rt::parallelFor(
             0, half,
-            [&](std::size_t j) { q[j] = cur[2 * j + 1] - cur[2 * j]; },
+            [&](std::size_t j) { q[j] = src[2 * j + 1] - src[2 * j]; },
             /*grain=*/0, /*minGrain=*/1024);
         proof.quotients.push_back(
             ec::msmPippenger(q.span(), bases.suffix[k + 1],
                              ec::currentMsmOptions(), stats)
                 .toAffine());
-        cur.fixFirstVarInPlace(z[k], fold_scratch);
+        if (k == 0)
+            cur = poly.fixFirstVar(z[0]);
+        else
+            cur.fixFirstVarInPlace(z[k], fold_scratch);
     }
     zkphire::poly::arenaRelease(std::move(cur.store()));
     zkphire::poly::arenaRelease(std::move(q));
@@ -180,47 +182,36 @@ verifyOpening(const Srs &srs, const Commitment &c, std::span<const Fr> z,
 }
 
 Mle
-combineForBatchOpen(std::span<const Mle> polys, const Fr &rho)
+combineForBatchOpen(std::span<const Mle *const> polys, const Fr &rho)
 {
     assert(!polys.empty());
-    const unsigned mu = polys[0].numVars();
-    // g = Sum_i rho^i f_i, combined entry-parallel: each chunk walks the
-    // opened polynomials in claim order, so every entry sees the exact
-    // serial accumulation sequence (bit-identical at any thread count)
-    // while the chunks — the per-opening work — run concurrently.
     std::vector<Fr> powers(polys.size());
     Fr coeff = Fr::one();
-    for (std::size_t i = 0; i < polys.size(); ++i) {
-        assert(polys[i].numVars() == mu);
-        powers[i] = coeff;
+    for (Fr &p : powers) {
+        p = coeff;
         coeff *= rho;
     }
-    Mle g(mu);
-    rt::parallelForChunks(
-        0, g.size(),
-        [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = 0; i < polys.size(); ++i) {
-                const Mle &f = polys[i];
-                const Fr c = powers[i];
-                // Fused multiply-accumulate span over the unrolled field
-                // kernels; rho^0 == 1 skips its multiply pass outright
-                // (1 * x is exactly x in canonical Montgomery form).
-                if (c.isOne())
-                    ff::addVec(&g[b], &f[b], e - b);
-                else
-                    ff::addMulVec(&g[b], c, &f[b], e - b);
-            }
-        },
-        /*grain=*/0, /*minGrain=*/1024);
-    return g;
+    return zkphire::poly::linearCombination(polys, powers);
+}
+
+Mle
+combineForBatchOpen(std::span<const Mle> polys, const Fr &rho)
+{
+    std::vector<const Mle *> ptrs;
+    ptrs.reserve(polys.size());
+    for (const Mle &p : polys)
+        ptrs.push_back(&p);
+    return combineForBatchOpen(std::span<const Mle *const>(ptrs), rho);
 }
 
 OpeningProof
-batchOpen(const Srs &srs, std::span<const Mle> polys, std::span<const Fr> z,
-          const Fr &rho, ec::MsmStats *stats)
+batchOpen(const Srs &srs, std::span<const Mle *const> polys,
+          std::span<const Fr> z, const Fr &rho, ec::MsmStats *stats)
 {
     Mle g = combineForBatchOpen(polys, rho);
-    return open(srs, g, z, stats);
+    OpeningProof proof = open(srs, g, z, stats);
+    zkphire::poly::arenaRelease(std::move(g.store()));
+    return proof;
 }
 
 bool

@@ -71,9 +71,13 @@ OpeningProof open(const Srs &srs, const Mle &poly, std::span<const Fr> z,
                   ec::MsmStats *stats = nullptr);
 
 /**
- * The rho-power linear combination Sum_i rho^i f_i that batchOpen opens;
- * exposed so callers can time the combine apart from the opening.
+ * The rho-power linear combination Sum_i rho^i f_i that batchOpen opens,
+ * in an arena table; exposed so callers can time the combine apart from
+ * the opening. A polynomial listed twice (same address) is walked once
+ * with coefficient rho^a + rho^b. The by-value form takes every entry
+ * as a distinct polynomial.
  */
+Mle combineForBatchOpen(std::span<const Mle *const> polys, const Fr &rho);
 Mle combineForBatchOpen(std::span<const Mle> polys, const Fr &rho);
 
 /**
@@ -85,9 +89,10 @@ bool verifyOpening(const Srs &srs, const Commitment &c, std::span<const Fr> z,
 
 /**
  * Batched opening of several polynomials at ONE shared point (the situation
- * after OpenCheck): open Sum_i rho^i f_i with a single proof.
+ * after OpenCheck): open Sum_i rho^i f_i with a single proof. The
+ * polynomials are taken by address, as commitBatch takes them.
  */
-OpeningProof batchOpen(const Srs &srs, std::span<const Mle> polys,
+OpeningProof batchOpen(const Srs &srs, std::span<const Mle *const> polys,
                        std::span<const Fr> z, const Fr &rho,
                        ec::MsmStats *stats = nullptr);
 

@@ -1,7 +1,9 @@
 #include "poly/mle.hpp"
 
+#include <algorithm>
 #include <cassert>
 
+#include "ff/vec_ops.hpp"
 #include "rt/parallel.hpp"
 
 namespace zkphire::poly {
@@ -222,19 +224,38 @@ Mle::swapFolded(FrTable &folded)
 Mle
 Mle::fixFirstVar(const Fr &r) const
 {
-    Mle out = *this;
-    out.fixFirstVarInPlace(r);
-    return out;
+    assert(nVars > 0 && "cannot fold a 0-variable MLE");
+    // Reads this table and writes a half-size arena table: no full-size
+    // working copy. Same per-index formula as the in-place fold.
+    const std::size_t half = vals.size() / 2;
+    FrTable out = arenaAcquire(half);
+    rt::parallelFor(
+        0, half,
+        [&](std::size_t j) {
+            Fr lo = vals[2 * j];
+            Fr hi = vals[2 * j + 1];
+            out[j] = lo + r * (hi - lo);
+        },
+        /*grain=*/0, /*minGrain=*/kParallelThreshold);
+    return Mle(std::move(out));
 }
 
 Fr
 Mle::evaluate(std::span<const Fr> point) const
 {
     assert(point.size() == nVars && "evaluation point dimension mismatch");
-    Mle tmp = *this;
-    for (std::size_t i = 0; i < point.size(); ++i)
-        tmp.fixFirstVarInPlace(point[i]);
-    return tmp.vals[0];
+    if (nVars == 0)
+        return vals[0];
+    // The first fold writes a half-size arena table; the rest fold that one
+    // in place. Both buffers go back to the arena.
+    Mle tmp = fixFirstVar(point[0]);
+    FrTable scratch;
+    for (std::size_t i = 1; i < point.size(); ++i)
+        tmp.fixFirstVarInPlace(point[i], scratch);
+    const Fr out = tmp.vals[0];
+    arenaRelease(std::move(tmp.vals));
+    arenaRelease(std::move(scratch));
+    return out;
 }
 
 Fr
@@ -269,6 +290,51 @@ Mle::sparsity() const
     s.fracZero = double(zeros) / double(vals.size());
     s.fracOne = double(ones) / double(vals.size());
     return s;
+}
+
+Mle
+linearCombination(std::span<const Mle *const> tables,
+                  std::span<const Fr> coeffs)
+{
+    assert(!tables.empty() && tables.size() == coeffs.size());
+    // A table listed more than once is walked once, with its coefficients
+    // summed: exact arithmetic gives the same entries either way.
+    std::vector<const Mle *> uniq;
+    std::vector<Fr> c;
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        assert(tables[i]->size() == tables[0]->size());
+        const auto it = std::find(uniq.begin(), uniq.end(), tables[i]);
+        if (it != uniq.end()) {
+            c[std::size_t(it - uniq.begin())] += coeffs[i];
+        } else {
+            uniq.push_back(tables[i]);
+            c.push_back(coeffs[i]);
+        }
+    }
+    // Entry-parallel: each chunk walks the tables in order, so every entry
+    // sees the serial accumulation sequence at any thread count.
+    Mle out(arenaAcquire(tables[0]->size()));
+    rt::parallelForChunks(
+        0, out.size(),
+        [&](std::size_t b, std::size_t e) {
+            Fr *dst = out.data() + b;
+            const Fr *src = uniq[0]->data() + b;
+            // The first table writes (the arena table holds stale entries);
+            // a unit coefficient skips its multiply (1 * x is exactly x).
+            if (c[0].isOne())
+                std::copy(src, src + (e - b), dst);
+            else
+                for (std::size_t j = 0; j < e - b; ++j)
+                    dst[j] = c[0] * src[j];
+            for (std::size_t t = 1; t < uniq.size(); ++t) {
+                if (c[t].isOne())
+                    ff::addVec(dst, uniq[t]->data() + b, e - b);
+                else
+                    ff::addMulVec(dst, c[t], uniq[t]->data() + b, e - b);
+            }
+        },
+        /*grain=*/0, /*minGrain=*/kParallelThreshold);
+    return out;
 }
 
 Fr

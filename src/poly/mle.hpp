@@ -118,10 +118,11 @@ class Mle
      */
     void swapFolded(FrTable &folded);
 
-    /** Non-destructive MLE Update. */
+    /** Non-destructive MLE Update into a half-size arena table. */
     Mle fixFirstVar(const Fr &r) const;
 
-    /** Full evaluation at an arbitrary point (numVars coordinates). */
+    /** Full evaluation at an arbitrary point (numVars coordinates). Folds
+     *  through half-size arena tables; the table itself is only read. */
     Fr evaluate(std::span<const Fr> point) const;
 
     /** Sum of all table entries (the SumCheck claim for a bare MLE). */
@@ -148,6 +149,14 @@ class Mle
  * pool thread that fills it).
  */
 void eqTableInto(std::span<const Fr> r, FrTable &out);
+
+/**
+ * Sum_i coeffs[i] * tables[i] in an arena table (on the backend the store
+ * policy picks for its size). All tables have one size; a table listed
+ * more than once is walked once with its coefficients summed.
+ */
+Mle linearCombination(std::span<const Mle *const> tables,
+                      std::span<const Fr> coeffs);
 
 /**
  * Evaluate eq(x, y) for two arbitrary points of equal dimension:

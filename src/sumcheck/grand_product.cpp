@@ -1,5 +1,6 @@
 #include "sumcheck/grand_product.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -42,11 +43,15 @@ buildProductTree(const Mle &phi)
     return Mle(std::move(v));
 }
 
+// The slices below land in arena tables: the PermCheck sumcheck that
+// consumes them hands them to the arena when it ends, so they must come
+// from it or the pool grows by three tables a proof.
+
 Mle
 extractPi(const Mle &v)
 {
     const std::size_t n = v.size() / 2;
-    std::vector<Fr> pi(n);
+    poly::FrTable pi = poly::arenaAcquire(n);
     for (std::size_t x = 0; x < n; ++x)
         pi[x] = v[2 * x + 1];
     return Mle(std::move(pi));
@@ -56,7 +61,8 @@ Mle
 extractP1(const Mle &v)
 {
     const std::size_t n = v.size() / 2;
-    std::vector<Fr> p1(v.evals().begin(), v.evals().begin() + n);
+    poly::FrTable p1 = poly::arenaAcquire(n);
+    std::copy(v.data(), v.data() + n, p1.data());
     return Mle(std::move(p1));
 }
 
@@ -64,7 +70,8 @@ Mle
 extractP2(const Mle &v)
 {
     const std::size_t n = v.size() / 2;
-    std::vector<Fr> p2(v.evals().begin() + n, v.evals().end());
+    poly::FrTable p2 = poly::arenaAcquire(n);
+    std::copy(v.data() + n, v.data() + 2 * n, p2.data());
     return Mle(std::move(p2));
 }
 

@@ -93,16 +93,11 @@ roundEvaluations(const VirtualPoly &vp)
 } // namespace
 
 ProverOutput
-prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg)
+proveRounds(VirtualPoly &poly, hash::Transcript &tr)
 {
     const unsigned mu = poly.numVars();
     const std::size_t degree = poly.expr().degree();
     assert(mu > 0 && degree > 0);
-
-    // A default Config inherits the ambient setting (enclosing ScopedConfig
-    // or the runtime default); explicit fields pin both the round
-    // evaluations and the MLE folds.
-    rt::ScopedConfig scope(cfg);
 
     ProverOutput out;
     out.proof.roundEvals.reserve(mu);
@@ -149,6 +144,17 @@ prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg)
             evals = roundEvaluations(poly);
         }
     }
+    return out;
+}
+
+ProverOutput
+prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg)
+{
+    // A default Config inherits the ambient setting (enclosing ScopedConfig
+    // or the runtime default); explicit fields pin both the round
+    // evaluations and the MLE folds.
+    rt::ScopedConfig scope(cfg);
+    ProverOutput out = proveRounds(poly, tr);
 
     // After mu folds each table is a single evaluation at the challenge
     // point; these back the verifier's final check (and, in HyperPlonk, the

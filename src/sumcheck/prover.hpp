@@ -64,6 +64,16 @@ ProverOutput prove(poly::VirtualPoly poly, hash::Transcript &tr,
                    const rt::Config &cfg = {});
 
 /**
+ * The round loop of prove(), under the ambient runtime config: absorbs
+ * sc/num_vars, sc/degree, the claimed sum and every round message, and
+ * folds poly down to one entry per slot. The returned proof has no
+ * finalSlotEvals and sc/final_evals is not appended: prove() appends the
+ * folded slot values, and OpenCheck, which runs a regrouped polynomial,
+ * appends the evaluations of the ungrouped one.
+ */
+ProverOutput proveRounds(poly::VirtualPoly &poly, hash::Transcript &tr);
+
+/**
  * Evaluate the univariate polynomial given by its values at 0..d at point r
  * (Lagrange interpolation on the integer nodes). Shared by prover tests and
  * the verifier's round check.

@@ -457,10 +457,6 @@ TEST(FfKernels, VecOpsMatchScalarLoops)
     ff::mulVec(aliased.data(), aliased.data(), b.data(), n);
     EXPECT_EQ(aliased, expect);
 
-    ff::sqrVec(dst.data(), a.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(dst[i], a[i] * a[i]);
-
     std::vector<Fr> acc(n, Fr::one());
     ff::addVec(acc.data(), a.data(), n);
     for (std::size_t i = 0; i < n; ++i)

@@ -6,9 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include "hash/keccak.hpp"
 #include "hyperplonk/circuit.hpp"
 #include "hyperplonk/permutation.hpp"
 #include "hyperplonk/prover.hpp"
+#include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
 #include "pcs/mkzg.hpp"
 #include "srs_oracle.hpp"
@@ -99,6 +101,13 @@ TEST(Pcs, BatchOpenRoundTrip)
         polys.push_back(Mle::random(mu, rng));
         cs.push_back(pcs::commit(sharedSrs(), polys.back()));
     }
+    // The first polynomial listed twice: one pass, coefficient 1 + rho^3.
+    polys.push_back(polys[0]);
+    cs.push_back(cs[0]);
+    std::vector<const Mle *> ptrs;
+    for (const Mle &p : polys)
+        ptrs.push_back(&p);
+    ptrs.back() = ptrs.front();
     std::vector<Fr> z;
     for (unsigned i = 0; i < mu; ++i)
         z.push_back(Fr::random(rng));
@@ -106,7 +115,9 @@ TEST(Pcs, BatchOpenRoundTrip)
     for (const auto &p : polys)
         values.push_back(p.evaluate(z));
     Fr rho = Fr::fromU64(99);
-    auto proof = pcs::batchOpen(sharedSrs(), polys, z, rho);
+    EXPECT_EQ(pcs::combineForBatchOpen(ptrs, rho),
+              pcs::combineForBatchOpen(polys, rho));
+    auto proof = pcs::batchOpen(sharedSrs(), ptrs, z, rho);
     EXPECT_TRUE(
         pcs::verifyBatchOpening(sharedSrs(), cs, z, values, rho, proof));
     values[1] += Fr::one();
@@ -334,4 +345,37 @@ TEST(HyperPlonk, DeterministicProofs)
     EXPECT_EQ(p1.gateZC.sc.claimedSum, p2.gateZC.sc.claimedSum);
     EXPECT_EQ(p1.gateZC.sc.roundEvals, p2.gateZC.sc.roundEvals);
     EXPECT_TRUE(p1.vComm == p2.vComm);
+}
+
+TEST(HyperPlonk, ProofDigestPinned)
+{
+    // Keccak-256 of the serialized proof, at fixed seeds on one thread.
+    // The other byte-identity tests compare configurations of one build;
+    // these digests also hold the bytes fixed across commits. A deliberate
+    // proof-format change updates them.
+    struct Case {
+        GateSystem sys;
+        unsigned mu;
+        std::uint64_t seed;
+        const char *digest;
+    };
+    const Case cases[] = {
+        {GateSystem::Vanilla, 6, 131,
+         "2b8e7afda7bbc104afeb58c2c252a12306dcb8da38b392b1a15026e232c0efbb"},
+        {GateSystem::Jellyfish, 5, 132,
+         "39a3170df2f2701aa01e56c99cc2e25b6b6c552539f8dec7f4325c8086403e99"},
+    };
+    for (const Case &c : cases) {
+        Rng rng(c.seed);
+        const Circuit circuit = c.sys == GateSystem::Vanilla
+                                    ? randomVanillaCircuit(c.mu, rng)
+                                    : randomJellyfishCircuit(c.mu, rng);
+        const Keys keys = setup(circuit, sharedSrs());
+        const HyperPlonkProof proof =
+            prove(keys.pk, circuit, nullptr, {.rt = {.threads = 1}});
+        ASSERT_TRUE(verify(keys.vk, proof).ok);
+        EXPECT_EQ(hash::toHex(hash::keccak256(serializeProof(proof))),
+                  c.digest)
+            << "mu = " << c.mu;
+    }
 }

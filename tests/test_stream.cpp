@@ -254,6 +254,44 @@ TEST(Stream, OpenQuotientsMatchUnderStreaming)
         EXPECT_EQ(got.quotients[i], oracle.quotients[i]) << i;
 }
 
+TEST(Stream, MappedEvaluateUnderArenaFoldsIntoHalfSizeTables)
+{
+    // Mle::evaluate reads the table and folds into half-size arena tables:
+    // it allocates less than one table's worth, and a second evaluation
+    // allocates nothing. Values equal the in-RAM evaluation.
+    Rng rng(13);
+    const unsigned mu = 12;
+    const Mle ram = Mle::random(mu, rng);
+    std::vector<Fr> z(mu);
+    for (auto &v : z)
+        v = Fr::random(rng);
+    const Fr oracle = [&] {
+        rt::ScopedConfig scope(ramOnly());
+        return ram.evaluate(z);
+    }();
+    rt::ScopedConfig scope(streamAll(1000));
+    FrTable t = FrTable::make(ram.size(), StoreKind::Mapped);
+    t.assign(ram.evals());
+    const Mle mapped(std::move(t));
+    ASSERT_TRUE(mapped.isMapped());
+
+    poly::BufferArena arena;
+    poly::ScopedArena arena_scope(&arena);
+    auto allocated = [] {
+        const poly::StoreCounters c = poly::storeCounters();
+        return c.ramBytes + c.mappedBytes;
+    };
+    const std::uint64_t b0 = allocated();
+    EXPECT_EQ(mapped.evaluate(z), oracle);
+    const std::uint64_t b1 = allocated();
+    EXPECT_EQ(mapped.evaluate(z), oracle);
+    const std::uint64_t b2 = allocated();
+    EXPECT_GT(b1 - b0, 0u);
+    EXPECT_LT(b1 - b0, mapped.size() * sizeof(Fr));
+    EXPECT_EQ(b2 - b1, 0u);
+    EXPECT_EQ(mapped, ram);
+}
+
 TEST(Stream, SumcheckFusedFoldMatchesUnfusedOracle)
 {
     Rng rng(9);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "gates/gate_library.hpp"
+#include "opencheck_oracle.hpp"
 #include "poly/virtual_poly.hpp"
 #include "sumcheck/grand_product.hpp"
 #include "sumcheck/opencheck.hpp"
@@ -383,4 +384,188 @@ TEST(OpenCheck, RejectsWrongClaimedValue)
         vc[i].value = claims[i].value;
     }
     EXPECT_FALSE(verifyOpen(vc, out.proof, mu, tv).ok);
+}
+
+namespace {
+
+/** A claim set over a pool of tables: claim i is on tables[table_of[i]]. */
+struct ClaimSet {
+    std::vector<Mle> tables;
+    std::vector<std::size_t> table_of;
+    std::vector<EvalClaim> claims; // points and values only
+};
+
+/** A random point with some coordinates forced to 0 or 1: kind 0 none,
+ *  1 the first, 2 the last, 3 both, 4 all (the grand-product root
+ *  (1, .., 1, 0)). */
+std::vector<Fr>
+randomPoint(Rng &rng, unsigned mu, unsigned kind)
+{
+    std::vector<Fr> z;
+    for (unsigned v = 0; v < mu; ++v)
+        z.push_back(Fr::random(rng));
+    const auto bit = [&] { return Fr::fromU64(rng.nextBelow(2)); };
+    if (kind == 1 || kind == 3)
+        z.front() = bit();
+    if (kind == 2 || kind == 3)
+        z.back() = bit();
+    if (kind == 4)
+        z = rootProductPoint(mu - 1);
+    return z;
+}
+
+/** k claims over distinct_tables tables (some of them equal-content
+ *  copies of others) and distinct_points points, drawn with repeats. */
+ClaimSet
+randomClaimSet(Rng &rng, unsigned mu, std::size_t k,
+               std::size_t distinct_tables, std::size_t distinct_points)
+{
+    ClaimSet set;
+    for (std::size_t t = 0; t < distinct_tables; ++t) {
+        if (t > 0 && rng.nextBelow(3) == 0)
+            set.tables.push_back(set.tables[rng.nextBelow(t)]);
+        else
+            set.tables.push_back(Mle::random(mu, rng));
+    }
+    std::vector<std::vector<Fr>> points;
+    for (std::size_t p = 0; p < distinct_points; ++p)
+        points.push_back(randomPoint(rng, mu, unsigned(rng.nextBelow(5))));
+    for (std::size_t i = 0; i < k; ++i) {
+        // The first claims cover every table and point once.
+        const std::size_t t = i < distinct_tables ? i
+                                                  : rng.nextBelow(
+                                                        distinct_tables);
+        const std::size_t p = i < distinct_points ? i
+                                                  : rng.nextBelow(
+                                                        distinct_points);
+        EvalClaim c;
+        c.point = points[p];
+        c.value = set.tables[t].evaluate(c.point);
+        set.table_of.push_back(t);
+        set.claims.push_back(std::move(c));
+    }
+    return set;
+}
+
+void
+expectSameOutput(const OpencheckProverOutput &got,
+                 const OpencheckProverOutput &want)
+{
+    EXPECT_EQ(got.proof.sc.claimedSum, want.proof.sc.claimedSum);
+    EXPECT_EQ(got.proof.sc.roundEvals, want.proof.sc.roundEvals);
+    EXPECT_EQ(got.proof.sc.finalSlotEvals, want.proof.sc.finalSlotEvals);
+    EXPECT_EQ(got.challenges, want.challenges);
+    EXPECT_EQ(got.polyEvals, want.polyEvals);
+}
+
+/** proveOpen's pointer and by-value forms against the per-claim oracle:
+ *  the whole output, the next transcript challenge, and verifyOpen. */
+void
+checkAgainstOracle(const ClaimSet &set, const rt::Config &cfg)
+{
+    std::vector<EvalClaim> with_tables = set.claims;
+    std::vector<const Mle *> ptrs;
+    for (std::size_t i = 0; i < set.claims.size(); ++i) {
+        with_tables[i].table = set.tables[set.table_of[i]];
+        ptrs.push_back(&set.tables[set.table_of[i]]);
+    }
+    hash::Transcript to("oc-prop");
+    const OpencheckProverOutput want =
+        oracle::perClaimProveOpen(with_tables, to);
+    const Fr next = to.challengeFr("next");
+
+    hash::Transcript tp("oc-prop");
+    expectSameOutput(proveOpen(set.claims, ptrs, tp, cfg), want);
+    EXPECT_EQ(tp.challengeFr("next"), next);
+
+    hash::Transcript tv("oc-prop");
+    expectSameOutput(proveOpen(with_tables, tv, cfg), want);
+    EXPECT_EQ(tv.challengeFr("next"), next);
+
+    hash::Transcript tc("oc-prop");
+    const unsigned mu = unsigned(set.claims[0].point.size());
+    const OpencheckVerifyResult res =
+        verifyOpen(set.claims, want.proof, mu, tc);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.polyEvals, want.polyEvals);
+}
+
+} // namespace
+
+TEST(OpenCheck, GroupedProofMatchesPerClaimOracle)
+{
+    Rng rng(53);
+    const rt::Config serial{.threads = 1};
+    const rt::Config pooled{.threads = 4};
+    // Random sets: repeated points, repeated tables (equal-content copies
+    // among them), both at once, and 0/1 coordinates.
+    for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE(trial);
+        const unsigned mu = 1 + unsigned(rng.nextBelow(6));
+        const std::size_t k = 1 + rng.nextBelow(9);
+        const std::size_t tables = 1 + rng.nextBelow(k);
+        const std::size_t points = 1 + rng.nextBelow(k);
+        checkAgainstOracle(randomClaimSet(rng, mu, k, tables, points),
+                           trial % 2 == 0 ? serial : pooled);
+    }
+
+    // The HyperPlonk shapes: OpenCheck A (15 claims, 12 tables with the
+    // witnesses listed at both points, 2 points) and OpenCheck B (5 claims
+    // on one table at the z_p-derived points and the root).
+    {
+        SCOPED_TRACE("A");
+        const unsigned mu = 6;
+        ClaimSet a;
+        for (int t = 0; t < 12; ++t)
+            a.tables.push_back(Mle::random(mu, rng));
+        const std::vector<Fr> z_g = randomPoint(rng, mu, 0);
+        const std::vector<Fr> z_p = randomPoint(rng, mu, 0);
+        const std::size_t order[15] = {0, 1, 2, 3, 4, 5,  6, 7,
+                                       5, 6, 7, 8, 9, 10, 11};
+        for (std::size_t i = 0; i < 15; ++i) {
+            EvalClaim c;
+            c.point = i < 8 ? z_g : z_p;
+            c.value = a.tables[order[i]].evaluate(c.point);
+            a.table_of.push_back(order[i]);
+            a.claims.push_back(std::move(c));
+        }
+        checkAgainstOracle(a, serial);
+    }
+    {
+        SCOPED_TRACE("B");
+        const unsigned mu = 5;
+        ClaimSet b;
+        b.tables.push_back(Mle::random(mu + 1, rng));
+        const std::vector<Fr> z_p = randomPoint(rng, mu, 0);
+        std::vector<std::vector<Fr>> pts;
+        pts.push_back({Fr::one()});
+        pts.back().insert(pts.back().end(), z_p.begin(), z_p.end());
+        pts.push_back(z_p);
+        pts.back().push_back(Fr::zero());
+        pts.push_back(z_p);
+        pts.back().push_back(Fr::one());
+        pts.push_back({Fr::zero()});
+        pts.back().insert(pts.back().end(), z_p.begin(), z_p.end());
+        pts.push_back(rootProductPoint(mu));
+        for (const std::vector<Fr> &z : pts) {
+            EvalClaim c;
+            c.point = z;
+            c.value = b.tables[0].evaluate(z);
+            b.table_of.push_back(0);
+            b.claims.push_back(std::move(c));
+        }
+        checkAgainstOracle(b, serial);
+        checkAgainstOracle(b, pooled);
+    }
+    {
+        SCOPED_TRACE("k = 1");
+        ClaimSet one;
+        one.tables.push_back(Mle::random(4, rng));
+        EvalClaim c;
+        c.point = randomPoint(rng, 4, 0);
+        c.value = one.tables[0].evaluate(c.point);
+        one.table_of.push_back(0);
+        one.claims.push_back(std::move(c));
+        checkAgainstOracle(one, serial);
+    }
 }
