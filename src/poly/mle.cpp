@@ -28,6 +28,21 @@ log2Exact(std::size_t n)
     return bits;
 }
 
+/** dst[j] = lo + r * (hi - lo) over the half pairs (lo, hi) of src, in
+ *  concurrent chunks: src and dst must not overlap. */
+void
+foldInto(const Fr *src, Fr *dst, std::size_t half, const Fr &r)
+{
+    rt::parallelFor(
+        0, half,
+        [&](std::size_t j) {
+            Fr lo = src[2 * j];
+            Fr hi = src[2 * j + 1];
+            dst[j] = lo + r * (hi - lo);
+        },
+        /*grain=*/0, /*minGrain=*/256);
+}
+
 } // namespace
 
 Mle::Mle(unsigned num_vars)
@@ -200,14 +215,7 @@ Mle::fixFirstVarInPlace(const Fr &r, FrTable &scratch)
             scratch = arenaAcquire(half);
         else
             scratch.resize(half);
-        rt::parallelFor(
-            0, half,
-            [&](std::size_t j) {
-                Fr lo = vals[2 * j];
-                Fr hi = vals[2 * j + 1];
-                scratch[j] = lo + r * (hi - lo);
-            },
-            /*grain=*/0, /*minGrain=*/256);
+        foldInto(vals.data(), scratch.data(), half, r);
         vals.swap(scratch);
     }
     --nVars;
@@ -229,14 +237,7 @@ Mle::fixFirstVar(const Fr &r) const
     // working copy. Same per-index formula as the in-place fold.
     const std::size_t half = vals.size() / 2;
     FrTable out = arenaAcquire(half);
-    rt::parallelFor(
-        0, half,
-        [&](std::size_t j) {
-            Fr lo = vals[2 * j];
-            Fr hi = vals[2 * j + 1];
-            out[j] = lo + r * (hi - lo);
-        },
-        /*grain=*/0, /*minGrain=*/kParallelThreshold);
+    foldInto(vals.data(), out.data(), half, r);
     return Mle(std::move(out));
 }
 

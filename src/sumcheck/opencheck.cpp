@@ -163,33 +163,6 @@ class EqBuilder
     std::vector<Mle> builds;
 };
 
-/** P_t(r) = <P_t, eq(r)> for every table, off one eq(r) table. */
-std::vector<Fr>
-evaluateAll(std::span<const Mle *const> tables, std::span<const Fr> r)
-{
-    Mle eq_r = Mle::eqTable(r);
-    const std::size_t m = tables.size();
-    std::vector<Fr> out = rt::parallelReduce<std::vector<Fr>>(
-        0, eq_r.size(), std::vector<Fr>(m, Fr::zero()),
-        [&](std::size_t b, std::size_t e) {
-            std::vector<Fr> part(m, Fr::zero());
-            for (std::size_t t = 0; t < m; ++t) {
-                const Mle &p = *tables[t];
-                for (std::size_t j = b; j < e; ++j)
-                    part[t] += p[j] * eq_r[j];
-            }
-            return part;
-        },
-        [&](std::vector<Fr> acc, std::vector<Fr> part) {
-            for (std::size_t t = 0; t < m; ++t)
-                acc[t] += part[t];
-            return acc;
-        },
-        /*grain=*/0, /*minGrain=*/1024);
-    poly::arenaRelease(std::move(eq_r.store()));
-    return out;
-}
-
 /** Index of v in firsts (by eq), appending it when new. */
 template <class T, class Eq>
 std::size_t
@@ -285,7 +258,8 @@ proveOpen(std::span<const EvalClaim> claims,
                 table_evals[g] = vp.table(SlotId(g))[0];
     } // the slots and eq builds go back to the arena here
     if (by_point)
-        table_evals = evaluateAll(distinct, sc.challenges);
+        for (std::size_t t = 0; t < distinct.size(); ++t)
+            table_evals[t] = distinct[t]->evaluate(sc.challenges);
 
     // The ungrouped polynomial's final slot evaluations, which verifyOpen
     // checks: P_i(r) per claim, then eq(r, z_i) per claim.
