@@ -94,18 +94,17 @@ BENCHMARK(BM_FqMul);
 
 // ---------------------------------------------------------------------------
 // BM_FieldMul family: the unrolled fixed-limb kernels against the generic
-// loop-over-limbs oracle, measured in the deployment shape — element-wise
-// span multiplication (ff::mulVec), which is how GatePlan round evaluation
-// consumes them. Items processed =
-// field multiplications, so the items/sec counter reads as mul throughput;
-// the Unrolled/Generic ratio is the kernel-overhaul speedup. The BM_*Square
-// variants isolate the dedicated squaring kernel (EC point ops are
-// squaring-heavy).
+// loop-over-limbs oracle, measured as an element-wise loop over a span of
+// scalar products (the Fr span kernels' IFMA lanes are BM_FieldMulVec_Fr's).
+// Items processed = field multiplications, so the items/sec counter reads
+// as mul throughput; the Unrolled/Generic ratio is the kernel-overhaul
+// speedup. The BM_*Square variants isolate the dedicated squaring kernel
+// (EC point ops are squaring-heavy).
 // ---------------------------------------------------------------------------
 
 /** asm_mode: -1 inherits the ambient dispatch, 0 forces the unrolled C++
  *  kernel, 1 forces the asm switch on (skipped on non-ADX): the ADX/BMI2
- *  assembly kernel, in both fields (ff::mulVec has no IFMA branch). */
+ *  assembly kernel, in both fields. */
 template <class F>
 static void
 fieldMulBench(benchmark::State &state, bool generic, bool square,
@@ -130,7 +129,8 @@ fieldMulBench(benchmark::State &state, bool generic, bool square,
             for (std::size_t i = 0; i < kSpan; ++i)
                 dst[i] = a[i].square();
         else
-            ff::mulVec(dst.data(), a.data(), b.data(), kSpan);
+            for (std::size_t i = 0; i < kSpan; ++i)
+                dst[i] = a[i] * b[i];
         benchmark::DoNotOptimize(dst.data());
         benchmark::ClobberMemory();
     }
@@ -298,6 +298,109 @@ BM_BatchInverse_FqIfma(benchmark::State &state)
 
 BENCHMARK(BM_BatchInverse_FqAsm)->Arg(64)->Arg(4096);
 BENCHMARK(BM_BatchInverse_FqIfma)->Arg(64)->Arg(4096);
+
+// ---------------------------------------------------------------------------
+// The Fr span kernels, each called directly: `Asm` runs the scalar loop on
+// the ADX multiplier (what every host without IFMA runs), `Ifma` the
+// AVX-512 IFMA lanes that ff::mulVec<Fr> and ff::foldVec<Fr> dispatch to
+// on hosts that have them (skipped elsewhere). BM_FieldMulVec_Fr: items =
+// products over a 1024-element span; BM_Fold_Fr: items = fold outputs of
+// a 2^mu-entry table folded into a second buffer.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<Fr>
+randomFr(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Fr> v;
+    for (std::size_t i = 0; i < n; ++i)
+        v.push_back(Fr::random(rng));
+    return v;
+}
+
+} // namespace
+
+static void
+BM_FieldMulVec_FrAsm(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    constexpr std::size_t kSpan = 1024;
+    const std::vector<Fr> a = randomFr(kSpan, 21), b = randomFr(kSpan, 22);
+    std::vector<Fr> dst(kSpan);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < kSpan; ++i)
+            dst[i] = a[i] * b[i];
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kSpan);
+}
+
+static void
+BM_FieldMulVec_FrIfma(benchmark::State &state)
+{
+    if (skipWithoutIfma(state))
+        return;
+#if ZKPHIRE_HAVE_X86_IFMA
+    constexpr std::size_t kSpan = 1024;
+    const std::vector<Fr> a = randomFr(kSpan, 21), b = randomFr(kSpan, 22);
+    std::vector<Fr> dst(kSpan);
+    for (auto _ : state) {
+        ff::kernels::mulVecFrIfma(dst.data(), a.data(), b.data(), kSpan);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kSpan);
+#endif
+}
+BENCHMARK(BM_FieldMulVec_FrAsm);
+BENCHMARK(BM_FieldMulVec_FrIfma);
+
+static void
+BM_Fold_FrAsm(benchmark::State &state)
+{
+    if (skipWithoutAdx(state))
+        return;
+    const std::size_t half = (std::size_t(1) << state.range(0)) / 2;
+    const std::vector<Fr> src = randomFr(2 * half, 23);
+    const Fr r = randomFr(1, 24)[0];
+    std::vector<Fr> dst(half);
+    ff::kernels::ScopedGenericKernels fixed(false);
+    ff::kernels::ScopedAsmKernels asm_scope(true);
+    for (auto _ : state) {
+        for (std::size_t j = 0; j < half; ++j)
+            dst[j] = src[2 * j] + r * (src[2 * j + 1] - src[2 * j]);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * half);
+}
+
+static void
+BM_Fold_FrIfma(benchmark::State &state)
+{
+    if (skipWithoutIfma(state))
+        return;
+#if ZKPHIRE_HAVE_X86_IFMA
+    const std::size_t half = (std::size_t(1) << state.range(0)) / 2;
+    const std::vector<Fr> src = randomFr(2 * half, 23);
+    const Fr r = randomFr(1, 24)[0];
+    std::vector<Fr> dst(half);
+    for (auto _ : state) {
+        ff::kernels::foldVecFrIfma(dst.data(), src.data(), r, half);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * half);
+#endif
+}
+BENCHMARK(BM_Fold_FrAsm)->Arg(12)->Arg(16);
+BENCHMARK(BM_Fold_FrIfma)->Arg(12)->Arg(16);
 
 // ---------------------------------------------------------------------------
 // BM_FieldAddSub family: modular add, sub, neg and dbl for Fr and Fq, in two
@@ -900,24 +1003,31 @@ BENCHMARK(BM_RoundEvalPlan)
     ->Args({12, -9});
 
 /**
- * The SIMD-blocked GatePlan hot loop in isolation: one full first-round
+ * The GatePlan block loop in isolation: one full first-round
  * accumulatePairs sweep (extension + op list + class accumulation) over a
  * 2^mu-row fixture, without the surrounding SumCheck scaffolding (fold,
- * transcript). Items processed = table pairs.
+ * transcript), on each lane backend: the third argument 0 runs eight
+ * scalar elements (the ambient scalar multiplier, ADX where the host has
+ * it), 1 the AVX-512 IFMA lanes (skipped without them). Items processed =
+ * table pairs.
  */
 static void
 BM_RoundEvalBlocked(benchmark::State &state)
 {
+    const bool ifma = state.range(2) != 0;
+    if (ifma && skipWithoutIfma(state))
+        return;
     const unsigned mu = unsigned(state.range(0));
     gates::Gate gate = roundEvalGate(int(state.range(1)));
     Rng rng(15);
     auto tables = gate.randomTables(mu, rng);
     poly::GatePlan plan = poly::GatePlan::compile(gate.expr);
     const std::size_t pairs = (std::size_t(1) << mu) / 2;
-    std::vector<Fr> acc(plan.accSize()), scratch;
+    std::vector<Fr> acc(plan.accSize());
+    ff::kernels::ScopedIfmaKernels lanes(ifma);
     for (auto _ : state) {
         std::fill(acc.begin(), acc.end(), Fr::zero());
-        plan.accumulatePairs(tables, 0, pairs, acc, scratch);
+        plan.accumulatePairs(tables, 0, pairs, acc);
         benchmark::DoNotOptimize(acc.data());
     }
     state.counters["muls_per_pair"] = double(plan.mulsPerPair());
@@ -925,8 +1035,10 @@ BM_RoundEvalBlocked(benchmark::State &state)
 }
 
 BENCHMARK(BM_RoundEvalBlocked)
-    ->Args({12, 22})
-    ->Args({12, -9});
+    ->Args({12, 22, 0})
+    ->Args({12, 22, 1})
+    ->Args({12, -9, 0})
+    ->Args({12, -9, 1});
 
 // ---------------------------------------------------------------------------
 // zkphire::rt thread-scaling benchmarks. The thread count is the benchmark
@@ -954,11 +1066,13 @@ BM_SumcheckProverThreads(benchmark::State &state)
 }
 BENCHMARK(BM_SumcheckProverThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
+/** Arguments: points, threads. 256 and 512 points are the small MSMs
+ *  whose windows reduce in round-synchronized groups, one per worker. */
 static void
 BM_MsmPippengerThreads(benchmark::State &state)
 {
-    const std::size_t n = 4096;
-    const unsigned threads = unsigned(state.range(0));
+    const std::size_t n = std::size_t(state.range(0));
+    const unsigned threads = unsigned(state.range(1));
     Rng rng(12);
     std::vector<Fr> scalars;
     std::vector<ec::G1Affine> points;
@@ -974,7 +1088,9 @@ BM_MsmPippengerThreads(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_MsmPippengerThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_MsmPippengerThreads)
+    ->ArgsProduct({{256, 512, 4096}, {1, 2, 4}})
+    ->UseRealTime();
 
 static void
 BM_BatchInverseThreads(benchmark::State &state)

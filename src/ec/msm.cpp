@@ -112,12 +112,13 @@ msSince(std::chrono::steady_clock::time_point t0)
  * aggregation tiled), of which the scatter is 6-10 ns and the
  * aggregation 12-31.
  *
- * The parallel path calls this per window (num_win = 1); the serial path
- * passes the whole window range, which ROUND-SYNCHRONIZES the batch
- * inversion across windows: every pairwise round resolves all windows'
- * slopes with ONE true inversion, cutting the inversion count by
- * ~num_windows x (decisive on the small MSMs of mKZG opening chains,
- * where inversions are a large fraction of total work). Per-segment
+ * Phase 2 passes a contiguous group of windows: all of them on one
+ * thread, a share per worker otherwise, one at a time above the entry
+ * cap. A group ROUND-SYNCHRONIZES the batch inversion across its windows:
+ * every pairwise round resolves all their slopes with ONE true inversion,
+ * cutting the inversion count by ~the group size (decisive on the small
+ * MSMs of mKZG opening chains, where inversions are a large fraction of
+ * total work). Per-segment
  * reduction order is fixed by the segment layout, so bucket sums — and
  * every downstream value — are bit-identical either way.
  *
@@ -401,34 +402,32 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     // per-window reduction would pay one true inversion per window per
     // round, the larger cost at these sizes.
     rt::ScopedThreads serialSmall(dense_idx.size() < 512 ? 1u : 0u);
-    // Serial path: round-synchronize the batch inversion across windows by
-    // reducing every window in ONE segmented batched-affine call — each
-    // pairwise round then pays a single true inversion instead of one per
-    // window (bit-identical; see windowSumBatchAffine). Below the entry
-    // cap this is a measured 1.2-1.6x on the small MSMs of mKZG opening
-    // chains (n <= ~2^11: ~200 inversions collapse to ~7); above it the
-    // combined scatter's working set outgrows the cache and the per-round
-    // inversions are noise next to the bucket adds, so windows reduce
-    // independently (which is also what the parallel path needs).
+    // Round-synchronize the batch inversion across windows: one segmented
+    // batched-affine call over a contiguous group of windows pays a single
+    // true inversion per pairwise round for the whole group instead of one
+    // per window (bit-identical; see windowSumBatchAffine). Below the entry
+    // cap the groups are all windows on one thread and a contiguous share
+    // of them per worker otherwise: a measured 1.2-1.6x on the small MSMs
+    // of mKZG opening chains (n <= ~2^11: ~200 inversions collapse to ~7).
+    // Above it the combined scatter's working set outgrows the cache and
+    // the per-round inversions are noise next to the bucket adds, so
+    // windows reduce one per call.
     constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
-    const bool combine_windows =
-        num_windows > 1 && rt::currentThreads() <= 1 &&
-        num_windows * dense_idx.size() * k <= kCombineMaxEntries;
-    if (combine_windows) {
-        windowSumBatchAffine(walk_points, dense_idx, digits_.data(), stride,
-                             num_windows, k, num_buckets, sums.data(),
-                             wacc[0]);
-    } else {
-        rt::parallelFor(
-            0, num_windows,
-            [&](std::size_t w) {
-                windowSumBatchAffine(walk_points, dense_idx,
-                                     digits_.data() + w * stride, stride,
-                                     /*num_win=*/1, k, num_buckets,
-                                     &sums[w * k], wacc[w]);
-            },
-            /*grain=*/1);
-    }
+    const std::size_t workers = std::max<std::size_t>(rt::currentThreads(), 1);
+    const std::size_t group =
+        num_windows * dense_idx.size() * k <= kCombineMaxEntries
+            ? (num_windows + workers - 1) / workers
+            : 1;
+    rt::parallelFor(
+        0, (num_windows + group - 1) / group,
+        [&](std::size_t g) {
+            const std::size_t w = g * group;
+            windowSumBatchAffine(walk_points, dense_idx,
+                                 digits_.data() + w * stride, stride,
+                                 std::min(group, num_windows - w), k,
+                                 num_buckets, &sums[w * k], wacc[w]);
+        },
+        /*grain=*/1);
     if (!first_chunk)
         for (std::size_t i = 0; i < num_windows * k; ++i)
             windowSums_[i] = windowSums_[i].add(chunkSums_[i]);

@@ -19,15 +19,11 @@ recodeSignedDigits(const ff::BigInt<ff::Fr::numLimbs> &s, unsigned c,
         assert(lo < kNumBits);
         const std::size_t width =
             lo + c <= kNumBits ? c : kNumBits - lo;
-        std::uint64_t raw = s.bits(lo, width) + carry;
-        // zkphire-lint: ct-exempt(signed-digit carry select; digits feed scalar-indexed buckets anyway — see msm.cpp)
-        if (raw > half) {
-            out[w * stride] = std::int32_t(raw) - full;
-            carry = 1;
-        } else {
-            out[w * stride] = std::int32_t(raw);
-            carry = 0;
-        }
+        const std::uint64_t raw = s.bits(lo, width) + carry;
+        // A window above 2^(c-1) borrows 2^c and carries 1, as a flag
+        // times 2^c rather than a branch taken on half the windows.
+        carry = raw > half;
+        out[w * stride] = std::int32_t(raw) - std::int32_t(carry) * full;
     }
     // signedDigitWindows covers scalar_bits + 1 bits, so the top window's
     // raw digit is at most 2^(c-1) - 1 even after absorbing a carry.

@@ -222,6 +222,29 @@ class ScopedAsmKernels
     bool savedIfma;
 };
 
+/** RAII scope for A/B tests and benches of the IFMA leg alone: the
+ *  batched kernels and lanes on or off while the scalar multiplier stays
+ *  as it is. Restores the toggle exactly; enabling IFMA the host lacks is
+ *  ignored. */
+class ScopedIfmaKernels
+{
+  public:
+    explicit ScopedIfmaKernels(bool on) : saved(ifmaKernelsEnabled())
+    {
+        detail::g_ifma_enabled.store(on && cpuSupportsIfma(),
+                                     std::memory_order_relaxed);
+    }
+    ~ScopedIfmaKernels()
+    {
+        detail::g_ifma_enabled.store(saved, std::memory_order_relaxed);
+    }
+    ScopedIfmaKernels(const ScopedIfmaKernels &) = delete;
+    ScopedIfmaKernels &operator=(const ScopedIfmaKernels &) = delete;
+
+  private:
+    bool saved;
+};
+
 #if ZKPHIRE_HAVE_X86_ASM
 
 /**

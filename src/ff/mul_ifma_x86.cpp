@@ -11,6 +11,7 @@
 #include <cassert>
 
 #include "ff/fq8_ifma_x86.hpp"
+#include "ff/fr8_ifma_x86.hpp"
 
 namespace zkphire::ff::kernels {
 
@@ -110,6 +111,85 @@ batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
         }
     }
 }
+
+// The Fr span kernels: full vectors of eight consecutive elements, then
+// one partial vector for the tail. Each block reads all of its operands
+// before it writes, which is what lets dst alias an input.
+
+using ifma::add8;
+using ifma::Fr8;
+using ifma::load8;
+using ifma::loadPairs;
+using ifma::store8;
+using ifma::sub8;
+
+#define ZKPHIRE_FR_SPAN __attribute__((target("avx512f,avx512ifma"))) void
+
+ZKPHIRE_FR_SPAN
+mulVecFrIfma(Fr *dst, const Fr *a, const Fr *b, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t m = std::min<std::size_t>(8, n - i);
+        store8(dst + i, montMul8(load8(a + i, m), load8(b + i, m)), m);
+    }
+}
+
+ZKPHIRE_FR_SPAN
+scaleVecFrIfma(Fr *dst, const Fr &c, const Fr *v, std::size_t n)
+{
+    const Fr8 cv = ifma::broadcast(c);
+    for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t m = std::min<std::size_t>(8, n - i);
+        store8(dst + i, montMul8(cv, load8(v + i, m)), m);
+    }
+}
+
+ZKPHIRE_FR_SPAN
+addVecFrIfma(Fr *acc, const Fr *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t m = std::min<std::size_t>(8, n - i);
+        store8(acc + i, add8(load8(acc + i, m), load8(v + i, m)), m);
+    }
+}
+
+ZKPHIRE_FR_SPAN
+addMulVecFrIfma(Fr *acc, const Fr &c, const Fr *v, std::size_t n)
+{
+    const Fr8 cv = ifma::broadcast(c);
+    for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t m = std::min<std::size_t>(8, n - i);
+        store8(acc + i, add8(load8(acc + i, m), montMul8(cv, load8(v + i, m))),
+               m);
+    }
+}
+
+ZKPHIRE_FR_SPAN
+splitVecFrIfma(Fr *lo, Fr *hi, const Fr *v, const Fr &c, std::size_t n)
+{
+    const Fr8 cv = ifma::broadcast(c);
+    for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t m = std::min<std::size_t>(8, n - i);
+        const Fr8 x = load8(v + i, m);
+        const Fr8 h = montMul8(x, cv);
+        store8(hi + i, h, m);
+        store8(lo + i, sub8(x, h), m);
+    }
+}
+
+ZKPHIRE_FR_SPAN
+foldVecFrIfma(Fr *dst, const Fr *src, const Fr &r, std::size_t half)
+{
+    const Fr8 rv = ifma::broadcast(r);
+    for (std::size_t j = 0; j < half; j += 8) {
+        const std::size_t m = std::min<std::size_t>(8, half - j);
+        Fr8 lo, hi;
+        loadPairs(src + 2 * j, 2, lo, hi, m);
+        store8(dst + j, add8(lo, montMul8(rv, sub8(hi, lo))), m);
+    }
+}
+
+#undef ZKPHIRE_FR_SPAN
 
 } // namespace zkphire::ff::kernels
 

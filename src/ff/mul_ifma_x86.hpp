@@ -32,6 +32,7 @@
 #include <cstddef>
 
 #include "ff/fq.hpp"
+#include "ff/fr.hpp"
 
 namespace zkphire::ff::kernels {
 
@@ -50,6 +51,16 @@ ifmaSelected()
  *  no other scratch. @pre every xs[i] is nonzero; the host passes
  *  cpuSupportsIfma(). */
 void batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n);
+
+/** The Fr span kernels of ff/vec_ops.hpp on the lanes, with the same
+ *  contracts (aliasing included). @pre the host passes cpuSupportsIfma(). */
+void mulVecFrIfma(Fr *dst, const Fr *a, const Fr *b, std::size_t n);
+void scaleVecFrIfma(Fr *dst, const Fr &c, const Fr *v, std::size_t n);
+void addVecFrIfma(Fr *acc, const Fr *v, std::size_t n);
+void addMulVecFrIfma(Fr *acc, const Fr &c, const Fr *v, std::size_t n);
+void splitVecFrIfma(Fr *lo, Fr *hi, const Fr *v, const Fr &c,
+                    std::size_t n);
+void foldVecFrIfma(Fr *dst, const Fr *src, const Fr &r, std::size_t half);
 
 #endif // ZKPHIRE_HAVE_X86_IFMA
 

@@ -1,9 +1,11 @@
 #include "hyperplonk/permutation.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 
 #include "ff/batch_inverse.hpp"
+#include "ff/vec_ops.hpp"
 
 namespace zkphire::hyperplonk {
 
@@ -91,29 +93,34 @@ buildFractionPolys(const std::vector<Mle> &witness,
     assert(perm.id.size() == k && perm.sigma.size() == k);
     const std::size_t n = witness[0].size();
 
+    // N_j = w_j + beta * id_j + gamma and D_j = w_j + beta * sigma_j +
+    // gamma, column by column, in arena tables: the PermCheck that consumes
+    // them hands them back to the arena.
+    const auto column = [&](const Mle &w, const Mle &perm_col) {
+        Mle c(poly::arenaAcquire(n));
+        std::fill(c.data(), c.data() + n, gamma);
+        ff::addVec(c.data(), w.data(), n);
+        ff::addMulVec(c.data(), beta, perm_col.data(), n);
+        return c;
+    };
     FractionPolys out;
     for (unsigned j = 0; j < k; ++j) {
-        Mle nj(witness[j].numVars()), dj(witness[j].numVars());
-        for (std::size_t x = 0; x < n; ++x) {
-            nj[x] = witness[j][x] + beta * perm.id[j][x] + gamma;
-            dj[x] = witness[j][x] + beta * perm.sigma[j][x] + gamma;
-        }
-        out.numer.push_back(std::move(nj));
-        out.denom.push_back(std::move(dj));
+        out.numer.push_back(column(witness[j], perm.id[j]));
+        out.denom.push_back(column(witness[j], perm.sigma[j]));
     }
 
     // phi = prod N / prod D with one batched inversion (PermQuotGen-style).
-    std::vector<Fr> denom_prod(n, Fr::one());
-    std::vector<Fr> numer_prod(n, Fr::one());
-    for (unsigned j = 0; j < k; ++j)
-        for (std::size_t x = 0; x < n; ++x) {
-            numer_prod[x] *= out.numer[j][x];
-            denom_prod[x] *= out.denom[j][x];
-        }
+    std::vector<Fr> numer_prod(out.numer[0].data(), out.numer[0].data() + n);
+    std::vector<Fr> denom_prod(out.denom[0].data(), out.denom[0].data() + n);
+    for (unsigned j = 1; j < k; ++j) {
+        ff::mulVec(numer_prod.data(), numer_prod.data(), out.numer[j].data(),
+                   n);
+        ff::mulVec(denom_prod.data(), denom_prod.data(), out.denom[j].data(),
+                   n);
+    }
     ff::batchInverseInPlace(std::span<Fr>(denom_prod));
     std::vector<Fr> phi(n);
-    for (std::size_t x = 0; x < n; ++x)
-        phi[x] = numer_prod[x] * denom_prod[x];
+    ff::mulVec(phi.data(), numer_prod.data(), denom_prod.data(), n);
     out.phi = Mle(std::move(phi));
     return out;
 }

@@ -115,17 +115,18 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     // ---- Step 2: Gate Identity Check (ZeroCheck) ---------------------
     auto t0 = Clock::now();
     const gates::Gate &gate = coreGate(pk.sys);
-    std::vector<Mle> gate_tables;
+    // Selectors and witness by address: round 0 reads them in place.
+    std::vector<const Mle *> gate_tables;
     gate_tables.reserve(gate.expr.numSlots());
     for (const Mle &sel : pk.selectors)
-        gate_tables.push_back(sel);
+        gate_tables.push_back(&sel);
     for (const Mle &w : witness)
-        gate_tables.push_back(w);
+        gate_tables.push_back(&w);
     // The core gate is fixed per gate system, so its masked plan comes from
     // the caller's (context-owned) cache — lowered once, reused across that
     // context's proofs. Without a cache it is lowered inside proveZero.
     auto gate_out = sumcheck::proveZero(
-        gate.expr, std::move(gate_tables), tr, {},
+        gate.expr, gate_tables, tr, {},
         opts.plans ? opts.plans->maskedPlan(gate.expr) : nullptr);
     proof.gateZC = std::move(gate_out.proof);
     const std::vector<Fr> &z_g = gate_out.challenges;
@@ -147,21 +148,30 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     Fr alpha = tr.challengeFr("alpha");
 
     gates::Gate perm_gate = gates::permCoreGate(k, alpha);
-    std::vector<Mle> perm_tables;
+    // pi, p1, p2 and the fraction columns are dead after PermCheck, so
+    // they move in and fold in place; phi, which OpenCheck A reads, is
+    // read in place.
+    std::vector<Mle> perm_owned;
+    perm_owned.reserve(3 + 2 * k);
+    perm_owned.push_back(sumcheck::extractPi(v));
+    perm_owned.push_back(sumcheck::extractP1(v));
+    perm_owned.push_back(sumcheck::extractP2(v));
+    for (unsigned j = 0; j < k; ++j)
+        perm_owned.push_back(std::move(fracs.denom[j]));
+    for (unsigned j = 0; j < k; ++j)
+        perm_owned.push_back(std::move(fracs.numer[j]));
+    std::vector<const Mle *> perm_tables;
     perm_tables.reserve(perm_gate.expr.numSlots());
-    perm_tables.push_back(sumcheck::extractPi(v));
-    perm_tables.push_back(sumcheck::extractP1(v));
-    perm_tables.push_back(sumcheck::extractP2(v));
-    perm_tables.push_back(fracs.phi);
-    for (unsigned j = 0; j < k; ++j)
-        perm_tables.push_back(fracs.denom[j]);
-    for (unsigned j = 0; j < k; ++j)
-        perm_tables.push_back(fracs.numer[j]);
+    for (std::size_t i = 0; i < 3; ++i)
+        perm_tables.push_back(&perm_owned[i]);
+    perm_tables.push_back(&fracs.phi);
+    for (std::size_t i = 3; i < perm_owned.size(); ++i)
+        perm_tables.push_back(&perm_owned[i]);
     // The PermCheck expression embeds the per-proof batching challenge
     // alpha, so its plan is lowered inline (caching it would key on alpha
     // and grow without bound).
-    auto perm_out =
-        sumcheck::proveZero(perm_gate.expr, std::move(perm_tables), tr);
+    auto perm_out = sumcheck::proveZero(perm_gate.expr, perm_tables, tr, {},
+                                        nullptr, std::move(perm_owned));
     proof.permZC = std::move(perm_out.proof);
     const std::vector<Fr> &z_p = perm_out.challenges;
     st.wireIdentityMs = msSince(t0);

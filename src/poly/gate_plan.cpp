@@ -4,7 +4,8 @@
 #include <cassert>
 #include <map>
 
-#include "ff/vec_ops.hpp"
+#include "ff/fr_lanes.hpp"
+#include "ff/mul_ifma_x86.hpp"
 
 namespace zkphire::poly {
 
@@ -129,9 +130,6 @@ GatePlan::compile(const GateExpr &expr)
     }
     for (std::uint32_t r = 0; r < plan.nRegs; ++r)
         plan.maxPts = std::max(plan.maxPts, plan.regPoints[r]);
-    for (SlotId s = 0; s < plan.nSlots; ++s)
-        if (plan.regPoints[s] > 0)
-            plan.usedSlots.push_back(s);
 
     // Degree classes: one accumulator stripe of d+1 nodes per distinct term
     // degree (class 0 absorbs pure-constant terms).
@@ -215,10 +213,169 @@ GatePlan::evaluate(std::span<const Fr> slot_values,
     return acc;
 }
 
+namespace {
+
+using ff::lanes::kWidth;
+using ff::lanes::ScalarFr8;
+
+/** Per-thread lane storage of the block loop, grown on demand: the
+ *  register file and the term accumulators of one call. */
+template <class Vec>
+Vec *
+laneScratch(std::size_t n)
+{
+    thread_local std::vector<Vec> buf;
+    if (buf.size() < n)
+        buf.resize(n);
+    return buf.data();
+}
+
+/** Block pairs read straight from the tables. */
+template <class L>
+struct TablePairs {
+    using Vec = typename L::Vec;
+    const Fr *const *tables;
+
+    void
+    load(SlotId s, std::size_t j, std::size_t n, Vec &lo, Vec &hi) const
+    {
+        L::loadPairs(tables[s] + 2 * j, 2, lo, hi, n);
+    }
+    void skip(SlotId, std::size_t, std::size_t) const {}
+};
+
+/** Block pairs of the folded tables, folded on the way in: pair i of a
+ *  folded table is source entries 4i..4i+3 folded with r, written to the
+ *  folded table and handed to the block as they are. Slots no term reads
+ *  are folded too. */
+template <class L>
+struct FoldingPairs {
+    using Vec = typename L::Vec;
+    const Fr *const *src;
+    Fr *const *folded;
+    Vec r;
+
+    void
+    load(SlotId s, std::size_t j, std::size_t n, Vec &lo, Vec &hi) const
+    {
+        Vec a, b, c, d;
+        L::loadPairs(src[s] + 4 * j, 4, a, b, n);
+        L::loadPairs(src[s] + 4 * j + 2, 4, c, d, n);
+        lo = L::add(a, L::mul(r, L::sub(b, a)));
+        hi = L::add(c, L::mul(r, L::sub(d, c)));
+        L::storePairs(folded[s] + 2 * j, lo, hi, n);
+    }
+    void
+    skip(SlotId s, std::size_t j, std::size_t n) const
+    {
+        Vec lo, hi;
+        load(s, j, n, lo, hi);
+    }
+};
+
+/**
+ * The block loop, written once over the lane type L: pairs [begin, end)
+ * in blocks of kWidth, pair j + k in lane k. Register r holds maxPoints()
+ * vectors, one per evaluation point; each term accumulates its degree + 1
+ * points into lane accumulators of its own. A short last block loads zero
+ * pairs into its idle lanes, which add zero to every term with a product;
+ * constant terms count pairs instead.
+ */
+template <class L, class Pairs>
+void
+runBlocks(const GatePlan &plan, const Pairs &pairs, std::size_t begin,
+          std::size_t end, std::span<Fr> acc)
+{
+    using Vec = typename L::Vec;
+    const std::size_t W = plan.maxPoints();
+    const std::span<const PlanTerm> terms = plan.planTerms();
+    std::size_t accVecs = 0;
+    for (const PlanTerm &t : terms)
+        if (t.product != kNoReg)
+            accVecs += t.degree + 1;
+    Vec *regs = laneScratch<Vec>(plan.numRegs() * W + accVecs);
+    Vec *lanesAcc = regs + plan.numRegs() * W;
+    for (std::size_t i = 0; i < accVecs; ++i)
+        lanesAcc[i] = L::zero();
+
+    for (std::size_t j = begin; j < end; j += kWidth) {
+        const std::size_t n = std::min(kWidth, end - j);
+        // Extension Engines: each used slot to its own point bound (at
+        // least two points: every term has a factor).
+        for (SlotId s = 0; s < plan.numSlots(); ++s) {
+            const std::uint32_t pts = plan.slotPoints(s);
+            if (pts == 0) {
+                pairs.skip(s, j, n);
+                continue;
+            }
+            Vec *e = regs + std::size_t(s) * W;
+            pairs.load(s, j, n, e[0], e[1]);
+            const Vec diff = L::sub(e[1], e[0]);
+            for (std::uint32_t p = 2; p < pts; ++p)
+                e[p] = L::add(e[p - 1], diff);
+        }
+        // Product Lanes: every op at its own point bound.
+        for (const PlanOp &op : plan.ops()) {
+            Vec *d = regs + std::size_t(op.dst) * W;
+            const Vec *a = regs + std::size_t(op.lhs) * W;
+            const Vec *b = regs + std::size_t(op.rhs) * W;
+            for (std::uint32_t p = 0; p < op.numPoints; ++p)
+                d[p] = L::mul(a[p], b[p]);
+        }
+        Vec *out = lanesAcc;
+        for (const PlanTerm &t : terms) {
+            if (t.product == kNoReg)
+                continue;
+            const Vec *v = regs + std::size_t(t.product) * W;
+            for (std::uint32_t p = 0; p <= t.degree; ++p)
+                out[p] = L::add(out[p], v[p]);
+            out += t.degree + 1;
+        }
+    }
+
+    const Vec *lane = lanesAcc;
+    for (const PlanTerm &t : terms) {
+        Fr *out = acc.data() + t.accOffset;
+        if (t.product == kNoReg) {
+            out[0] += t.coeff * Fr::fromU64(end - begin);
+            continue;
+        }
+        for (std::uint32_t p = 0; p <= t.degree; ++p) {
+            const Fr s = L::sum(lane[p]);
+            out[p] += t.coeff.isOne() ? s : t.coeff * s;
+        }
+        lane += t.degree + 1;
+    }
+}
+
+#if ZKPHIRE_HAVE_X86_IFMA
+
+using ff::lanes::IfmaFr8;
+
+ZKPHIRE_IFMA_LOOP void
+accumulateIfma(const GatePlan &plan, const Fr *const *tables,
+               std::size_t begin, std::size_t end, std::span<Fr> acc)
+{
+    runBlocks<IfmaFr8>(plan, TablePairs<IfmaFr8>{tables}, begin, end, acc);
+}
+
+ZKPHIRE_IFMA_LOOP void
+foldAccumulateIfma(const GatePlan &plan, const Fr *const *src,
+                   Fr *const *folded, const Fr &r, std::size_t begin,
+                   std::size_t end, std::span<Fr> acc)
+{
+    runBlocks<IfmaFr8>(
+        plan, FoldingPairs<IfmaFr8>{src, folded, IfmaFr8::broadcast(r)},
+        begin, end, acc);
+}
+
+#endif // ZKPHIRE_HAVE_X86_IFMA
+
+} // namespace
+
 void
 GatePlan::accumulatePairs(std::span<const Mle> tables, std::size_t begin,
-                          std::size_t end, std::span<Fr> acc,
-                          std::vector<Fr> &scratch) const
+                          std::size_t end, std::span<Fr> acc) const
 {
     assert(tables.size() >= nSlots);
     constexpr std::size_t kMaxSlots = 64;
@@ -226,83 +383,48 @@ GatePlan::accumulatePairs(std::span<const Mle> tables, std::size_t begin,
     const Fr *ptrs[kMaxSlots];
     for (std::uint32_t s = 0; s < nSlots; ++s)
         ptrs[s] = tables[s].data();
-    accumulatePairs(ptrs, begin, end, acc, scratch);
+    accumulatePairs(ptrs, begin, end, acc);
+}
+
+void
+GatePlan::accumulatePairs(std::span<const Mle> tables, std::size_t begin,
+                          std::size_t end, std::span<Fr> acc,
+                          std::vector<Fr> & /*scratch*/) const
+{
+    accumulatePairs(tables, begin, end, acc);
 }
 
 void
 GatePlan::accumulatePairs(const Fr *const *tables, std::size_t begin,
-                          std::size_t end, std::span<Fr> acc,
-                          std::vector<Fr> &scratch) const
+                          std::size_t end, std::span<Fr> acc) const
 {
     assert(acc.size() == accLen);
-
-    // SIMD-blocked hot loop: table pairs are processed kPairBlock at a
-    // time, and the point-minor register layout gains a pair-minor lane
-    // dimension — register r holds maxPts rows of `bs` contiguous lanes
-    // (point p, lane jj at regs[r*W*bs + p*bs + jj]). Every product op
-    // then runs as ONE contiguous ff::mulVec of numPoints*bs independent
-    // multiplications — the shape the unrolled Montgomery kernels (and an
-    // autovectorizer under -DZKPHIRE_NATIVE) digest best — and non-unit
-    // coefficients are applied once per block row instead of once per
-    // pair. Field addition is exact and canonical, so regrouping the
-    // accumulation is bit-identical to the pair-at-a-time loop.
-    constexpr std::size_t kPairBlock = 4; // lanes per block (tails shrink)
-    const std::size_t W = maxPts;
-    scratch.resize(std::size_t(nRegs) * W * kPairBlock);
-    Fr *regs = scratch.data();
-    Fr diff[kPairBlock];
-
-    for (std::size_t j = begin; j < end; j += kPairBlock) {
-        const std::size_t bs = std::min(kPairBlock, end - j);
-        // Extension Engines: each slot to its own point bound, lane-major
-        // rows so row p is one vector add over the block's diffs.
-        for (SlotId s : usedSlots) {
-            const Fr *tbl = tables[s];
-            Fr *e = regs + std::size_t(s) * W * bs;
-            for (std::size_t jj = 0; jj < bs; ++jj) {
-                const Fr lo = tbl[2 * (j + jj)];
-                diff[jj] = tbl[2 * (j + jj) + 1] - lo;
-                e[jj] = lo;
-            }
-            const std::uint32_t pts = regPoints[s];
-            for (std::uint32_t p = 1; p < pts; ++p)
-                for (std::size_t jj = 0; jj < bs; ++jj)
-                    e[p * bs + jj] = e[(p - 1) * bs + jj] + diff[jj];
-        }
-        // Product Lanes: one batched multiply per op over all points and
-        // lanes of the block (rows beyond op.numPoints are never read).
-        for (const PlanOp &op : opList)
-            ff::mulVec(regs + std::size_t(op.dst) * W * bs,
-                       regs + std::size_t(op.lhs) * W * bs,
-                       regs + std::size_t(op.rhs) * W * bs,
-                       std::size_t(op.numPoints) * bs);
-        // Accumulate each term into its degree class: sum the block's
-        // lanes per point (seeded from lane 0 — bs >= 1 always), then one
-        // (optionally coefficient-scaled) add.
-        const auto row_sum = [bs](const Fr *row) {
-            Fr s = row[0];
-            for (std::size_t jj = 1; jj < bs; ++jj)
-                s += row[jj];
-            return s;
-        };
-        for (const PlanTerm &t : termList) {
-            Fr *out = acc.data() + t.accOffset;
-            if (t.product == kNoReg) {
-                for (std::size_t jj = 0; jj < bs; ++jj)
-                    out[0] += t.coeff;
-                continue;
-            }
-            const Fr *v = regs + std::size_t(t.product) * W * bs;
-            const std::uint32_t pts = t.degree + 1;
-            if (t.coeff.isOne()) {
-                for (std::uint32_t p = 0; p < pts; ++p)
-                    out[p] += row_sum(v + p * bs);
-            } else {
-                for (std::uint32_t p = 0; p < pts; ++p)
-                    out[p] += t.coeff * row_sum(v + p * bs);
-            }
-        }
+#if ZKPHIRE_HAVE_X86_IFMA
+    if (ff::kernels::ifmaSelected()) {
+        accumulateIfma(*this, tables, begin, end, acc);
+        return;
     }
+#endif
+    runBlocks<ScalarFr8>(*this, TablePairs<ScalarFr8>{tables}, begin, end,
+                         acc);
+}
+
+void
+GatePlan::foldAccumulatePairs(const Fr *const *src, Fr *const *folded,
+                              const Fr &r, std::size_t begin,
+                              std::size_t end, std::span<Fr> acc) const
+{
+    assert(acc.size() == accLen);
+#if ZKPHIRE_HAVE_X86_IFMA
+    if (ff::kernels::ifmaSelected()) {
+        foldAccumulateIfma(*this, src, folded, r, begin, end, acc);
+        return;
+    }
+#endif
+    runBlocks<ScalarFr8>(*this,
+                         FoldingPairs<ScalarFr8>{src, folded,
+                                                 ScalarFr8::broadcast(r)},
+                         begin, end, acc);
 }
 
 std::vector<Fr>

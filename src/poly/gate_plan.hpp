@@ -78,7 +78,8 @@ struct PlanTerm {
 
 /**
  * Compiled evaluation plan. Immutable after compile(); safe to share across
- * threads (accumulatePairs takes all mutable state as arguments).
+ * threads (accumulatePairs keeps its mutable state in its arguments and in
+ * per-thread lane storage).
  */
 class GatePlan
 {
@@ -134,28 +135,42 @@ class GatePlan
      * SumCheck round hot loop: for every table pair j in [begin, end),
      * extend each used slot to its own point bound, run the op list, and
      * accumulate each term at its degree+1 points into the flat class
-     * accumulator `acc` (length accSize()). Pairs are processed in
-     * SIMD-friendly blocks: each register becomes a (point, lane) tile so
-     * every op is one contiguous ff::mulVec over the whole block, and
-     * non-unit coefficients apply once per point row per block. `scratch`
-     * is resized to numRegs() * maxPoints() * kPairBlock and reused. The
-     * result is bit-identical to a pair-at-a-time walk (exact field
-     * arithmetic; only the grouping of additions changes).
+     * accumulator `acc` (length accSize()). Pairs are processed in blocks
+     * of eight, one per lane of an eight-wide Fr vector (ff/fr_lanes.hpp):
+     * the AVX-512 IFMA lanes when ff::kernels::ifmaSelected() holds, eight
+     * scalar elements otherwise. Slot extensions, products and per-term
+     * accumulators stay in lane form for the whole call; the lanes are
+     * summed, and non-unit coefficients applied, once per call. The result
+     * is bit-identical to a pair-at-a-time walk on either backend (exact
+     * field arithmetic; only the grouping of additions changes).
      */
+    void accumulatePairs(std::span<const Mle> tables, std::size_t begin,
+                         std::size_t end, std::span<Fr> acc) const;
+
+    /** Same, for callers that pass a scratch vector (perfbench/): the
+     *  block loop keeps its lane registers in per-thread storage, so
+     *  `scratch` is left untouched. */
     void accumulatePairs(std::span<const Mle> tables, std::size_t begin,
                          std::size_t end, std::span<Fr> acc,
                          std::vector<Fr> &scratch) const;
 
-    /**
-     * Same hot loop over raw table pointers (tables[s] points at >= 2*end
-     * entries). This is the entry the fused fold+evaluate sumcheck path
-     * uses: its pair source is a freshly folded chunk in a scratch buffer,
-     * not a whole Mle. Bit-identical to the Mle overload by construction
-     * (the Mle overload delegates here).
-     */
+    /** Same hot loop over raw table pointers (tables[s] points at
+     *  >= 2*end entries). */
     void accumulatePairs(const Fr *const *tables, std::size_t begin,
-                         std::size_t end, std::span<Fr> acc,
-                         std::vector<Fr> &scratch) const;
+                         std::size_t end, std::span<Fr> acc) const;
+
+    /**
+     * Fused MLE Update + accumulation: fold every slot table with r,
+     * folded[s][i] = src[s][2i] + r * (src[s][2i+1] - src[s][2i]) for
+     * i in [2*begin, 2*end), and accumulate the folded pairs [begin, end)
+     * as accumulatePairs over `folded` would. The folded lanes go straight
+     * from the fold into the block's registers. src[s] holds >= 4*end
+     * entries and must not overlap folded[s]. Bit-identical to a separate
+     * fold followed by accumulatePairs.
+     */
+    void foldAccumulatePairs(const Fr *const *src, Fr *const *folded,
+                             const Fr &r, std::size_t begin, std::size_t end,
+                             std::span<Fr> acc) const;
 
     /**
      * Per-round finalize: extend every degree class to nodes 0..D with
@@ -177,8 +192,6 @@ class GatePlan
     /** Degree classes present, ascending, parallel to classOffsets. */
     std::vector<std::uint32_t> classes;
     std::vector<std::uint32_t> classOffsets;
-    /** Slots referenced by any term, ascending (extension work list). */
-    std::vector<SlotId> usedSlots;
 };
 
 } // namespace zkphire::poly

@@ -33,12 +33,10 @@ log2Exact(std::size_t n)
 void
 foldInto(const Fr *src, Fr *dst, std::size_t half, const Fr &r)
 {
-    rt::parallelFor(
+    rt::parallelForChunks(
         0, half,
-        [&](std::size_t j) {
-            Fr lo = src[2 * j];
-            Fr hi = src[2 * j + 1];
-            dst[j] = lo + r * (hi - lo);
+        [&](std::size_t b, std::size_t e) {
+            ff::foldVec(dst + b, src + 2 * b, r, e - b);
         },
         /*grain=*/0, /*minGrain=*/256);
 }
@@ -137,27 +135,28 @@ eqTableInto(std::span<const Fr> r, FrTable &out)
     while (s < n && (std::size_t(1) << (s + 1)) <= chunkElems)
         ++s;
 
-    std::vector<Fr> suffix{Fr::one()};
-    suffix.reserve(std::size_t(1) << s);
+    // Each doubling step splits the table in place: entry j becomes
+    // e*(1 - r_i) and entry j + half e*r_i.
+    const std::size_t chunk = std::size_t(1) << s;
+    std::vector<Fr> suffix;
+    Fr *table = out.data();
+    if (s < n) {
+        suffix.resize(chunk);
+        table = suffix.data();
+    }
+    table[0] = Fr::one();
     for (unsigned i = 0; i < s; ++i) {
-        const std::size_t half = suffix.size();
-        std::vector<Fr> next(half * 2);
-        rt::parallelFor(
+        const std::size_t half = std::size_t(1) << i;
+        rt::parallelForChunks(
             0, half,
-            [&](std::size_t j) {
-                Fr hi = suffix[j] * r[i];
-                next[j] = suffix[j] - hi; // e*(1 - r_i)
-                next[j + half] = hi;      // e*r_i
+            [&](std::size_t b, std::size_t e) {
+                ff::splitVec(table + b, table + half + b, table + b, r[i],
+                             e - b);
             },
             /*grain=*/0, /*minGrain=*/kParallelThreshold);
-        suffix = std::move(next);
     }
-
-    const std::size_t chunk = std::size_t(1) << s;
-    if (s == n) {
-        std::copy(suffix.begin(), suffix.end(), out.data());
+    if (s == n)
         return;
-    }
 
     // Tensor step: chunk c of the output is the suffix table scaled by the
     // prefix weight prod_{i>=s} (c_i r_i + (1-c_i)(1-r_i)). Exact field
@@ -171,9 +170,7 @@ eqTableInto(std::span<const Fr> r, FrTable &out)
             Fr hi = w * r[i];
             w = ((c >> (i - s)) & 1) != 0 ? hi : w - hi;
         }
-        Fr *dst = out.data() + c * chunk;
-        for (std::size_t j = 0; j < chunk; ++j)
-            dst[j] = w * suffix[j];
+        ff::scaleVec(out.data() + c * chunk, w, suffix.data(), chunk);
     });
 }
 
@@ -194,13 +191,7 @@ Mle::fixFirstVarInPlace(const Fr &r, FrTable &scratch)
     // VirtualPoly's table-parallel fold cheap per table).
     if (rt::currentThreads() <= 1 || rt::ThreadPool::insideWorker() ||
         half < kParallelThreshold) {
-        // In-place is safe serially: the write at j precedes every later
-        // read, which happens at index >= 2(j+1).
-        for (std::size_t j = 0; j < half; ++j) {
-            Fr lo = vals[2 * j];
-            Fr hi = vals[2 * j + 1];
-            vals[j] = lo + r * (hi - lo);
-        }
+        ff::foldVec(vals.data(), vals.data(), r, half);
         vals.resize(half);
     } else {
         // Concurrent chunks would race on the in-place overlap (chunk k
@@ -325,8 +316,7 @@ linearCombination(std::span<const Mle *const> tables,
             if (c[0].isOne())
                 std::copy(src, src + (e - b), dst);
             else
-                for (std::size_t j = 0; j < e - b; ++j)
-                    dst[j] = c[0] * src[j];
+                ff::scaleVec(dst, c[0], src, e - b);
             for (std::size_t t = 1; t < uniq.size(); ++t) {
                 if (c[t].isOne())
                     ff::addVec(dst, uniq[t]->data() + b, e - b);

@@ -1,5 +1,6 @@
 #include "poly/virtual_poly.hpp"
 
+#include "ff/vec_ops.hpp"
 #include "rt/parallel.hpp"
 
 namespace zkphire::poly {
@@ -14,9 +15,35 @@ VirtualPoly::VirtualPoly(GateExpr expr, std::vector<Mle> mles,
     : structure(std::move(expr)), evalPlan(std::move(plan)),
       tables(std::move(mles))
 {
-    assert(tables.size() == structure.numSlots() &&
+    for (const Mle &m : tables)
+        view.push_back(&m);
+    bindPlan();
+}
+
+VirtualPoly::VirtualPoly(GateExpr expr, std::span<const Mle *const> slots,
+                         std::vector<Mle> owned,
+                         std::shared_ptr<const GatePlan> plan)
+    : structure(std::move(expr)), evalPlan(std::move(plan)),
+      tables(slots.size()), view(slots.begin(), slots.end())
+{
+    // Moving `owned` kept its elements' addresses, which is how the slots
+    // that name them are found.
+    for (std::size_t s = 0; s < view.size(); ++s)
+        for (Mle &m : owned)
+            if (view[s] == &m) {
+                tables[s] = std::move(m);
+                view[s] = &tables[s];
+                break;
+            }
+    bindPlan();
+}
+
+void
+VirtualPoly::bindPlan()
+{
+    assert(view.size() == structure.numSlots() &&
            "one MLE table required per expression slot");
-    assert(!tables.empty());
+    assert(!view.empty());
     if (!evalPlan)
         evalPlan = std::make_shared<const GatePlan>(
             GatePlan::compile(structure));
@@ -24,27 +51,33 @@ VirtualPoly::VirtualPoly(GateExpr expr, std::vector<Mle> mles,
            "precompiled plan does not match the expression");
     assert(evalPlan->numTerms() == structure.numTerms() &&
            "precompiled plan does not match the expression");
-    foldScratch.resize(tables.size());
-    nVars = tables[0].numVars();
-    for ([[maybe_unused]] const Mle &m : tables)
-        assert(m.numVars() == nVars && "all slot tables must share numVars");
+    foldScratch.resize(view.size());
+    nVars = view[0]->numVars();
+    for ([[maybe_unused]] const Mle *m : view)
+        assert(m->numVars() == nVars && "all slot tables must share numVars");
+}
+
+bool
+VirtualPoly::owns(std::size_t s) const
+{
+    return view[s] == &tables[s];
 }
 
 Fr
 VirtualPoly::evalAtIndex(std::size_t idx) const
 {
-    std::vector<Fr> slot_vals(tables.size());
-    for (std::size_t s = 0; s < tables.size(); ++s)
-        slot_vals[s] = tables[s][idx];
+    std::vector<Fr> slot_vals(view.size());
+    for (std::size_t s = 0; s < view.size(); ++s)
+        slot_vals[s] = (*view[s])[idx];
     return evalPlan->evaluate(slot_vals);
 }
 
 Fr
 VirtualPoly::evaluate(std::span<const Fr> point) const
 {
-    std::vector<Fr> slot_vals(tables.size());
-    for (std::size_t s = 0; s < tables.size(); ++s)
-        slot_vals[s] = tables[s].evaluate(point);
+    std::vector<Fr> slot_vals(view.size());
+    for (std::size_t s = 0; s < view.size(); ++s)
+        slot_vals[s] = view[s]->evaluate(point);
     return evalPlan->evaluate(slot_vals);
 }
 
@@ -64,19 +97,19 @@ VirtualPoly::sumOverHypercube() const
         [&](std::size_t b, std::size_t e) {
             // One scratch slot/register vector per chunk instead of per
             // index.
-            std::vector<Fr> slot_vals(tables.size());
+            std::vector<Fr> slot_vals(view.size());
             std::vector<Fr> regs;
             Fr part = Fr::zero();
             for (std::size_t i0 = b; i0 < e; i0 += rel_blk) {
                 const std::size_t i1 = std::min(e, i0 + rel_blk);
                 for (std::size_t i = i0; i < i1; ++i) {
-                    for (std::size_t s = 0; s < tables.size(); ++s)
-                        slot_vals[s] = tables[s][i];
+                    for (std::size_t s = 0; s < view.size(); ++s)
+                        slot_vals[s] = (*view[s])[i];
                     part += evalPlan->evaluate(slot_vals, regs);
                 }
-                for (const Mle &t : tables)
-                    if (t.isMapped())
-                        t.store().releaseWindow(i0, i1);
+                for (const Mle *t : view)
+                    if (t->isMapped())
+                        t->store().releaseWindow(i0, i1);
             }
             return part;
         },
@@ -86,11 +119,12 @@ VirtualPoly::sumOverHypercube() const
 
 VirtualPoly::~VirtualPoly()
 {
-    // Return the double buffers AND the consumed slot tables to the ambient
+    // Return the double buffers AND the owned slot tables to the ambient
     // arena (when one is installed) so the next proof on this context skips
-    // the allocation. The tables are owned copies the sumcheck has folded
-    // down; their slabs keep full capacity through the shrinks, which is
-    // exactly what the next proof's same-size tables want.
+    // the allocation. The sumcheck has folded the tables down; their slabs
+    // keep full capacity through the shrinks, which is exactly what the
+    // next proof's same-size tables want. Borrowed tables stay the
+    // caller's.
     for (FrTable &s : foldScratch)
         if (s.capacity() != 0)
             arenaRelease(std::move(s));
@@ -102,8 +136,8 @@ VirtualPoly::~VirtualPoly()
 bool
 VirtualPoly::anyTableMapped() const
 {
-    for (const Mle &t : tables)
-        if (t.isMapped())
+    for (const Mle *t : view)
+        if (t->isMapped())
             return true;
     return false;
 }
@@ -114,14 +148,28 @@ VirtualPoly::fixFirstVarInPlace(const Fr &r)
     // Outer parallelism across slot tables; each table's own fold runs its
     // parallel path only when reached from a serial context (nested regions
     // execute inline), so both shapes compose without oversubscription.
-    // Each table owns a persistent double buffer, so folds that do take the
-    // out-of-place path stop allocating after the first round.
+    // Each owned table has a persistent double buffer, so folds that do
+    // take the out-of-place path stop allocating after the first round. A
+    // borrowed table folds into a half-size table of its slot's own,
+    // acquired here: the ambient arena is this thread's, not the workers'.
+    const std::size_t half = std::size_t(1) << (nVars - 1);
+    std::vector<bool> borrowed(view.size());
+    for (std::size_t s = 0; s < view.size(); ++s) {
+        borrowed[s] = !owns(s);
+        if (borrowed[s])
+            tables[s] = Mle(arenaAcquire(half));
+    }
     rt::parallelFor(
-        0, tables.size(),
+        0, view.size(),
         [&](std::size_t s) {
-            tables[s].fixFirstVarInPlace(r, foldScratch[s]);
+            if (borrowed[s])
+                ff::foldVec(tables[s].data(), view[s]->data(), r, half);
+            else
+                tables[s].fixFirstVarInPlace(r, foldScratch[s]);
         },
         /*grain=*/1);
+    for (std::size_t s = 0; s < view.size(); ++s)
+        view[s] = &tables[s];
     --nVars;
 }
 
@@ -131,20 +179,26 @@ VirtualPoly::foldAndAccumulate(const Fr &r)
     assert(nVars >= 2 && "fused fold+evaluate needs a next round");
     const std::size_t half = std::size_t(1) << (nVars - 1);
     const std::size_t pairs = half / 2;
-    const std::size_t num_slots = tables.size();
+    const std::size_t num_slots = view.size();
 
+    constexpr std::size_t kMaxSlots = 64;
+    assert(num_slots <= kMaxSlots && "raise kMaxSlots");
+    const Fr *src[kMaxSlots];
+    Fr *folded[kMaxSlots];
     for (std::size_t s = 0; s < num_slots; ++s) {
         if (foldScratch[s].capacity() == 0)
             foldScratch[s] = arenaAcquire(half);
         else
             foldScratch[s].resize(half);
+        src[s] = view[s]->data();
+        folded[s] = foldScratch[s].data();
     }
 
-    // One walk per chunk: fold every table's region [2b, 2e) into the
-    // scratch buffers, then immediately run the plan's pair accumulation
-    // over the freshly written pairs [b, e) while they are cache-hot (and,
-    // on the mapped backend, before their pages go cold). Chunks partition
-    // the pair range, so each folded index is written exactly once, by the
+    // One walk per chunk: GatePlan::foldAccumulatePairs folds every
+    // table's region [4b, 4e) into the scratch buffers and feeds the
+    // folded pairs [b, e) straight into its block registers (and, on the
+    // mapped backend, before their pages go cold). Chunks partition the
+    // pair range, so each folded index is written exactly once, by the
     // thread that then reads it. Fold formula and accumulation arithmetic
     // are identical to the unfused path's; field ops are exact, so both the
     // folded tables and the accumulator are bit-identical to
@@ -152,7 +206,7 @@ VirtualPoly::foldAndAccumulate(const Fr &r)
     // Residency bound: each block of blk_pairs pairs reads 4 * blk_pairs
     // source entries and writes 2 * blk_pairs scratch entries per slot.
     // After the block's pair accumulation both windows are dropped — the
-    // source is never read again this proof (after swapFolded the old store
+    // source is never read again this proof (after the swap the old store
     // becomes next round's scratch, fully rewritten before any read), and
     // the scratch window's data survives release in the page cache
     // (MAP_SHARED), re-faulted when the next round reads it as source. The
@@ -165,27 +219,13 @@ VirtualPoly::foldAndAccumulate(const Fr &r)
     std::vector<Fr> acc = rt::parallelReduce<std::vector<Fr>>(
         0, pairs, std::vector<Fr>(acc_len, Fr::zero()),
         [&](std::size_t b, std::size_t e) {
-            constexpr std::size_t kMaxSlots = 64;
-            assert(num_slots <= kMaxSlots && "raise kMaxSlots");
-            const Fr *ptrs[kMaxSlots];
             std::vector<Fr> part(acc_len, Fr::zero());
-            std::vector<Fr> scratch;
             for (std::size_t p0 = b; p0 < e; p0 += blk_pairs) {
                 const std::size_t p1 = std::min(e, p0 + blk_pairs);
+                evalPlan->foldAccumulatePairs(src, folded, r, p0, p1, part);
                 for (std::size_t s = 0; s < num_slots; ++s) {
-                    const Mle &t = tables[s];
-                    Fr *sc = foldScratch[s].data();
-                    for (std::size_t i = 2 * p0; i < 2 * p1; ++i) {
-                        Fr lo = t[2 * i];
-                        Fr hi = t[2 * i + 1];
-                        sc[i] = lo + r * (hi - lo);
-                    }
-                    ptrs[s] = sc;
-                }
-                evalPlan->accumulatePairs(ptrs, p0, p1, part, scratch);
-                for (std::size_t s = 0; s < num_slots; ++s) {
-                    if (tables[s].isMapped())
-                        tables[s].store().releaseWindow(4 * p0, 4 * p1);
+                    if (view[s]->isMapped())
+                        view[s]->store().releaseWindow(4 * p0, 4 * p1);
                     if (foldScratch[s].isMapped())
                         foldScratch[s].releaseWindow(2 * p0, 2 * p1);
                 }
@@ -199,8 +239,15 @@ VirtualPoly::foldAndAccumulate(const Fr &r)
         },
         /*grain=*/0, /*minGrain=*/256);
 
-    for (std::size_t s = 0; s < num_slots; ++s)
-        tables[s].swapFolded(foldScratch[s]);
+    for (std::size_t s = 0; s < num_slots; ++s) {
+        if (owns(s)) {
+            tables[s].swapFolded(foldScratch[s]);
+        } else {
+            tables[s] = Mle(std::move(foldScratch[s]));
+            foldScratch[s] = FrTable();
+            view[s] = &tables[s];
+        }
+    }
     --nVars;
     return acc;
 }

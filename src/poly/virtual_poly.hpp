@@ -30,8 +30,10 @@ namespace zkphire::poly {
 /**
  * Composite polynomial with bound evaluation tables.
  *
- * Owns copies of the constituent MLEs so the SumCheck prover can fold them
- * destructively without touching caller state.
+ * A slot's table is either owned (moved in; folded in place or through a
+ * double buffer) or borrowed (read in place until the first fold, which
+ * writes the slot's own half-size arena table), so the SumCheck prover
+ * folds destructively without copying or touching caller state.
  */
 class VirtualPoly
 {
@@ -50,15 +52,24 @@ class VirtualPoly
     VirtualPoly(GateExpr expr, std::vector<Mle> mles,
                 std::shared_ptr<const GatePlan> plan);
 
+    /**
+     * Bind slot s to *slots[s]. A table that `owned` holds is moved in and
+     * owned; every other one is borrowed: read in place until the first
+     * fold, so the caller keeps it alive and unchanged until then. Null
+     * `plan` lowers one here.
+     */
+    VirtualPoly(GateExpr expr, std::span<const Mle *const> slots,
+                std::vector<Mle> owned, std::shared_ptr<const GatePlan> plan);
+
     const GateExpr &expr() const { return structure; }
     const GatePlan &plan() const { return *evalPlan; }
     std::shared_ptr<const GatePlan> sharedPlan() const { return evalPlan; }
     unsigned numVars() const { return nVars; }
     std::size_t numSlots() const { return tables.size(); }
 
-    const Mle &table(SlotId s) const { return tables[s]; }
-    Mle &table(SlotId s) { return tables[s]; }
-    std::span<const Mle> allTables() const { return tables; }
+    const Mle &table(SlotId s) const { return *view[s]; }
+    /** The current table of every slot, owned or borrowed. */
+    std::span<const Mle *const> allTables() const { return view; }
 
     /** Evaluate the composition at a hypercube index. */
     Fr evalAtIndex(std::size_t idx) const;
@@ -93,9 +104,18 @@ class VirtualPoly
     ~VirtualPoly();
 
   private:
+    /** Lower the plan when none was given, check it and the tables. */
+    void bindPlan();
+    bool owns(std::size_t s) const;
+
     GateExpr structure;
     std::shared_ptr<const GatePlan> evalPlan;
+    /** Owned tables; a borrowed slot's entry stays empty until its first
+     *  fold. */
     std::vector<Mle> tables;
+    /** Slot s reads *view[s]: &tables[s] once owned, else the borrowed
+     *  table. */
+    std::vector<const Mle *> view;
     /** Per-table double buffers reused across round folds (no per-round
      *  allocation when a fold takes the out-of-place parallel path).
      *  Acquired lazily from the ambient arena; released back on

@@ -76,15 +76,17 @@ roundEvaluations(const VirtualPoly &vp)
     // per parallel chunk, so a serial run gets the same bound.
     const std::size_t rel_blk = std::max<std::size_t>(
         poly::currentStorePolicy().chunkElems / 2, std::size_t(2048));
+    std::vector<const Fr *> ptrs;
+    for (const Mle *t : vp.allTables())
+        ptrs.push_back(t->data());
     std::vector<Fr> acc = accumulatePairs(
         half, acc_len, [&](std::size_t b, std::size_t e, std::vector<Fr> &a) {
-            std::vector<Fr> scratch;
             for (std::size_t p0 = b; p0 < e; p0 += rel_blk) {
                 const std::size_t p1 = std::min(e, p0 + rel_blk);
-                plan.accumulatePairs(vp.allTables(), p0, p1, a, scratch);
-                for (const Mle &t : vp.allTables())
-                    if (t.isMapped())
-                        t.store().releaseWindow(2 * p0, 2 * p1);
+                plan.accumulatePairs(ptrs.data(), p0, p1, a);
+                for (const Mle *t : vp.allTables())
+                    if (t->isMapped())
+                        t->store().releaseWindow(2 * p0, 2 * p1);
             }
         });
     return plan.finalizeRoundEvals(acc);

@@ -1,6 +1,7 @@
 #include "sumcheck/zerocheck.hpp"
 
 #include <cassert>
+#include <functional>
 
 #include "poly/virtual_poly.hpp"
 #include "rt/parallel.hpp"
@@ -13,12 +14,13 @@ using poly::SlotId;
 using poly::VirtualPoly;
 
 ZerocheckProverOutput
-proveZero(const GateExpr &expr, std::vector<Mle> tables, hash::Transcript &tr,
-          const rt::Config &cfg,
-          std::shared_ptr<const poly::GatePlan> maskedPlan)
+proveZero(const GateExpr &expr, std::span<const Mle *const> tables,
+          hash::Transcript &tr, const rt::Config &cfg,
+          std::shared_ptr<const poly::GatePlan> maskedPlan,
+          std::vector<Mle> owned)
 {
     assert(!tables.empty());
-    const unsigned mu = tables[0].numVars();
+    const unsigned mu = tables[0]->numVars();
 
     // Pin the whole round (eq-table build included), not just the inner
     // sumcheck; a default Config inherits the ambient setting.
@@ -29,16 +31,38 @@ proveZero(const GateExpr &expr, std::vector<Mle> tables, hash::Transcript &tr,
 
     SlotId fr_slot = 0;
     GateExpr masked = expr.multipliedBySlot("f_r", &fr_slot);
-    tables.push_back(Mle::eqTable(out.rVec));
+    // Appending f_r may move the owned tables: re-aim the slots that name
+    // them.
+    std::vector<const Mle *> slots(tables.begin(), tables.end());
+    const Mle *first = owned.data();
+    const Mle *last = owned.data() + owned.size();
+    owned.push_back(Mle::eqTable(out.rVec));
+    const std::less<const Mle *> before;
+    for (const Mle *&p : slots)
+        if (!before(p, first) && before(p, last))
+            p = owned.data() + (p - first);
+    slots.push_back(&owned.back());
 
-    ProverOutput sc =
-        prove(VirtualPoly(masked, std::move(tables), std::move(maskedPlan)),
-              tr);
+    ProverOutput sc = prove(VirtualPoly(masked, slots, std::move(owned),
+                                        std::move(maskedPlan)),
+                            tr);
     assert(sc.proof.claimedSum.isZero() &&
            "ZeroCheck witness does not satisfy the constraint");
     out.proof.sc = std::move(sc.proof);
     out.challenges = std::move(sc.challenges);
     return out;
+}
+
+ZerocheckProverOutput
+proveZero(const GateExpr &expr, std::vector<Mle> tables, hash::Transcript &tr,
+          const rt::Config &cfg,
+          std::shared_ptr<const poly::GatePlan> maskedPlan)
+{
+    std::vector<const Mle *> slots;
+    for (const Mle &t : tables)
+        slots.push_back(&t);
+    return proveZero(expr, slots, tr, cfg, std::move(maskedPlan),
+                     std::move(tables));
 }
 
 ZerocheckVerifyResult

@@ -15,6 +15,7 @@
 #define ZKPHIRE_SUMCHECK_ZEROCHECK_HPP
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sumcheck/prover.hpp"
@@ -39,7 +40,10 @@ struct ZerocheckProverOutput {
  * Prove Sum_x expr(x) = 0 for all x (ZeroCheck).
  *
  * @param expr   Gate expression WITHOUT the f_r factor.
- * @param tables One MLE per expression slot.
+ * @param tables One MLE per expression slot, by address. Round 0 reads
+ *               them in place and the first fold writes half-size arena
+ *               tables, so nothing is copied: the caller keeps them alive
+ *               and they are left unchanged.
  * @param tr     Fiat-Shamir transcript.
  * @param cfg    Prover runtime config (default inherits the ambient
  *               setting; covers the eq-table build and the inner sumcheck).
@@ -47,7 +51,19 @@ struct ZerocheckProverOutput {
  *                expr * f_r (e.g. gates::PlanCache::maskedPlan); when null
  *                the plan is lowered here. The transcript is identical
  *                either way.
+ * @param owned  Tables the caller no longer needs, moved in: those that
+ *               `tables` names are folded in place instead of into new
+ *               tables, and go to the ambient arena at the end.
  */
+ZerocheckProverOutput
+proveZero(const poly::GateExpr &expr,
+          std::span<const poly::Mle *const> tables, hash::Transcript &tr,
+          const rt::Config &cfg = {},
+          std::shared_ptr<const poly::GatePlan> maskedPlan = nullptr,
+          std::vector<poly::Mle> owned = {});
+
+/** By-value adapter (perfbench/'s step-by-step proof): every table is
+ *  moved in. Same proof and transcript as the pointer form. */
 ZerocheckProverOutput
 proveZero(const poly::GateExpr &expr, std::vector<poly::Mle> tables,
           hash::Transcript &tr, const rt::Config &cfg = {},

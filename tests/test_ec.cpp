@@ -8,11 +8,13 @@
 #include "ec/batch_add.hpp"
 #include "ec/bucket_ifma_x86.hpp"
 #include "ec/g1.hpp"
+#include "ec/glv.hpp"
 #include "ec/msm.hpp"
 #include "ec/recode.hpp"
 #include "ff/mul_ifma_x86.hpp"
 #include "ifma_skip.hpp"
 #include "msm_oracle.hpp"
+#include "recode_oracle.hpp"
 #include "rt/parallel.hpp"
 
 using namespace zkphire::ec;
@@ -271,6 +273,65 @@ TEST(Recode, TopWindowAbsorbsCarry)
     Fr top = Fr::zero() - Fr::one();
     for (unsigned c : {2u, 3u, 4u})
         EXPECT_EQ(reconstructFromDigits(recode(top, c), c), top.toBig());
+}
+
+TEST(Recode, BranchlessMatchesBranchyOracle)
+{
+    // Digits equal to the branchy recoder's for every window width, at the
+    // GLV half width and the full scalar width: random scalars, lambda - 1,
+    // and scalars built window by window from the values around the carry
+    // threshold (0, 1, 2^(c-1) - 1, 2^(c-1), 2^(c-1) + 1, all ones), so
+    // every window meets each of them with and without an incoming carry.
+    Rng rng(81);
+    Big lambdaMinus1 = zkphire::ec::glv::params().lambda;
+    lambdaMinus1.subInPlace(Big(1));
+    for (const std::size_t bits : {zkphire::ec::glv::kHalfBits,
+                                   Fr::modulusBits()}) {
+        const auto truncate = [bits](Big b) {
+            for (std::size_t i = 0; i < b.limb.size(); ++i) {
+                const std::size_t lo = 64 * i;
+                if (lo >= bits)
+                    b.limb[i] = 0;
+                else if (bits - lo < 64)
+                    b.limb[i] &= (zkphire::ff::u64(1) << (bits - lo)) - 1;
+            }
+            return b;
+        };
+        for (unsigned c = 1; c <= 16; ++c) {
+            const zkphire::ff::u64 half = zkphire::ff::u64(1) << (c - 1);
+            const zkphire::ff::u64 patterns[] = {
+                0, 1, half - 1, half, half + 1, 2 * half - 1};
+            std::vector<Big> scalars = {Big(), lambdaMinus1};
+            for (int i = 0; i < 24; ++i)
+                scalars.push_back(Fr::random(rng).toBig());
+            Big allOnes;
+            for (auto &l : allOnes.limb)
+                l = ~zkphire::ff::u64(0);
+            scalars.push_back(allOnes);
+            for (int i = 0; i < 24; ++i) {
+                Big b;
+                for (std::size_t lo = 0; lo < bits; lo += c) {
+                    const zkphire::ff::u64 v = patterns[rng.next() % 6];
+                    for (unsigned k = 0; k < c && lo + k < 256; ++k)
+                        if ((v >> k) & 1)
+                            b.limb[(lo + k) / 64] |= zkphire::ff::u64(1)
+                                                     << ((lo + k) % 64);
+                }
+                scalars.push_back(b);
+            }
+            const std::size_t nw = signedDigitWindows(bits, c);
+            for (const Big &raw : scalars) {
+                const Big s = truncate(raw);
+                std::vector<std::int32_t> got(nw), want(nw);
+                recodeSignedDigits(s, c, nw, got.data(), 1);
+                zkphire::testutil::recodeSignedDigitsOracle(s, c, nw,
+                                                           want.data(), 1);
+                EXPECT_EQ(got, want) << "bits=" << bits << " c=" << c;
+                EXPECT_EQ(reconstructFromDigits(got, c), s)
+                    << "bits=" << bits << " c=" << c;
+            }
+        }
+    }
 }
 
 TEST(BatchAffine, SegmentSumsMatchJacobianOracle)

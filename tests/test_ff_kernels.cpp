@@ -13,6 +13,7 @@
 #include "ff/batch_inverse.hpp"
 #include "ff/fq.hpp"
 #include "ff/fq8_ifma_x86.hpp"
+#include "ff/fr8_ifma_x86.hpp"
 #include "ff/fr.hpp"
 #include "ff/mul_asm_x86.hpp"
 #include "ff/mul_ifma_x86.hpp"
@@ -397,6 +398,221 @@ TEST(FfKernels, FqIfmaBatchInverseMatchesPerElementInverse)
 #endif
 }
 
+// ---------------------------------------------------------------------------
+// The Fr lanes (ff/fr8_ifma_x86.hpp) and the Fr span kernels on them
+// against the scalar kernels, element for element.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Edge operands of the lane multiplier: the canonical edges, plus
+ *  elements whose raw Montgomery words are the radix-2^52 extremes (every
+ *  low limb at 2^52 - 1, r - 1 and r - 2 as raw words, raw 1). */
+std::vector<ff::Fr>
+frLaneEdges()
+{
+    using Big = ff::Fr::Big;
+    std::vector<ff::Fr> out = edgeOperands<ff::Fr>();
+    // Canonical R^-1: the element whose raw words are T is T * R^-1.
+    const ff::Fr rinv = ff::Fr::fromBig(ff::Fr::one().raw()).inverse();
+    std::vector<Big> raws = {Big(1)};
+    for (unsigned k = 1; k <= 4; ++k) {
+        Big t;
+        for (unsigned bit = 0; bit < 52 * k; ++bit)
+            t.limb[bit / 64] |= std::uint64_t(1) << (bit % 64);
+        raws.push_back(t);
+    }
+    Big rm1 = ff::Fr::modulus();
+    rm1.subInPlace(Big(1));
+    raws.push_back(rm1);
+    rm1.subInPlace(Big(1));
+    raws.push_back(rm1);
+    for (const Big &t : raws) {
+        const ff::Fr x = ff::Fr::fromBig(t) * rinv;
+        EXPECT_EQ(x.raw(), t);
+        out.push_back(x);
+    }
+    return out;
+}
+
+/** n operands: every ordered edge pair first, then random ones. */
+std::vector<ff::Fr>
+frOperands(std::size_t n, bool second, ff::Rng &rng)
+{
+    const std::vector<ff::Fr> edges = frLaneEdges();
+    const std::size_t e = edges.size();
+    std::vector<ff::Fr> v;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i < e * e)
+            v.push_back(second ? edges[(i / e) % e] : edges[i % e]);
+        else
+            v.push_back(ff::Fr::random(rng));
+    }
+    return v;
+}
+
+#if ZKPHIRE_HAVE_X86_IFMA
+/** Products, sums and differences of eight consecutive pairs at a time on
+ *  the lanes. @pre n % 8 == 0. */
+__attribute__((target("avx512f,avx512ifma"))) void
+frLaneOps(const ff::Fr *a, const ff::Fr *b, ff::Fr *prod, ff::Fr *sum,
+          ff::Fr *diff, std::size_t n)
+{
+    using namespace ff::ifma;
+    for (std::size_t i = 0; i < n; i += 8) {
+        const Fr8 x = load8(a + i), y = load8(b + i);
+        store8(prod + i, montMul8(x, y));
+        store8(sum + i, add8(x, y));
+        store8(diff + i, sub8(x, y));
+    }
+}
+#endif
+
+} // namespace
+
+TEST(FfKernels, FrIfmaLaneOpsMatchScalarKernels)
+{
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+#if ZKPHIRE_HAVE_X86_IFMA
+    ff::Rng rng(54);
+    const std::size_t e = frLaneEdges().size();
+    const std::size_t n = (e * e + 1000 + 7) / 8 * 8;
+    const std::vector<ff::Fr> a = frOperands(n, false, rng);
+    const std::vector<ff::Fr> b = frOperands(n, true, rng);
+    std::vector<ff::Fr> generic(n), unrolled(n), adx(n);
+    {
+        ScopedGenericKernels oracle(true);
+        for (std::size_t i = 0; i < n; ++i)
+            generic[i] = a[i] * b[i];
+    }
+    ScopedGenericKernels fixed(false);
+    {
+        ff::kernels::ScopedAsmKernels no_asm(false);
+        for (std::size_t i = 0; i < n; ++i)
+            unrolled[i] = a[i] * b[i];
+    }
+    {
+        ff::kernels::ScopedAsmKernels with_asm(true);
+        for (std::size_t i = 0; i < n; ++i)
+            adx[i] = a[i] * b[i];
+    }
+    EXPECT_EQ(unrolled, generic);
+    EXPECT_EQ(adx, generic);
+    std::vector<ff::Fr> prod(n), sum(n), diff(n);
+    frLaneOps(a.data(), b.data(), prod.data(), sum.data(), diff.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const char *what = i < e * e ? " (edge pair)" : "";
+        EXPECT_EQ(prod[i], generic[i]) << "product " << i << what;
+        EXPECT_EQ(sum[i], a[i] + b[i]) << "sum " << i << what;
+        EXPECT_EQ(diff[i], a[i] - b[i]) << "difference " << i << what;
+    }
+#endif
+}
+
+TEST(FfKernels, FrIfmaSpanKernelsMatchScalarLoops)
+{
+    // Every span kernel on the lanes against its scalar loop at lengths
+    // that leave every tail size, with sentinels past the end: nothing is
+    // read or written beyond n. Aliasing as each contract allows.
+    if (const char *why = ifmaSkipReason())
+        GTEST_SKIP() << why;
+#if ZKPHIRE_HAVE_X86_IFMA
+    using ff::Fr;
+    namespace k = ff::kernels;
+    ff::Rng rng(55);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 33; ++n)
+        lengths.push_back(n);
+    lengths.push_back(257);
+    lengths.push_back(1000);
+    constexpr std::size_t kPad = 16;
+    const Fr sentinel = Fr::fromU64(0x5e47);
+    const auto random = [&](std::size_t n) {
+        std::vector<Fr> v(n + kPad, sentinel);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = Fr::random(rng);
+        return v;
+    };
+    const auto padded = [&](std::vector<Fr> v) {
+        v.resize(v.size() + kPad, sentinel);
+        return v;
+    };
+    const Fr c = Fr::random(rng);
+    for (const std::size_t n : lengths) {
+        const std::vector<Fr> a = random(n), b = random(n);
+        std::vector<Fr> prod(n), scaled(n), sum(n), fma(n), lo(n), hi(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            prod[i] = a[i] * b[i];
+            scaled[i] = c * a[i];
+            sum[i] = b[i] + a[i];
+            fma[i] = b[i] + c * a[i];
+            hi[i] = a[i] * c;
+            lo[i] = a[i] - hi[i];
+        }
+
+        std::vector<Fr> dst(n + kPad, sentinel);
+        k::mulVecFrIfma(dst.data(), a.data(), b.data(), n);
+        EXPECT_EQ(dst, padded(prod)) << "mulVec, n = " << n;
+        std::vector<Fr> alias = a;
+        k::mulVecFrIfma(alias.data(), alias.data(), b.data(), n);
+        EXPECT_EQ(alias, padded(prod)) << "mulVec dst == a, n = " << n;
+        alias = b;
+        k::mulVecFrIfma(alias.data(), a.data(), alias.data(), n);
+        EXPECT_EQ(alias, padded(prod)) << "mulVec dst == b, n = " << n;
+
+        dst.assign(n + kPad, sentinel);
+        k::scaleVecFrIfma(dst.data(), c, a.data(), n);
+        EXPECT_EQ(dst, padded(scaled)) << "scaleVec, n = " << n;
+        alias = a;
+        k::scaleVecFrIfma(alias.data(), c, alias.data(), n);
+        EXPECT_EQ(alias, padded(scaled)) << "scaleVec dst == v, n = " << n;
+
+        std::vector<Fr> acc = b;
+        k::addVecFrIfma(acc.data(), a.data(), n);
+        EXPECT_EQ(acc, padded(sum)) << "addVec, n = " << n;
+        acc = b;
+        k::addMulVecFrIfma(acc.data(), c, a.data(), n);
+        EXPECT_EQ(acc, padded(fma)) << "addMulVec, n = " << n;
+
+        std::vector<Fr> l(n + kPad, sentinel), h(n + kPad, sentinel);
+        k::splitVecFrIfma(l.data(), h.data(), a.data(), c, n);
+        EXPECT_EQ(l, padded(lo)) << "splitVec, n = " << n;
+        EXPECT_EQ(h, padded(hi)) << "splitVec, n = " << n;
+        alias = a;
+        h.assign(n + kPad, sentinel);
+        k::splitVecFrIfma(alias.data(), h.data(), alias.data(), c, n);
+        EXPECT_EQ(alias, padded(lo)) << "splitVec lo == v, n = " << n;
+        EXPECT_EQ(h, padded(hi)) << "splitVec lo == v, n = " << n;
+
+        // The fold: n outputs from 2n entries, out of place and in place.
+        std::vector<Fr> src = random(2 * n);
+        std::vector<Fr> folded(n);
+        for (std::size_t j = 0; j < n; ++j)
+            folded[j] = src[2 * j] + c * (src[2 * j + 1] - src[2 * j]);
+        dst.assign(n + kPad, sentinel);
+        k::foldVecFrIfma(dst.data(), src.data(), c, n);
+        EXPECT_EQ(dst, padded(folded)) << "foldVec, n = " << n;
+        std::vector<Fr> inPlace = src;
+        k::foldVecFrIfma(inPlace.data(), inPlace.data(), c, n);
+        EXPECT_EQ(std::vector<Fr>(inPlace.begin(), inPlace.begin() + n),
+                  folded)
+            << "foldVec in place, n = " << n;
+        EXPECT_EQ(std::vector<Fr>(inPlace.begin() + n, inPlace.end()),
+                  std::vector<Fr>(src.begin() + n, src.end()))
+            << "foldVec in place, n = " << n;
+
+        // The dispatching entry points take the same kernels.
+        dst.assign(n + kPad, sentinel);
+        ff::mulVec(dst.data(), a.data(), b.data(), n);
+        EXPECT_EQ(dst, padded(prod)) << "ff::mulVec, n = " << n;
+        dst.assign(n + kPad, sentinel);
+        ff::foldVec(dst.data(), src.data(), c, n);
+        EXPECT_EQ(dst, padded(folded)) << "ff::foldVec, n = " << n;
+    }
+#endif
+}
+
 /**
  * Full-prover byte identity with the IFMA kernels on and off: every Fq
  * batch of the MSM bucket rounds, commitments and openings runs on IFMA
@@ -405,26 +621,46 @@ TEST(FfKernels, FqIfmaBatchInverseMatchesPerElementInverse)
  */
 TEST(FfKernels, HyperPlonkTranscriptIdenticalIfmaOnOff)
 {
+    // Vanilla (degree-3 gate) and Jellyfish (degree-7 gate), in RAM and
+    // with every table streamed in 2^4-element chunks: the Fr lanes run
+    // the gate ZeroCheck, PermCheck and OpenCheck blocks, the folds, eq
+    // tables and combinations in one proof and the scalar kernels in the
+    // other.
     if (const char *why = ifmaSkipReason())
         GTEST_SKIP() << why;
     ff::Rng rng(5219);
     pcs::Srs srs = pcs::Srs::generate(9, rng);
-    engine::ProverContext ctx(srs);
-    hyperplonk::Circuit circuit = hyperplonk::randomVanillaCircuit(8, rng);
-    const hyperplonk::Keys &keys = ctx.preprocess(circuit);
-
+    const hyperplonk::Circuit vanilla =
+        hyperplonk::randomVanillaCircuit(8, rng);
+    const hyperplonk::Circuit jellyfish =
+        hyperplonk::randomJellyfishCircuit(6, rng);
     ScopedGenericKernels fixed(false);
-    auto prove_bytes = [&](bool asm_on, unsigned threads) {
-        ff::kernels::ScopedAsmKernels asm_scope(asm_on);
-        EXPECT_EQ(ff::kernels::ifmaSelected(), asm_on);
-        rt::ScopedThreads pin(threads);
-        auto proof = ctx.prove(keys.pk, circuit);
-        return hyperplonk::serializeProof(proof);
-    };
-    const std::vector<std::uint8_t> reference = prove_bytes(false, 1);
-    EXPECT_EQ(prove_bytes(true, 1), reference);
-    EXPECT_EQ(prove_bytes(false, 4), reference);
-    EXPECT_EQ(prove_bytes(true, 4), reference);
+    for (const hyperplonk::Circuit *circuit : {&vanilla, &jellyfish}) {
+        for (const bool streamed : {false, true}) {
+            rt::Config cfg;
+            if (streamed) {
+                cfg.streamThreshold = 1;
+                cfg.streamChunk = std::size_t(1) << 4;
+            }
+            engine::ProverContext ctx(srs, cfg);
+            const hyperplonk::Keys &keys = ctx.preprocess(*circuit);
+            auto prove_bytes = [&](bool asm_on, unsigned threads) {
+                ff::kernels::ScopedAsmKernels asm_scope(asm_on);
+                EXPECT_EQ(ff::kernels::ifmaSelected(), asm_on);
+                rt::ScopedThreads pin(threads);
+                auto proof = ctx.prove(keys.pk, *circuit);
+                return hyperplonk::serializeProof(proof);
+            };
+            const std::vector<std::uint8_t> reference = prove_bytes(false, 1);
+            const char *which = circuit == &vanilla ? "Vanilla" : "Jellyfish";
+            EXPECT_EQ(prove_bytes(true, 1), reference)
+                << which << ", streamed " << streamed;
+            EXPECT_EQ(prove_bytes(false, 4), reference)
+                << which << ", streamed " << streamed;
+            EXPECT_EQ(prove_bytes(true, 4), reference)
+                << which << ", streamed " << streamed;
+        }
+    }
 }
 
 TEST(FfKernels, SquareKernelMatchesMulOnEdges)

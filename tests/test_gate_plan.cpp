@@ -8,9 +8,11 @@
  */
 #include <gtest/gtest.h>
 
+#include "ff/mul_asm_x86.hpp"
 #include "gates/gate_library.hpp"
 #include "poly/gate_plan.hpp"
 #include "poly/virtual_poly.hpp"
+#include "rt/parallel.hpp"
 #include "sim/sumcheck_sched.hpp"
 #include "sumcheck/prover.hpp"
 #include "sumcheck/verifier.hpp"
@@ -149,16 +151,86 @@ TEST(GatePlan, ProofsBitIdenticalOnRandomExpressions)
 
         hash::Transcript tr_naive("plan-equiv-rand");
         auto ref = oracle::naiveProve(expr, tables, tr_naive);
-        for (unsigned threads : {1u, 3u}) {
-            hash::Transcript tr("plan-equiv-rand");
-            auto out = sumcheck::prove(VirtualPoly(expr, tables), tr,
-                                       rt::Config{.threads = threads});
-            expectProofsIdentical(ref, out, "random expr");
+        // The block loop on the IFMA lanes and on eight scalar elements
+        // (skipping nothing: off IFMA hosts both runs take the scalar
+        // backend); streamed tables take the fused fold every round.
+        for (const bool lanes : {false, true}) {
+            ff::kernels::ScopedAsmKernels asm_scope(lanes);
+            for (const bool streamed : {false, true}) {
+                for (unsigned threads : {1u, 3u}) {
+                    rt::Config cfg{.threads = threads};
+                    if (streamed) {
+                        cfg.streamThreshold = 1;
+                        cfg.streamChunk = 16;
+                    }
+                    rt::ScopedConfig scope(cfg);
+                    hash::Transcript tr("plan-equiv-rand");
+                    auto out = sumcheck::prove(VirtualPoly(expr, tables), tr);
+                    expectProofsIdentical(ref, out, "random expr");
+                }
+            }
         }
         // And the proofs still verify.
         hash::Transcript tr_v("plan-equiv-rand");
         auto res = sumcheck::verify(expr, ref.proof, mu, tr_v);
         EXPECT_TRUE(res.ok) << res.error;
+    }
+}
+
+TEST(GatePlan, BlockLoopIdenticalOnBothBackendsAndFused)
+{
+    // accumulatePairs over pair ranges that leave every short last block,
+    // on the IFMA lanes and on eight scalar elements; foldAccumulatePairs
+    // against a separate fold followed by accumulatePairs.
+    Rng rng(404);
+    for (int rep = 0; rep < 6; ++rep) {
+        const unsigned num_slots = 2 + unsigned(rng.nextBelow(5));
+        GateExpr expr = randomExpr(rng, num_slots,
+                                   1 + unsigned(rng.nextBelow(6)),
+                                   1 + unsigned(rng.nextBelow(7)));
+        expr.addTerm(Fr::fromU64(3), {}); // a constant term counts pairs
+        const poly::GatePlan plan = poly::GatePlan::compile(expr);
+        std::vector<Mle> tables;
+        for (unsigned s = 0; s < num_slots; ++s)
+            tables.push_back(Mle::random(6, rng));
+        const Fr r = Fr::random(rng);
+        for (const std::size_t begin : {0u, 3u}) {
+            for (std::size_t end = begin; end <= 16; ++end) {
+                std::vector<Fr> scalar(plan.accSize()), lanes = scalar;
+                {
+                    ff::kernels::ScopedAsmKernels off(false);
+                    plan.accumulatePairs(tables, begin, end, scalar);
+                }
+                {
+                    ff::kernels::ScopedAsmKernels on(true);
+                    plan.accumulatePairs(tables, begin, end, lanes);
+                }
+                EXPECT_EQ(lanes, scalar) << "pairs [" << begin << ", "
+                                         << end << ")";
+
+                // Fused: fold [4*begin, 4*end) of each table, accumulate.
+                std::vector<Mle> folded;
+                std::vector<std::vector<Fr>> fusedOut;
+                std::vector<const Fr *> src;
+                std::vector<Fr *> dst;
+                for (const Mle &t : tables) {
+                    folded.push_back(t.fixFirstVar(r));
+                    fusedOut.emplace_back(t.size() / 2, Fr::zero());
+                    src.push_back(t.data());
+                    dst.push_back(fusedOut.back().data());
+                }
+                std::vector<Fr> want(plan.accSize()), got = want;
+                plan.accumulatePairs(folded, begin, end, want);
+                plan.foldAccumulatePairs(src.data(), dst.data(), r, begin,
+                                         end, got);
+                EXPECT_EQ(got, want) << "fused [" << begin << ", " << end
+                                     << ")";
+                for (std::size_t s = 0; s < tables.size(); ++s)
+                    for (std::size_t i = 2 * begin; i < 2 * end; ++i)
+                        EXPECT_EQ(fusedOut[s][i], folded[s][i])
+                            << "slot " << s << ", entry " << i;
+            }
+        }
     }
 }
 

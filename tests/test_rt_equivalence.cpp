@@ -169,49 +169,56 @@ TEST(RtEquivalence, BatchInverseIdenticalAcrossThreads)
 
 TEST(RtEquivalence, MsmPippengerBitIdenticalAcrossThreads)
 {
-    Rng rng(10);
-    const std::size_t n = 1024;
-    std::vector<Fr> scalars;
-    std::vector<ec::G1Affine> points;
-    for (std::size_t i = 0; i < n; ++i) {
-        // Mix of zero / one / dense scalars exercises the sparse fast path.
-        if (i % 11 == 0)
-            scalars.push_back(Fr::zero());
-        else if (i % 7 == 0)
-            scalars.push_back(Fr::one());
-        else
-            scalars.push_back(Fr::random(rng));
-        points.push_back(ec::randomG1(rng));
-    }
+    // 256 and 512 points are small MSMs whose windows reduce in groups, one
+    // round-synchronized group per worker; 1024 points reduce one window
+    // per call on several threads.
+    for (const std::size_t n : {256u, 512u, 1024u}) {
+        Rng rng(10 + n);
+        std::vector<Fr> scalars;
+        std::vector<ec::G1Affine> points;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Mix of zero / one / dense scalars exercises the sparse fast
+            // path.
+            if (i % 11 == 0)
+                scalars.push_back(Fr::zero());
+            else if (i % 7 == 0)
+                scalars.push_back(Fr::one());
+            else
+                scalars.push_back(Fr::random(rng));
+            points.push_back(ec::randomG1(rng));
+        }
 
-    const auto msmAt = [&](unsigned threads) {
-        rt::ScopedConfig scope(rt::Config{.threads = threads});
-        return ec::msmPippenger(scalars, points);
-    };
-    ec::G1Jacobian serial = msmAt(1);
-    for (unsigned threads : kThreadCounts) {
-        ec::G1Jacobian par = msmAt(threads);
-        // Stronger than curve-point equality: the window fold replays the
-        // serial operation order, so raw Jacobian coordinates must match.
-        EXPECT_EQ(par.X, serial.X);
-        EXPECT_EQ(par.Y, serial.Y);
-        EXPECT_EQ(par.Z, serial.Z);
-    }
+        const auto msmAt = [&](unsigned threads) {
+            rt::ScopedConfig scope(rt::Config{.threads = threads});
+            return ec::msmPippenger(scalars, points);
+        };
+        ec::G1Jacobian serial = msmAt(1);
+        for (unsigned threads : kThreadCounts) {
+            ec::G1Jacobian par = msmAt(threads);
+            // Stronger than curve-point equality: the window fold replays
+            // the serial operation order, so raw Jacobian coordinates must
+            // match.
+            EXPECT_EQ(par.X, serial.X) << "n = " << n;
+            EXPECT_EQ(par.Y, serial.Y) << "n = " << n;
+            EXPECT_EQ(par.Z, serial.Z) << "n = " << n;
+        }
 
-    // Stats must also be independent of the thread count.
-    ec::MsmStats s1, s4;
-    {
-        rt::ScopedThreads one(1);
-        ec::msmPippenger(scalars, points, {}, &s1);
+        // Stats must also be independent of the thread count.
+        ec::MsmStats s1, s4;
+        {
+            rt::ScopedThreads one(1);
+            ec::msmPippenger(scalars, points, {}, &s1);
+        }
+        {
+            rt::ScopedThreads four(4);
+            ec::msmPippenger(scalars, points, {}, &s4);
+        }
+        EXPECT_EQ(s1.pointAdds, s4.pointAdds) << "n = " << n;
+        EXPECT_EQ(s1.pointDoubles, s4.pointDoubles) << "n = " << n;
+        EXPECT_EQ(s1.affineAdds, s4.affineAdds) << "n = " << n;
+        EXPECT_EQ(s1.trivialScalars, s4.trivialScalars) << "n = " << n;
+        EXPECT_EQ(s1.denseScalars, s4.denseScalars) << "n = " << n;
     }
-    {
-        rt::ScopedThreads four(4);
-        ec::msmPippenger(scalars, points, {}, &s4);
-    }
-    EXPECT_EQ(s1.pointAdds, s4.pointAdds);
-    EXPECT_EQ(s1.pointDoubles, s4.pointDoubles);
-    EXPECT_EQ(s1.trivialScalars, s4.trivialScalars);
-    EXPECT_EQ(s1.denseScalars, s4.denseScalars);
 }
 
 TEST(RtEquivalence, EqTableIdenticalAcrossThreads)

@@ -9,6 +9,7 @@
 #include "gates/gate_library.hpp"
 #include "opencheck_oracle.hpp"
 #include "poly/virtual_poly.hpp"
+#include "rt/parallel.hpp"
 #include "sumcheck/grand_product.hpp"
 #include "sumcheck/opencheck.hpp"
 #include "sumcheck/prover.hpp"
@@ -206,6 +207,64 @@ TEST(ZeroCheck, AcceptsVanishingWitness)
     // Slot evals are true polynomial evaluations at the challenge point.
     for (int s = 0; s < 4; ++s)
         EXPECT_EQ(res.slotEvals[s], tables[s].evaluate(res.challenges));
+}
+
+TEST(ZeroCheck, PointerFormMatchesByValueAndLeavesTablesUnchanged)
+{
+    // The pointer form reads its tables in place (some borrowed, some
+    // moved in) and must prove exactly what the by-value form proves: the
+    // same proof, challenges and next transcript challenge, with the
+    // borrowed tables untouched. Large enough for the fused fold rounds,
+    // at 1 and 4 threads, in RAM and streamed.
+    Rng rng(33);
+    gates::Gate gate = gates::tableIGate(0);
+    const unsigned mu = 14;
+    std::vector<Mle> tables(4, Mle(mu));
+    for (std::size_t i = 0; i < (std::size_t(1) << mu); ++i) {
+        const bool is_add = rng.nextBelow(2) == 0;
+        const Fr a = Fr::random(rng);
+        tables[0][i] = is_add ? Fr::one() : Fr::zero();
+        tables[1][i] = is_add ? Fr::zero() : Fr::one();
+        tables[2][i] = is_add ? a : Fr::zero();
+        tables[3][i] = is_add ? a.neg() : Fr::random(rng);
+    }
+    for (const bool streamed : {false, true}) {
+        for (const unsigned threads : {1u, 4u}) {
+            rt::Config cfg{.threads = threads};
+            if (streamed) {
+                cfg.streamThreshold = 1;
+                cfg.streamChunk = std::size_t(1) << 10;
+            }
+            hash::Transcript tv("zc");
+            const auto byValue = proveZero(gate.expr, tables, tv, cfg);
+            const Fr nextByValue = tv.challengeFr("next");
+
+            const std::vector<Mle> before = tables;
+            std::vector<Mle> moved = {tables[1], tables[3]};
+            const std::vector<const Mle *> slots = {&tables[0], &moved[0],
+                                                    &tables[2], &moved[1]};
+            hash::Transcript tp("zc");
+            const auto byPointer =
+                proveZero(gate.expr, slots, tp, cfg, nullptr, std::move(moved));
+            const Fr nextByPointer = tp.challengeFr("next");
+
+            const std::string where = "threads " + std::to_string(threads) +
+                                      ", streamed " + std::to_string(streamed);
+            EXPECT_EQ(byPointer.proof.sc.claimedSum,
+                      byValue.proof.sc.claimedSum)
+                << where;
+            EXPECT_EQ(byPointer.proof.sc.roundEvals,
+                      byValue.proof.sc.roundEvals)
+                << where;
+            EXPECT_EQ(byPointer.proof.sc.finalSlotEvals,
+                      byValue.proof.sc.finalSlotEvals)
+                << where;
+            EXPECT_EQ(byPointer.challenges, byValue.challenges) << where;
+            EXPECT_EQ(byPointer.rVec, byValue.rVec) << where;
+            EXPECT_EQ(nextByPointer, nextByValue) << where;
+            EXPECT_EQ(tables, before) << where;
+        }
+    }
 }
 
 TEST(ZeroCheck, RejectsTamperedProof)
