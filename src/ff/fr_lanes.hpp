@@ -13,13 +13,20 @@
  * entry inlines the whole loop into a body compiled for that target.
  * Private to src/ and its tests.
  *
- * Backend interface (Vec is the eight-element value):
+ * Backend interface (Vec is the eight-element value; a row array is one
+ * register's vectors, one per evaluation point):
  *  - zero(), broadcast(c);
  *  - loadPairs(p, stride, lo, hi, n): lane k < n takes p[k * stride] into
  *    lo and p[k * stride + 1] into hi, lanes from n on are zero;
  *  - storePairs(p, lo, hi, n): p[2k] = lo[k], p[2k + 1] = hi[k], k < n;
- *  - add, sub, mul: element-wise, mod r;
+ *  - fold(lo, hi, r): lo + r * (hi - lo) per lane;
+ *  - extendRows(e, pts): given e[0] and e[1], e[j] = e[j-1] + (e[1] - e[0])
+ *    for 2 <= j < pts;
+ *  - mulRows(d, a, b, rows), addRows(acc, v, rows): d[j] = a[j] * b[j],
+ *    acc[j] += v[j] for j < rows (d may alias a or b);
  *  - sum(x): the sum of the eight lanes.
+ * The row operations keep the scalar backend's inner loops as tight as a
+ * span loop over rows * 8 elements.
  */
 #ifndef ZKPHIRE_FF_FR_LANES_HPP
 #define ZKPHIRE_FF_FR_LANES_HPP
@@ -73,30 +80,38 @@ struct ScalarFr8 {
     }
 
     static Vec
-    add(const Vec &a, const Vec &b)
+    fold(const Vec &lo, const Vec &hi, const Vec &r)
     {
         Vec x;
         for (std::size_t k = 0; k < kWidth; ++k)
-            x.v[k] = a.v[k] + b.v[k];
+            x.v[k] = lo.v[k] + r.v[k] * (hi.v[k] - lo.v[k]);
         return x;
     }
 
-    static Vec
-    sub(const Vec &a, const Vec &b)
+    static void
+    extendRows(Vec *e, std::size_t pts)
     {
-        Vec x;
-        for (std::size_t k = 0; k < kWidth; ++k)
-            x.v[k] = a.v[k] - b.v[k];
-        return x;
+        for (std::size_t k = 0; k < kWidth; ++k) {
+            const Fr diff = e[1].v[k] - e[0].v[k];
+            for (std::size_t j = 2; j < pts; ++j)
+                e[j].v[k] = e[j - 1].v[k] + diff;
+        }
     }
 
-    static Vec
-    mul(const Vec &a, const Vec &b)
+    static void
+    mulRows(Vec *d, const Vec *a, const Vec *b, std::size_t rows)
     {
-        Vec x;
-        for (std::size_t k = 0; k < kWidth; ++k)
-            x.v[k] = a.v[k] * b.v[k];
-        return x;
+        for (std::size_t j = 0; j < rows; ++j)
+            for (std::size_t k = 0; k < kWidth; ++k)
+                d[j].v[k] = a[j].v[k] * b[j].v[k];
+    }
+
+    static void
+    addRows(Vec *acc, const Vec *v, std::size_t rows)
+    {
+        for (std::size_t j = 0; j < rows; ++j)
+            for (std::size_t k = 0; k < kWidth; ++k)
+                acc[j].v[k] += v[j].v[k];
     }
 
     static Fr
@@ -139,21 +154,31 @@ struct IfmaFr8 {
     }
 
     ZKPHIRE_IFMA_FN static Vec
-    add(const Vec &a, const Vec &b)
+    fold(const Vec &lo, const Vec &hi, const Vec &r)
     {
-        return ifma::add8(a, b);
+        return ifma::add8(lo, ifma::montMul8(r, ifma::sub8(hi, lo)));
     }
 
-    ZKPHIRE_IFMA_FN static Vec
-    sub(const Vec &a, const Vec &b)
+    ZKPHIRE_IFMA_FN static void
+    extendRows(Vec *e, std::size_t pts)
     {
-        return ifma::sub8(a, b);
+        const Vec diff = ifma::sub8(e[1], e[0]);
+        for (std::size_t j = 2; j < pts; ++j)
+            e[j] = ifma::add8(e[j - 1], diff);
     }
 
-    ZKPHIRE_IFMA_FN static Vec
-    mul(const Vec &a, const Vec &b)
+    ZKPHIRE_IFMA_FN static void
+    mulRows(Vec *d, const Vec *a, const Vec *b, std::size_t rows)
     {
-        return ifma::montMul8(a, b);
+        for (std::size_t j = 0; j < rows; ++j)
+            d[j] = ifma::montMul8(a[j], b[j]);
+    }
+
+    ZKPHIRE_IFMA_FN static void
+    addRows(Vec *acc, const Vec *v, std::size_t rows)
+    {
+        for (std::size_t j = 0; j < rows; ++j)
+            acc[j] = ifma::add8(acc[j], v[j]);
     }
 
     ZKPHIRE_IFMA_FN static Fr sum(const Vec &x) { return ifma::laneSum(x); }

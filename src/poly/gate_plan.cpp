@@ -261,8 +261,8 @@ struct FoldingPairs {
         Vec a, b, c, d;
         L::loadPairs(src[s] + 4 * j, 4, a, b, n);
         L::loadPairs(src[s] + 4 * j + 2, 4, c, d, n);
-        lo = L::add(a, L::mul(r, L::sub(b, a)));
-        hi = L::add(c, L::mul(r, L::sub(d, c)));
+        lo = L::fold(a, b, r);
+        hi = L::fold(c, d, r);
         L::storePairs(folded[s] + 2 * j, lo, hi, n);
     }
     void
@@ -310,25 +310,18 @@ runBlocks(const GatePlan &plan, const Pairs &pairs, std::size_t begin,
             }
             Vec *e = regs + std::size_t(s) * W;
             pairs.load(s, j, n, e[0], e[1]);
-            const Vec diff = L::sub(e[1], e[0]);
-            for (std::uint32_t p = 2; p < pts; ++p)
-                e[p] = L::add(e[p - 1], diff);
+            L::extendRows(e, pts);
         }
         // Product Lanes: every op at its own point bound.
-        for (const PlanOp &op : plan.ops()) {
-            Vec *d = regs + std::size_t(op.dst) * W;
-            const Vec *a = regs + std::size_t(op.lhs) * W;
-            const Vec *b = regs + std::size_t(op.rhs) * W;
-            for (std::uint32_t p = 0; p < op.numPoints; ++p)
-                d[p] = L::mul(a[p], b[p]);
-        }
+        for (const PlanOp &op : plan.ops())
+            L::mulRows(regs + std::size_t(op.dst) * W,
+                       regs + std::size_t(op.lhs) * W,
+                       regs + std::size_t(op.rhs) * W, op.numPoints);
         Vec *out = lanesAcc;
         for (const PlanTerm &t : terms) {
             if (t.product == kNoReg)
                 continue;
-            const Vec *v = regs + std::size_t(t.product) * W;
-            for (std::uint32_t p = 0; p <= t.degree; ++p)
-                out[p] = L::add(out[p], v[p]);
+            L::addRows(out, regs + std::size_t(t.product) * W, t.degree + 1);
             out += t.degree + 1;
         }
     }
