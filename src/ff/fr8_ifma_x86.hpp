@@ -185,23 +185,9 @@ storePairs(Fr *p, const Fr8 &lo, const Fr8 &hi, std::size_t n = 8)
         _mm512_storeu_si512(p + 2 * k, r[k]);
 }
 
-/** Word permutes between two rows of two elements each and word-sliced
- *  halves: pick words 0, 4, 8, 12, 1, 5, 9, 13 (word 0 and 1 of four
- *  elements) and 2, 6, 10, 14, 3, 7, 11, 15 (words 2 and 3); the same
- *  index vectors take the quarters back. */
-ZKPHIRE_IFMA_FN __m512i
-interleave01()
-{
-    return _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0);
-}
-
-ZKPHIRE_IFMA_FN __m512i
-interleave23()
-{
-    return _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2);
-}
-
-/** Lanes k < n take p[k]; lanes from n on hold zero. */
+/** Lanes k < n take p[k]; lanes from n on hold zero. Rows of two
+ *  elements become word-sliced halves (words 0 and 1, then 2 and 3, of
+ *  four elements) and the halves become the four word vectors. */
 ZKPHIRE_IFMA_FN Fr8
 load8(const Fr *p, std::size_t n = 8)
 {
@@ -216,35 +202,31 @@ load8(const Fr *p, std::size_t n = 8)
             tail[k] = p[k];
         loadRows(tail, 2, 4, r, 4);
     }
-    const __m512i a = _mm512_permutex2var_epi64(r[0], interleave01(), r[1]);
-    const __m512i b = _mm512_permutex2var_epi64(r[0], interleave23(), r[1]);
-    const __m512i c = _mm512_permutex2var_epi64(r[2], interleave01(), r[3]);
-    const __m512i d = _mm512_permutex2var_epi64(r[2], interleave23(), r[3]);
-    const __m512i lowHalf = _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0);
-    const __m512i highHalf = _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4);
-    const __m512i w[4] = {_mm512_permutex2var_epi64(a, lowHalf, c),
-                          _mm512_permutex2var_epi64(a, highHalf, c),
-                          _mm512_permutex2var_epi64(b, lowHalf, d),
-                          _mm512_permutex2var_epi64(b, highHalf, d)};
+    const __m512i a = pick(r[0], r[1], 0, 4, 8, 12, 1, 5, 9, 13);
+    const __m512i b = pick(r[0], r[1], 2, 6, 10, 14, 3, 7, 11, 15);
+    const __m512i c = pick(r[2], r[3], 0, 4, 8, 12, 1, 5, 9, 13);
+    const __m512i d = pick(r[2], r[3], 2, 6, 10, 14, 3, 7, 11, 15);
+    const __m512i w[4] = {pick(a, c, 0, 1, 2, 3, 8, 9, 10, 11),
+                          pick(a, c, 4, 5, 6, 7, 12, 13, 14, 15),
+                          pick(b, d, 0, 1, 2, 3, 8, 9, 10, 11),
+                          pick(b, d, 4, 5, 6, 7, 12, 13, 14, 15)};
     return fromWords(w);
 }
 
-/** p[k] = lane k for k < n. */
+/** p[k] = lane k for k < n: load8's permutes in reverse. */
 ZKPHIRE_IFMA_FN void
 store8(Fr *p, const Fr8 &x, std::size_t n = 8)
 {
     __m512i w[4];
     toWords(x, w);
-    const __m512i lowHalf = _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0);
-    const __m512i highHalf = _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4);
-    const __m512i a = _mm512_permutex2var_epi64(w[0], lowHalf, w[1]);
-    const __m512i c = _mm512_permutex2var_epi64(w[0], highHalf, w[1]);
-    const __m512i b = _mm512_permutex2var_epi64(w[2], lowHalf, w[3]);
-    const __m512i d = _mm512_permutex2var_epi64(w[2], highHalf, w[3]);
-    const __m512i r[4] = {_mm512_permutex2var_epi64(a, interleave01(), b),
-                          _mm512_permutex2var_epi64(a, interleave23(), b),
-                          _mm512_permutex2var_epi64(c, interleave01(), d),
-                          _mm512_permutex2var_epi64(c, interleave23(), d)};
+    const __m512i a = pick(w[0], w[1], 0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i c = pick(w[0], w[1], 4, 5, 6, 7, 12, 13, 14, 15);
+    const __m512i b = pick(w[2], w[3], 0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i d = pick(w[2], w[3], 4, 5, 6, 7, 12, 13, 14, 15);
+    const __m512i r[4] = {pick(a, b, 0, 4, 8, 12, 1, 5, 9, 13),
+                          pick(a, b, 2, 6, 10, 14, 3, 7, 11, 15),
+                          pick(c, d, 0, 4, 8, 12, 1, 5, 9, 13),
+                          pick(c, d, 2, 6, 10, 14, 3, 7, 11, 15)};
     if (n >= 8) {
         for (std::size_t k = 0; k < 4; ++k)
             _mm512_storeu_si512(p + 2 * k, r[k]);
