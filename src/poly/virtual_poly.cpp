@@ -153,19 +153,16 @@ VirtualPoly::fixFirstVarInPlace(const Fr &r)
     // borrowed table folds into a half-size table of its slot's own,
     // acquired here: the ambient arena is this thread's, not the workers'.
     const std::size_t half = std::size_t(1) << (nVars - 1);
-    std::vector<bool> borrowed(view.size());
-    for (std::size_t s = 0; s < view.size(); ++s) {
-        borrowed[s] = !owns(s);
-        if (borrowed[s])
+    for (std::size_t s = 0; s < view.size(); ++s)
+        if (!owns(s))
             tables[s] = Mle(arenaAcquire(half));
-    }
     rt::parallelFor(
         0, view.size(),
         [&](std::size_t s) {
-            if (borrowed[s])
-                ff::foldVec(tables[s].data(), view[s]->data(), r, half);
-            else
+            if (owns(s))
                 tables[s].fixFirstVarInPlace(r, foldScratch[s]);
+            else
+                ff::foldVec(tables[s].data(), view[s]->data(), r, half);
         },
         /*grain=*/1);
     for (std::size_t s = 0; s < view.size(); ++s)
