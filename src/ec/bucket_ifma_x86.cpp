@@ -2,7 +2,7 @@
  * @file
  * AVX-512 IFMA point kernels of the MSM bucket phase; see
  * ec/bucket_ifma_x86.hpp. Like ff/mul_ifma_x86.cpp, every function that
- * touches a 512-bit vector carries the target attribute itself.
+ * touches a 512-bit vector carries ZKPHIRE_IFMA_TARGET itself.
  */
 #include "ec/bucket_ifma_x86.hpp"
 
@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "ff/fq8_ifma_x86.hpp"
+#include "ff/ifma_lanes_x86.hpp"
 
 namespace zkphire::ec {
 
@@ -19,6 +19,7 @@ namespace {
 
 using ff::Fq;
 using namespace ff::ifma;
+using Fq8 = Lanes<Fq>;
 
 // Points as 64-bit words: a G1Affine is x, y, then the infinity flag in
 // the low byte of its last word; a G1Jacobian is X, Y, Z.
@@ -32,7 +33,7 @@ static_assert(offsetof(G1Jacobian, Y) == sizeof(Fq) &&
 
 } // namespace
 
-__attribute__((target("avx512f,avx512ifma"))) void
+ZKPHIRE_IFMA_TARGET void
 finishSlopePairsIfma(G1Affine *slots, const std::uint32_t *slot,
                      const Fq *numer, const Fq *inv, const Fq *denom,
                      std::size_t n)
@@ -76,14 +77,14 @@ struct Jac8 {
 };
 
 /** b's lanes where m is set, a's elsewhere. */
-ZKPHIRE_IFMA_FN Jac8
+ZKPHIRE_IFMA_TARGET inline Jac8
 select(__mmask8 m, const Jac8 &a, const Jac8 &b)
 {
     return {select8(m, a.X, b.X), select8(m, a.Y, b.Y), select8(m, a.Z, b.Z)};
 }
 
 /** The lanes as scalar points, lane t at out[t]. */
-ZKPHIRE_IFMA_FN void
+ZKPHIRE_IFMA_TARGET inline void
 toPoints(const Jac8 &p, G1Jacobian (&out)[kAggregateTiles])
 {
     // Lane t's G1Jacobian starts at word 18t: three times consecutive().
@@ -93,7 +94,7 @@ toPoints(const Jac8 &p, G1Jacobian (&out)[kAggregateTiles])
     scatter8(&out[0].Z, at, p.Z);
 }
 
-ZKPHIRE_IFMA_FN Jac8
+ZKPHIRE_IFMA_TARGET inline Jac8
 fromPoints(const G1Jacobian (&in)[kAggregateTiles])
 {
     const __m512i at = consecutive() + shl(consecutive(), 1);
@@ -109,7 +110,7 @@ fromPoints(const G1Jacobian (&in)[kAggregateTiles])
  */
 // zkphire-lint: ct-exempt(identity/doubling special cases of the Jacobian group law; complete addition formulas are the ct fix and are tracked in ROADMAP)
 template <class Op>
-__attribute__((target("avx512f,avx512ifma"))) void
+ZKPHIRE_IFMA_TARGET void
 redoLanes(__mmask8 redo, const Jac8 &lhs, const Jac8 &rhs, Jac8 &out,
           Op &&op)
 {
@@ -136,7 +137,7 @@ redoLanes(__mmask8 redo, const Jac8 &lhs, const Jac8 &rhs, Jac8 &out,
  * scalar code. Z3 is 2 Z1 h and 2 Z1 Z2 h, the values the scalar formulas
  * reach through a square.
  */
-__attribute__((target("avx512f,avx512ifma"))) void
+ZKPHIRE_IFMA_TARGET void
 bucketTilesIfma(const G1Affine *buckets, std::size_t num_buckets,
                 BucketTiles &tiles)
 {

@@ -2,7 +2,7 @@
  * @file
  * AVX-512 IFMA point kernels of the MSM bucket phase: the fused finish of
  * a batched-affine round and the tiled bucket aggregation, each on eight
- * SIMD lanes of radix-2^52 Fq elements (ff/fq8_ifma_x86.hpp).
+ * SIMD lanes of radix-2^52 Fq elements (ff/ifma_lanes_x86.hpp).
  *
  * Both return exactly what their scalar counterparts in ec/batch_add.cpp
  * return: every lane evaluates the same field expressions, and every

@@ -4,7 +4,7 @@
  * elements at a time is written once: ScalarFr8 runs the scalar Fr
  * kernels element by element (the ADX multiplier, the unrolled C++ one or
  * the generic oracle, as PrimeField dispatches them), IfmaFr8 the AVX-512
- * IFMA lanes of ff/fr8_ifma_x86.hpp. Both return canonical elements, so
+ * IFMA lanes of ff/ifma_lanes_x86.hpp. Both return canonical elements, so
  * a loop gives bit-identical results on either.
  *
  * A loop instantiated on IfmaFr8 runs inside a function marked
@@ -34,7 +34,7 @@
 #include <cstddef>
 
 #include "ff/fr.hpp"
-#include "ff/fr8_ifma_x86.hpp"
+#include "ff/ifma_lanes_x86.hpp"
 
 namespace zkphire::ff::lanes {
 
@@ -126,40 +126,39 @@ struct ScalarFr8 {
 
 #if ZKPHIRE_HAVE_X86_IFMA
 
-#define ZKPHIRE_IFMA_LOOP                                                    \
-    __attribute__((target("avx512f,avx512ifma"), flatten))
+#define ZKPHIRE_IFMA_LOOP [[gnu::flatten]] ZKPHIRE_IFMA_TARGET
 
 struct IfmaFr8 {
-    using Vec = ifma::Fr8;
+    using Vec = ifma::Lanes<Fr>;
 
-    ZKPHIRE_IFMA_FN static Vec zero() { return ifma::zero8(); }
+    ZKPHIRE_IFMA_TARGET static Vec zero() { return Vec{}; }
 
-    ZKPHIRE_IFMA_FN static Vec
+    ZKPHIRE_IFMA_TARGET static Vec
     broadcast(const Fr &c)
     {
         return ifma::broadcast(c);
     }
 
-    ZKPHIRE_IFMA_FN static void
+    ZKPHIRE_IFMA_TARGET static void
     loadPairs(const Fr *p, std::size_t stride, Vec &lo, Vec &hi,
               std::size_t n = kWidth)
     {
         ifma::loadPairs(p, stride, lo, hi, n);
     }
 
-    ZKPHIRE_IFMA_FN static void
+    ZKPHIRE_IFMA_TARGET static void
     storePairs(Fr *p, const Vec &lo, const Vec &hi, std::size_t n = kWidth)
     {
         ifma::storePairs(p, lo, hi, n);
     }
 
-    ZKPHIRE_IFMA_FN static Vec
+    ZKPHIRE_IFMA_TARGET static Vec
     fold(const Vec &lo, const Vec &hi, const Vec &r)
     {
         return ifma::add8(lo, ifma::montMul8(r, ifma::sub8(hi, lo)));
     }
 
-    ZKPHIRE_IFMA_FN static void
+    ZKPHIRE_IFMA_TARGET static void
     extendRows(Vec *e, std::size_t pts)
     {
         const Vec diff = ifma::sub8(e[1], e[0]);
@@ -167,21 +166,25 @@ struct IfmaFr8 {
             e[j] = ifma::add8(e[j - 1], diff);
     }
 
-    ZKPHIRE_IFMA_FN static void
+    ZKPHIRE_IFMA_TARGET static void
     mulRows(Vec *d, const Vec *a, const Vec *b, std::size_t rows)
     {
         for (std::size_t j = 0; j < rows; ++j)
             d[j] = ifma::montMul8(a[j], b[j]);
     }
 
-    ZKPHIRE_IFMA_FN static void
+    ZKPHIRE_IFMA_TARGET static void
     addRows(Vec *acc, const Vec *v, std::size_t rows)
     {
         for (std::size_t j = 0; j < rows; ++j)
             acc[j] = ifma::add8(acc[j], v[j]);
     }
 
-    ZKPHIRE_IFMA_FN static Fr sum(const Vec &x) { return ifma::laneSum(x); }
+    ZKPHIRE_IFMA_TARGET static Fr
+    sum(const Vec &x)
+    {
+        return ifma::laneSum(x);
+    }
 };
 
 #endif // ZKPHIRE_HAVE_X86_IFMA

@@ -46,7 +46,7 @@
  * cpuid once at startup — BMI2 (mulx) and ADX (adcx/adox) CPUID bits —
  * plus the ZKPHIRE_ASM env toggle ("0" forces the portable kernels, for
  * A/B runs and the CI forced-fallback leg). The same switch governs the
- * AVX-512 IFMA batched Fq kernels (ff/mul_ifma_x86.hpp): a second probe
+ * AVX-512 IFMA batched kernels (ff/mul_ifma_x86.hpp): a second probe
  * (AVX512F and AVX512IFMA CPUID bits, plus the opmask and ZMM state the
  * OS enables in XCR0) arms them, and ZKPHIRE_ASM=0, ScopedAsmKernels(false)
  * and -DZKPHIRE_ASM=OFF turn them off along with the ADX multiplier. The

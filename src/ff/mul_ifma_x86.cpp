@@ -1,7 +1,7 @@
 /**
  * @file
- * AVX-512 IFMA batched Fq kernels; see ff/mul_ifma_x86.hpp. The lane
- * layout and arithmetic are in ff/fq8_ifma_x86.hpp.
+ * AVX-512 IFMA batched kernels: the Fq batch inversion and the Fr span
+ * kernels; see ff/mul_ifma_x86.hpp. The lanes are ff/ifma_lanes_x86.hpp's.
  */
 #include "ff/mul_ifma_x86.hpp"
 
@@ -10,17 +10,15 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ff/fq8_ifma_x86.hpp"
-#include "ff/fr8_ifma_x86.hpp"
+#include "ff/ifma_lanes_x86.hpp"
 
 namespace zkphire::ff::kernels {
 
 using ifma::consecutive;
 using ifma::firstLanes;
-using ifma::Fq8;
 using ifma::gather8;
+using ifma::Lanes;
 using ifma::montMul8;
-using ifma::ones;
 using ifma::scatter8;
 
 /**
@@ -31,7 +29,7 @@ using ifma::scatter8;
  * into a second layout: the forward sweep scatters each lane's running
  * product into out, and the backward sweep gathers it back.
  */
-__attribute__((target("avx512f,avx512ifma"))) void
+ZKPHIRE_IFMA_TARGET void
 batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
 {
     constexpr std::size_t kChains = 2;
@@ -54,12 +52,12 @@ batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
     }
     const __m512i step = _mm512_set1_epi64(6);
 
-    Fq8 acc[kChains];
-    for (Fq8 &a : acc)
-        a = ones();
+    Lanes<Fq> acc[kChains];
+    for (Lanes<Fq> &a : acc)
+        a = ifma::broadcast(Fq::one());
     for (std::size_t s = 0; s < lmin; ++s) {
         for (std::size_t c = 0; c < kChains; ++c) {
-            const Fq8 x = gather8(xs, idx[c]);
+            const Lanes<Fq> x = gather8(xs, idx[c]);
             scatter8(out, idx[c], acc[c]);
             acc[c] = montMul8(acc[c], x);
             idx[c] += step;
@@ -67,7 +65,7 @@ batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
     }
     if (rem != 0) {
         for (std::size_t c = 0; c < kChains; ++c) {
-            const Fq8 x = gather8(xs, idx[c], longer[c]);
+            const Lanes<Fq> x = gather8(xs, idx[c], longer[c]);
             scatter8(out, idx[c], acc[c], longer[c]);
             acc[c] = montMul8(acc[c], x);
         }
@@ -95,8 +93,8 @@ batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
         acc[c] = gather8(inv + 8 * c, consecutive());
     if (rem != 0) {
         for (std::size_t c = 0; c < kChains; ++c) {
-            const Fq8 pre = gather8(out, idx[c], longer[c]);
-            const Fq8 x = gather8(xs, idx[c], longer[c]);
+            const Lanes<Fq> pre = gather8(out, idx[c], longer[c]);
+            const Lanes<Fq> x = gather8(xs, idx[c], longer[c]);
             scatter8(out, idx[c], montMul8(acc[c], pre), longer[c]);
             acc[c] = montMul8(acc[c], x);
         }
@@ -104,8 +102,8 @@ batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
     for (std::size_t s = lmin; s-- > 0;) {
         for (std::size_t c = 0; c < kChains; ++c) {
             idx[c] -= step;
-            const Fq8 pre = gather8(out, idx[c]);
-            const Fq8 x = gather8(xs, idx[c]);
+            const Lanes<Fq> pre = gather8(out, idx[c]);
+            const Lanes<Fq> x = gather8(xs, idx[c]);
             scatter8(out, idx[c], montMul8(acc[c], pre));
             acc[c] = montMul8(acc[c], x);
         }
@@ -117,15 +115,12 @@ batchInverseFqIfma(const Fq *xs, Fq *out, std::size_t n)
 // before it writes, which is what lets dst alias an input.
 
 using ifma::add8;
-using ifma::Fr8;
 using ifma::load8;
 using ifma::loadPairs;
 using ifma::store8;
 using ifma::sub8;
 
-#define ZKPHIRE_FR_SPAN __attribute__((target("avx512f,avx512ifma"))) void
-
-ZKPHIRE_FR_SPAN
+ZKPHIRE_IFMA_TARGET void
 mulVecFrIfma(Fr *dst, const Fr *a, const Fr *b, std::size_t n)
 {
     for (std::size_t i = 0; i < n; i += 8) {
@@ -134,17 +129,17 @@ mulVecFrIfma(Fr *dst, const Fr *a, const Fr *b, std::size_t n)
     }
 }
 
-ZKPHIRE_FR_SPAN
+ZKPHIRE_IFMA_TARGET void
 scaleVecFrIfma(Fr *dst, const Fr &c, const Fr *v, std::size_t n)
 {
-    const Fr8 cv = ifma::broadcast(c);
+    const Lanes<Fr> cv = ifma::broadcast(c);
     for (std::size_t i = 0; i < n; i += 8) {
         const std::size_t m = std::min<std::size_t>(8, n - i);
         store8(dst + i, montMul8(cv, load8(v + i, m)), m);
     }
 }
 
-ZKPHIRE_FR_SPAN
+ZKPHIRE_IFMA_TARGET void
 addVecFrIfma(Fr *acc, const Fr *v, std::size_t n)
 {
     for (std::size_t i = 0; i < n; i += 8) {
@@ -153,10 +148,10 @@ addVecFrIfma(Fr *acc, const Fr *v, std::size_t n)
     }
 }
 
-ZKPHIRE_FR_SPAN
+ZKPHIRE_IFMA_TARGET void
 addMulVecFrIfma(Fr *acc, const Fr &c, const Fr *v, std::size_t n)
 {
-    const Fr8 cv = ifma::broadcast(c);
+    const Lanes<Fr> cv = ifma::broadcast(c);
     for (std::size_t i = 0; i < n; i += 8) {
         const std::size_t m = std::min<std::size_t>(8, n - i);
         store8(acc + i, add8(load8(acc + i, m), montMul8(cv, load8(v + i, m))),
@@ -164,32 +159,30 @@ addMulVecFrIfma(Fr *acc, const Fr &c, const Fr *v, std::size_t n)
     }
 }
 
-ZKPHIRE_FR_SPAN
+ZKPHIRE_IFMA_TARGET void
 splitVecFrIfma(Fr *lo, Fr *hi, const Fr *v, const Fr &c, std::size_t n)
 {
-    const Fr8 cv = ifma::broadcast(c);
+    const Lanes<Fr> cv = ifma::broadcast(c);
     for (std::size_t i = 0; i < n; i += 8) {
         const std::size_t m = std::min<std::size_t>(8, n - i);
-        const Fr8 x = load8(v + i, m);
-        const Fr8 h = montMul8(x, cv);
+        const Lanes<Fr> x = load8(v + i, m);
+        const Lanes<Fr> h = montMul8(x, cv);
         store8(hi + i, h, m);
         store8(lo + i, sub8(x, h), m);
     }
 }
 
-ZKPHIRE_FR_SPAN
+ZKPHIRE_IFMA_TARGET void
 foldVecFrIfma(Fr *dst, const Fr *src, const Fr &r, std::size_t half)
 {
-    const Fr8 rv = ifma::broadcast(r);
+    const Lanes<Fr> rv = ifma::broadcast(r);
     for (std::size_t j = 0; j < half; j += 8) {
         const std::size_t m = std::min<std::size_t>(8, half - j);
-        Fr8 lo, hi;
+        Lanes<Fr> lo, hi;
         loadPairs(src + 2 * j, 2, lo, hi, m);
         store8(dst + j, add8(lo, montMul8(rv, sub8(hi, lo))), m);
     }
 }
-
-#undef ZKPHIRE_FR_SPAN
 
 } // namespace zkphire::ff::kernels
 

@@ -5,26 +5,11 @@
  * (ff::detail::batchInverseSerial<Fq>), which the MSM bucket rounds and
  * the batched affine normalizations of commitments and SRS level builds
  * run on; the bucket rounds' other multiplies run in the fused point
- * kernels of ec/bucket_ifma_x86.hpp on the same lane arithmetic. In Fr,
- * the span kernels of ff/vec_ops.hpp on the lanes of ff/fr8_ifma_x86.hpp
- * (the GatePlan block loop runs on those lanes through
- * ff/fr_lanes.hpp).
- *
- * Each of the eight SIMD lanes holds one field element in radix 2^52.
- * An Fq lane has eight limbs, the top one 17 bits wide; the Fr lanes of
- * ff/fr8_ifma_x86.hpp have five and keep R = 2^256 the same way (four
- * 52-bit reduction steps and one 48-bit step), and move whole 64-byte
- * rows through word permutes instead of gathers. The Fq multiplier keeps
- * R = 2^384,
- * the Montgomery radix of the scalar kernels: its CIOS loop runs seven
- * 52-bit reduction steps and then one 20-bit step (7 * 52 + 20 = 384),
- * so each lane returns exactly the canonical value a * b * 2^-384 mod p
- * that montMulAsmX86 and montMulNoCarry return, and no conversion in or
- * out of Montgomery form is needed. Operands move between the 48-byte
- * element arrays and the limb vectors by gathers and scatters; partial
- * vectors use masks, so no lane reads or writes past an array. The lane
- * layout and its arithmetic are in the private ff/fq8_ifma_x86.hpp,
- * which the point kernels of ec/bucket_ifma_x86.hpp share.
+ * kernels of ec/bucket_ifma_x86.hpp. In Fr, the span kernels of
+ * ff/vec_ops.hpp (the GatePlan block loop runs on the same lanes through
+ * ff/fr_lanes.hpp). The lane layout, its arithmetic and each field's
+ * element movement are in the private ff/ifma_lanes_x86.hpp; every lane
+ * returns the canonical value the scalar kernels return.
  *
  * Selection: PrimeField dispatch never calls the kernels directly.
  * batchInverseSerial<Fq>, the bucket rounds' point kernels, the Fr span

@@ -220,8 +220,9 @@ proveOpen(std::span<const EvalClaim> claims,
 
     // Slots [A_0..A_{G-1}, B_0..B_{G-1}] of Sum_g A_g * B_g. By point, A_g
     // is its claims' eta-combination of tables and B_g its point's eq
-    // table; by table, A_g is a working copy of the table (the sumcheck
-    // folds it) and B_g its claims' eta-combination of eq tables.
+    // table; by table, A_g is the table itself, borrowed (read in place
+    // until the sumcheck's first fold), and B_g its claims'
+    // eta-combination of eq tables. The built tables are moved in.
     std::vector<Fr> table_evals(distinct.size());
     ProverOutput sc;
     {
@@ -229,7 +230,9 @@ proveOpen(std::span<const EvalClaim> claims,
         std::vector<std::vector<std::size_t>> members(groups);
         for (std::size_t i = 0; i < k; ++i)
             members[group_of[i]].push_back(i);
-        std::vector<Mle> slots(2 * groups);
+        std::vector<const Mle *> slots(2 * groups);
+        std::vector<Mle> owned;
+        owned.reserve(2 * groups); // slots point into it: no reallocation
         for (std::size_t g = 0; g < groups; ++g) {
             std::vector<const Mle *> ts;
             std::vector<std::vector<Fr>> pts;
@@ -241,16 +244,17 @@ proveOpen(std::span<const EvalClaim> claims,
             }
             if (by_point) {
                 const Fr one = Fr::one();
-                slots[g] = poly::linearCombination(ts, cs);
-                slots[groups + g] = eqs.combine({pts.data(), 1}, {&one, 1});
+                slots[g] =
+                    &owned.emplace_back(poly::linearCombination(ts, cs));
+                slots[groups + g] = &owned.emplace_back(
+                    eqs.combine({pts.data(), 1}, {&one, 1}));
             } else {
-                poly::FrTable copy = poly::arenaAcquire(ts[0]->size());
-                copy.assign(ts[0]->evals());
-                slots[g] = Mle(std::move(copy));
-                slots[groups + g] = eqs.combine(pts, cs);
+                slots[g] = ts[0];
+                slots[groups + g] = &owned.emplace_back(eqs.combine(pts, cs));
             }
         }
-        VirtualPoly vp(batchedExpr(groups, Fr::one()), std::move(slots));
+        VirtualPoly vp(batchedExpr(groups, Fr::one()), slots, std::move(owned),
+                       nullptr);
         sc = proveRounds(vp, tr);
         // By table, the folded table slots are the P_t(r).
         if (!by_point)

@@ -23,6 +23,7 @@ LINT = os.path.join(ROOT, "tools", "lint", "zkphire_lint.py")
 # fixture basename -> (rule id, minimum findings, exact?)
 EXPECT = {
     "ct_branch_violation.cpp": ("ct-kernel", 3, True),
+    "ct_lane_branch_violation.cpp": ("ct-kernel", 1, True),
     "lock_order_violation.cpp": ("lock-order", 1, True),
     "parallel_capture_violation.cpp": ("parallel-capture", 1, True),
     "transcript_unordered_violation.cpp": ("transcript-determinism", 2, True),

@@ -12,9 +12,8 @@
 #include "engine/context.hpp"
 #include "ff/batch_inverse.hpp"
 #include "ff/fq.hpp"
-#include "ff/fq8_ifma_x86.hpp"
-#include "ff/fr8_ifma_x86.hpp"
 #include "ff/fr.hpp"
+#include "ff/ifma_lanes_x86.hpp"
 #include "ff/mul_asm_x86.hpp"
 #include "ff/mul_ifma_x86.hpp"
 #include "ff/mul_impl.hpp"
@@ -248,8 +247,8 @@ TEST(FfKernels, AsmScopeRoundTrips)
 }
 
 // ---------------------------------------------------------------------------
-// The AVX-512 IFMA lane multiplier (ff/fq8_ifma_x86.hpp) and batched Fq
-// kernels (ff/mul_ifma_x86.hpp) against the scalar kernels: IFMA == ADX ==
+// The AVX-512 IFMA lanes (ff/ifma_lanes_x86.hpp) and the batched kernels on
+// them (ff/mul_ifma_x86.hpp) against the scalar kernels: IFMA == ADX ==
 // unrolled == generic, element for element.
 // Skipped (not failed) on hosts and builds without IFMA, which never
 // dispatch to them.
@@ -259,30 +258,63 @@ namespace {
 
 using testutil::ifmaSkipReason;
 
-/** n operands cycling through the edge operands, then random ones: every
- *  edge pair meets in the first edges^2 positions of a (i % e) x (i / e)
- *  layout when n is that large. */
-std::vector<ff::Fq>
-fqOperands(std::size_t n, bool second, ff::Rng &rng)
+/** Edge operands of the lane arithmetic: the canonical edges, plus
+ *  elements whose raw Montgomery words are the radix-2^52 extremes (the
+ *  low k limbs at 2^52 - 1 for every k that stays below p, p - 1 and
+ *  p - 2 as raw words, raw 1). */
+template <class F>
+std::vector<F>
+laneEdges()
 {
-    const std::vector<ff::Fq> edges = edgeOperands<ff::Fq>();
+    using Big = typename F::Big;
+    std::vector<F> out = edgeOperands<F>();
+    // Canonical R^-1: the element whose raw words are T is T * R^-1.
+    const F rinv = F::fromBig(F::one().raw()).inverse();
+    std::vector<Big> raws = {Big(1)};
+    for (std::size_t k = 1; 52 * k < F::modulusBits(); ++k) {
+        Big t;
+        for (std::size_t bit = 0; bit < 52 * k; ++bit)
+            t.limb[bit / 64] |= std::uint64_t(1) << (bit % 64);
+        raws.push_back(t);
+    }
+    Big pm1 = F::modulus();
+    pm1.subInPlace(Big(1));
+    raws.push_back(pm1);
+    pm1.subInPlace(Big(1));
+    raws.push_back(pm1);
+    for (const Big &t : raws) {
+        const F x = F::fromBig(t) * rinv;
+        EXPECT_EQ(x.raw(), t);
+        out.push_back(x);
+    }
+    return out;
+}
+
+/** n operands: every ordered pair of edges meets in the first edges^2
+ *  positions of a (i % e) x (i / e) layout, then random ones. */
+template <class F>
+std::vector<F>
+laneOperands(const std::vector<F> &edges, std::size_t n, bool second,
+             ff::Rng &rng)
+{
     const std::size_t e = edges.size();
-    std::vector<ff::Fq> v;
+    std::vector<F> v;
     for (std::size_t i = 0; i < n; ++i) {
         if (i < e * e)
             v.push_back(second ? edges[(i / e) % e] : edges[i % e]);
         else
-            v.push_back(ff::Fq::random(rng));
+            v.push_back(F::random(rng));
     }
     return v;
 }
 
 /** Per-element products under each scalar kernel, which must agree. */
-std::vector<ff::Fq>
-scalarProducts(const std::vector<ff::Fq> &a, const std::vector<ff::Fq> &b)
+template <class F>
+std::vector<F>
+scalarProducts(const std::vector<F> &a, const std::vector<F> &b)
 {
     const std::size_t n = a.size();
-    std::vector<ff::Fq> generic(n), unrolled(n), adx(n);
+    std::vector<F> generic(n), unrolled(n), adx(n);
     {
         ScopedGenericKernels oracle(true);
         for (std::size_t i = 0; i < n; ++i)
@@ -305,42 +337,96 @@ scalarProducts(const std::vector<ff::Fq> &a, const std::vector<ff::Fq> &b)
 }
 
 #if ZKPHIRE_HAVE_X86_IFMA
-/** dst[i] = a[i] * b[i] by ifma::montMul8, one full vector of eight
- *  consecutive elements at a time. @pre n % 8 == 0. */
-__attribute__((target("avx512f,avx512ifma"))) void
-montMul8Products(const ff::Fq *a, const ff::Fq *b, ff::Fq *dst,
-                 std::size_t n)
+using ff::ifma::Lanes;
+
+// Eight consecutive elements into the lanes and back, by each field's own
+// movement: Fq gathers and scatters, Fr rows and permutes.
+
+ZKPHIRE_IFMA_TARGET Lanes<ff::Fq>
+loadLanes(const ff::Fq *p)
 {
-    using namespace ff::ifma;
-    const __m512i idx = consecutive();
-    for (std::size_t i = 0; i < n; i += 8)
-        scatter8(dst + i, idx,
-                 montMul8(gather8(a + i, idx), gather8(b + i, idx)));
+    return ff::ifma::gather8(p, ff::ifma::consecutive());
+}
+
+ZKPHIRE_IFMA_TARGET void
+storeLanes(ff::Fq *p, const Lanes<ff::Fq> &x)
+{
+    ff::ifma::scatter8(p, ff::ifma::consecutive(), x);
+}
+
+ZKPHIRE_IFMA_TARGET Lanes<ff::Fr>
+loadLanes(const ff::Fr *p)
+{
+    return ff::ifma::load8(p);
+}
+
+ZKPHIRE_IFMA_TARGET void
+storeLanes(ff::Fr *p, const Lanes<ff::Fr> &x)
+{
+    ff::ifma::store8(p, x);
+}
+
+/** Products, sums and differences of eight consecutive pairs at a time on
+ *  the lanes. @pre n % 8 == 0. */
+template <class F>
+ZKPHIRE_IFMA_TARGET void
+laneOps(const F *a, const F *b, F *prod, F *sum, F *diff, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 8) {
+        const Lanes<F> x = loadLanes(a + i), y = loadLanes(b + i);
+        storeLanes(prod + i, ff::ifma::montMul8(x, y));
+        storeLanes(sum + i, ff::ifma::add8(x, y));
+        storeLanes(diff + i, ff::ifma::sub8(x, y));
+    }
 }
 #endif
 
+template <class F>
+class IfmaLanes : public ::testing::Test
+{
+};
+
+/** Names the typed tests by field: IfmaLanes/Fq, IfmaLanes/Fr. */
+struct FieldName {
+    template <class F>
+    static std::string
+    GetName(int)
+    {
+        return F::name();
+    }
+};
+
+using LaneFields = ::testing::Types<ff::Fq, ff::Fr>;
+TYPED_TEST_SUITE(IfmaLanes, LaneFields, FieldName);
+
 } // namespace
 
-TEST(FfKernels, FqIfmaMontMul8MatchesScalarKernels)
+TYPED_TEST(IfmaLanes, MulAddSubMatchScalarKernels)
 {
-    // The lane multiplier that the batch inversion and the bucket-round
-    // point kernels share, on every ordered pair of edge operands and then
-    // random pairs. Masked tails are the batch inversion's, checked with
-    // sentinels by FqIfmaBatchInverseMatchesPerElementInverse.
+    // The lane multiply, add and subtract that every IFMA kernel shares,
+    // on every ordered pair of edge operands and then 1000 random pairs.
+    // Masked and partial moves are the kernels', checked with sentinels
+    // by FqIfmaBatchInverseMatchesPerElementInverse and
+    // FrIfmaSpanKernelsMatchScalarLoops.
     if (const char *why = ifmaSkipReason())
         GTEST_SKIP() << why;
 #if ZKPHIRE_HAVE_X86_IFMA
+    using F = TypeParam;
     ff::Rng rng(52);
-    const std::size_t e = edgeOperands<ff::Fq>().size();
+    const std::vector<F> edges = laneEdges<F>();
+    const std::size_t e = edges.size();
     const std::size_t n = (e * e + 1000 + 7) / 8 * 8;
-    const std::vector<ff::Fq> a = fqOperands(n, false, rng);
-    const std::vector<ff::Fq> b = fqOperands(n, true, rng);
-    const std::vector<ff::Fq> expect = scalarProducts(a, b);
-    std::vector<ff::Fq> got(n);
-    montMul8Products(a.data(), b.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(got[i], expect[i])
-            << "operand pair " << i << (i < e * e ? " (edge pair)" : "");
+    const std::vector<F> a = laneOperands(edges, n, false, rng);
+    const std::vector<F> b = laneOperands(edges, n, true, rng);
+    const std::vector<F> expect = scalarProducts(a, b);
+    std::vector<F> prod(n), sum(n), diff(n);
+    laneOps(a.data(), b.data(), prod.data(), sum.data(), diff.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const char *what = i < e * e ? " (edge pair)" : "";
+        EXPECT_EQ(prod[i], expect[i]) << "product " << i << what;
+        EXPECT_EQ(sum[i], a[i] + b[i]) << "sum " << i << what;
+        EXPECT_EQ(diff[i], a[i] - b[i]) << "difference " << i << what;
+    }
 #endif
 }
 
@@ -398,117 +484,7 @@ TEST(FfKernels, FqIfmaBatchInverseMatchesPerElementInverse)
 #endif
 }
 
-// ---------------------------------------------------------------------------
-// The Fr lanes (ff/fr8_ifma_x86.hpp) and the Fr span kernels on them
-// against the scalar kernels, element for element.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/** Edge operands of the lane multiplier: the canonical edges, plus
- *  elements whose raw Montgomery words are the radix-2^52 extremes (every
- *  low limb at 2^52 - 1, r - 1 and r - 2 as raw words, raw 1). */
-std::vector<ff::Fr>
-frLaneEdges()
-{
-    using Big = ff::Fr::Big;
-    std::vector<ff::Fr> out = edgeOperands<ff::Fr>();
-    // Canonical R^-1: the element whose raw words are T is T * R^-1.
-    const ff::Fr rinv = ff::Fr::fromBig(ff::Fr::one().raw()).inverse();
-    std::vector<Big> raws = {Big(1)};
-    for (unsigned k = 1; k <= 4; ++k) {
-        Big t;
-        for (unsigned bit = 0; bit < 52 * k; ++bit)
-            t.limb[bit / 64] |= std::uint64_t(1) << (bit % 64);
-        raws.push_back(t);
-    }
-    Big rm1 = ff::Fr::modulus();
-    rm1.subInPlace(Big(1));
-    raws.push_back(rm1);
-    rm1.subInPlace(Big(1));
-    raws.push_back(rm1);
-    for (const Big &t : raws) {
-        const ff::Fr x = ff::Fr::fromBig(t) * rinv;
-        EXPECT_EQ(x.raw(), t);
-        out.push_back(x);
-    }
-    return out;
-}
-
-/** n operands: every ordered edge pair first, then random ones. */
-std::vector<ff::Fr>
-frOperands(std::size_t n, bool second, ff::Rng &rng)
-{
-    const std::vector<ff::Fr> edges = frLaneEdges();
-    const std::size_t e = edges.size();
-    std::vector<ff::Fr> v;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i < e * e)
-            v.push_back(second ? edges[(i / e) % e] : edges[i % e]);
-        else
-            v.push_back(ff::Fr::random(rng));
-    }
-    return v;
-}
-
-#if ZKPHIRE_HAVE_X86_IFMA
-/** Products, sums and differences of eight consecutive pairs at a time on
- *  the lanes. @pre n % 8 == 0. */
-__attribute__((target("avx512f,avx512ifma"))) void
-frLaneOps(const ff::Fr *a, const ff::Fr *b, ff::Fr *prod, ff::Fr *sum,
-          ff::Fr *diff, std::size_t n)
-{
-    using namespace ff::ifma;
-    for (std::size_t i = 0; i < n; i += 8) {
-        const Fr8 x = load8(a + i), y = load8(b + i);
-        store8(prod + i, montMul8(x, y));
-        store8(sum + i, add8(x, y));
-        store8(diff + i, sub8(x, y));
-    }
-}
-#endif
-
-} // namespace
-
-TEST(FfKernels, FrIfmaLaneOpsMatchScalarKernels)
-{
-    if (const char *why = ifmaSkipReason())
-        GTEST_SKIP() << why;
-#if ZKPHIRE_HAVE_X86_IFMA
-    ff::Rng rng(54);
-    const std::size_t e = frLaneEdges().size();
-    const std::size_t n = (e * e + 1000 + 7) / 8 * 8;
-    const std::vector<ff::Fr> a = frOperands(n, false, rng);
-    const std::vector<ff::Fr> b = frOperands(n, true, rng);
-    std::vector<ff::Fr> generic(n), unrolled(n), adx(n);
-    {
-        ScopedGenericKernels oracle(true);
-        for (std::size_t i = 0; i < n; ++i)
-            generic[i] = a[i] * b[i];
-    }
-    ScopedGenericKernels fixed(false);
-    {
-        ff::kernels::ScopedAsmKernels no_asm(false);
-        for (std::size_t i = 0; i < n; ++i)
-            unrolled[i] = a[i] * b[i];
-    }
-    {
-        ff::kernels::ScopedAsmKernels with_asm(true);
-        for (std::size_t i = 0; i < n; ++i)
-            adx[i] = a[i] * b[i];
-    }
-    EXPECT_EQ(unrolled, generic);
-    EXPECT_EQ(adx, generic);
-    std::vector<ff::Fr> prod(n), sum(n), diff(n);
-    frLaneOps(a.data(), b.data(), prod.data(), sum.data(), diff.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const char *what = i < e * e ? " (edge pair)" : "";
-        EXPECT_EQ(prod[i], generic[i]) << "product " << i << what;
-        EXPECT_EQ(sum[i], a[i] + b[i]) << "sum " << i << what;
-        EXPECT_EQ(diff[i], a[i] - b[i]) << "difference " << i << what;
-    }
-#endif
-}
+// The Fr span kernels on the lanes against the scalar loops.
 
 TEST(FfKernels, FrIfmaSpanKernelsMatchScalarLoops)
 {

@@ -628,3 +628,54 @@ TEST(OpenCheck, GroupedProofMatchesPerClaimOracle)
         checkAgainstOracle(one, serial);
     }
 }
+
+TEST(OpenCheck, ByTableGroupReadsItsTableInPlace)
+{
+    // OpenCheck B's shape: five claims on one 2^12-entry table, at the four
+    // points z_p places with a 0/1 coordinate and at the grand-product
+    // root. The by-table group binds the table as a borrowed slot, read in
+    // place until the sumcheck's first fold. Serial, every table in RAM
+    // (the caller's too, whatever ZKPHIRE_STREAM_THRESHOLD says), no
+    // arena: the proof allocates the combined eq table (n entries), the eq
+    // build over z_p (n / 2) and the table's first fold (n / 2). A working
+    // copy of the table would add n more, less the fold it saves.
+    const unsigned mu = 12;
+    const std::size_t n = std::size_t(1) << mu;
+    const rt::Config cfg{.threads = 1, .streamThreshold = SIZE_MAX};
+    rt::ScopedConfig ram(cfg);
+    Rng rng(54);
+    const Mle v = Mle::random(mu, rng);
+    const Mle v_before = v;
+    const std::vector<Fr> z_p = randomPoint(rng, mu - 1, 0);
+    std::vector<std::vector<Fr>> pts(4);
+    pts[0] = {Fr::one()};
+    pts[0].insert(pts[0].end(), z_p.begin(), z_p.end());
+    pts[1] = z_p;
+    pts[1].push_back(Fr::zero());
+    pts[2] = z_p;
+    pts[2].push_back(Fr::one());
+    pts[3] = {Fr::zero()};
+    pts[3].insert(pts[3].end(), z_p.begin(), z_p.end());
+    pts.push_back(rootProductPoint(mu - 1));
+    std::vector<EvalClaim> claims;
+    for (const std::vector<Fr> &z : pts) {
+        EvalClaim c;
+        c.point = z;
+        c.value = v.evaluate(z);
+        claims.push_back(std::move(c));
+    }
+    const std::vector<const Mle *> tables(claims.size(), &v);
+
+    const poly::StoreCounters before = poly::storeCounters();
+    hash::Transcript tp("oc-bytes");
+    const OpencheckProverOutput out = proveOpen(claims, tables, tp, cfg);
+    const poly::StoreCounters after = poly::storeCounters();
+    EXPECT_LE(after.ramBytes - before.ramBytes, 2 * n * sizeof(Fr));
+    EXPECT_EQ(after.mappedBytes, before.mappedBytes);
+    EXPECT_TRUE(v == v_before) << "a borrowed table is only read";
+
+    hash::Transcript tv("oc-bytes");
+    const OpencheckVerifyResult res = verifyOpen(claims, out.proof, mu, tv);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.polyEvals, out.polyEvals);
+}
