@@ -37,6 +37,7 @@
 #include "sumcheck/opencheck.hpp"
 #include "sumcheck/prover.hpp"
 
+#include "../tests/field_oracle.hpp"
 #include "../tests/msm_oracle.hpp"
 #include "../tests/sumcheck_oracle.hpp"
 
@@ -68,17 +69,40 @@ BM_FrAdd(benchmark::State &state)
 }
 BENCHMARK(BM_FrAdd);
 
+// BM_{Fr,Fq}Inverse: one constant-time safegcd inversion
+// (ff/safegcd.hpp), each feeding the next. The _Fermat variants time the
+// test oracle, x^(p-2) by the bit-by-bit ladder (tests/field_oracle.hpp),
+// the price of the Fermat inversion the safegcd replaced.
+template <class F>
 static void
-BM_FrInverse(benchmark::State &state)
+BM_Inverse(benchmark::State &state)
 {
     Rng rng(3);
-    Fr a = Fr::random(rng);
+    F a = F::random(rng);
     for (auto _ : state) {
         a = a.inverse();
         benchmark::DoNotOptimize(a);
     }
 }
-BENCHMARK(BM_FrInverse);
+
+template <class F>
+static void
+BM_InverseFermat(benchmark::State &state)
+{
+    Rng rng(3);
+    F a = F::random(rng);
+    typename F::Big pm2 = F::modulus();
+    pm2.subInPlace(typename F::Big(2));
+    for (auto _ : state) {
+        a = oracle::powLadder(a, pm2);
+        benchmark::DoNotOptimize(a);
+    }
+}
+
+BENCHMARK(BM_Inverse<Fr>)->Name("BM_FrInverse");
+BENCHMARK(BM_Inverse<ff::Fq>)->Name("BM_FqInverse");
+BENCHMARK(BM_InverseFermat<Fr>)->Name("BM_FrInverse_Fermat");
+BENCHMARK(BM_InverseFermat<ff::Fq>)->Name("BM_FqInverse_Fermat");
 
 static void
 BM_FqMul(benchmark::State &state)

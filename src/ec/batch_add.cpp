@@ -58,6 +58,36 @@ stagePair(const G1Affine &a, const G1Affine &b, G1Affine *slots,
     dst = a;
 }
 
+/** Grow v's capacity to exactly n when it is short; push_back and resize
+ *  would round it up to as much as twice the old size. */
+template <class T>
+void
+reserveExact(std::vector<T> &v, std::size_t n)
+{
+    if (v.capacity() < n)
+        v.reserve(n);
+}
+
+/** v.resize(n) with the capacity grown to exactly n. */
+template <class T>
+void
+resizeExact(std::vector<T> &v, std::size_t n)
+{
+    reserveExact(v, n);
+    v.resize(n);
+}
+
+/** Size the staging arrays for `pairs` slope pairs, the most that any
+ *  round of a block stages. */
+void
+reserveRounds(BatchAffineScratch &scratch, std::size_t pairs)
+{
+    reserveExact(scratch.slot, pairs);
+    reserveExact(scratch.numer, pairs);
+    reserveExact(scratch.denom, pairs);
+    reserveExact(scratch.inv, pairs);
+}
+
 /** Clear the per-round staging arrays. */
 void
 beginRound(BatchAffineScratch &scratch)
@@ -65,6 +95,23 @@ beginRound(BatchAffineScratch &scratch)
     scratch.slot.clear();
     scratch.numer.clear();
     scratch.denom.clear();
+}
+
+/**
+ * One past the last segment of the block that starts at segment s0: the
+ * longest run of segments whose entries fit kSegmentBlockEntries, and
+ * fewer segments than that so their offsets fit too. A segment longer
+ * than the budget is a block of its own.
+ */
+std::size_t
+blockEnd(std::span<const std::uint32_t> off, std::size_t s0)
+{
+    const std::size_t num_segs = off.size() - 1;
+    std::size_t s = s0 + 1;
+    while (s < num_segs && s + 1 - s0 < kSegmentBlockEntries &&
+           off[s + 1] - off[s0] <= kSegmentBlockEntries)
+        ++s;
+    return s;
 }
 
 /**
@@ -160,15 +207,19 @@ batchAffineSegmentSums(std::span<G1Affine> buf,
     const std::size_t num_segs = out.size();
     assert(off.size() == num_segs + 1);
 
-    scratch.len.resize(num_segs);
-    bool again = false;
-    for (std::size_t s = 0; s < num_segs; ++s) {
-        scratch.len[s] = off[s + 1] - off[s];
-        again |= scratch.len[s] > 1;
+    for (std::size_t s0 = 0, s1; s0 < num_segs; s0 = s1) {
+        s1 = blockEnd(off, s0);
+        resizeExact(scratch.len, s1 - s0);
+        bool again = false;
+        for (std::size_t s = s0; s < s1; ++s) {
+            scratch.len[s - s0] = off[s + 1] - off[s];
+            again |= scratch.len[s - s0] > 1;
+        }
+        reserveRounds(scratch, (off[s1] - off[s0]) / 2);
+        reduceSegments(buf, off.subspan(s0), again, scratch, stats);
+        for (std::size_t s = s0; s < s1; ++s)
+            out[s] = scratch.len[s - s0] ? buf[off[s]] : G1Affine{};
     }
-    reduceSegments(buf, off, again, scratch, stats);
-    for (std::size_t s = 0; s < num_segs; ++s)
-        out[s] = scratch.len[s] ? buf[off[s]] : G1Affine{};
 }
 
 void
@@ -181,33 +232,6 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
 {
     const std::size_t num_segs = out.size();
     assert(off.size() == num_segs + 1);
-
-    // Round 0 reads the shared point array through the encoded entries and
-    // writes compacted half-size segments into scratch.buf; the remaining
-    // rounds then run in place over materialized points.
-    scratch.off.resize(num_segs + 1);
-    scratch.off[0] = 0;
-    for (std::size_t s = 0; s < num_segs; ++s) {
-        const std::uint32_t L = off[s + 1] - off[s];
-        scratch.off[s + 1] = scratch.off[s] + (L + 1) / 2;
-    }
-    // Scratch is caller-retained (thread-local in the MSM); cap the
-    // high-water mark so one huge job doesn't pin peak-size buffers for
-    // the life of a long-running prover process.
-    const std::size_t need = scratch.off[num_segs];
-    const auto trim = [](auto &v, std::size_t bound) {
-        if (v.capacity() > 4 * bound + 1024) {
-            v.clear();
-            v.shrink_to_fit();
-        }
-    };
-    trim(scratch.buf, need);
-    trim(scratch.slot, need);
-    trim(scratch.numer, need);
-    trim(scratch.denom, need);
-    trim(scratch.inv, need);
-    if (scratch.buf.size() < need)
-        scratch.buf.resize(need);
 
     // Round 0 decodes every entry exactly once: each pair is staged
     // straight into its compacted slot and an odd tail is copied there.
@@ -222,33 +246,52 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
         __builtin_prefetch(p + 64);
         __builtin_prefetch(p + sizeof(G1Affine) - 1);
     };
-    beginRound(scratch);
-    scratch.len.resize(num_segs);
-    for (std::size_t s = 0; s < num_segs; ++s) {
-        const std::uint32_t *e = enc.data() + off[s];
-        const std::size_t L = off[s + 1] - off[s];
-        G1Affine *dst = scratch.buf.data() + scratch.off[s];
-        const std::uint32_t slot0 = scratch.off[s];
-        for (std::size_t j = 0; j < L / 2; ++j) {
-            if (const std::size_t k = off[s] + 2 * j + kAhead;
-                k + 1 < enc.size()) {
-                prefetch(k);
-                prefetch(k + 1);
-            }
-            stagePair(decodeEntry(points, e[2 * j]),
-                      decodeEntry(points, e[2 * j + 1]), scratch.buf.data(),
-                      slot0 + std::uint32_t(j), scratch);
+    for (std::size_t s0 = 0, s1; s0 < num_segs; s0 = s1) {
+        s1 = blockEnd(off, s0);
+        const std::size_t nb = s1 - s0;
+        // Round 0 reads the shared point array through the encoded
+        // entries and writes the block's compacted half-size segments
+        // into scratch.buf; the remaining rounds then run in place over
+        // materialized points.
+        resizeExact(scratch.off, nb + 1);
+        scratch.off[0] = 0;
+        for (std::size_t s = 0; s < nb; ++s) {
+            const std::uint32_t L = off[s0 + s + 1] - off[s0 + s];
+            scratch.off[s + 1] = scratch.off[s] + (L + 1) / 2;
         }
-        if (L % 2 == 1)
-            dst[L / 2] = decodeEntry(points, e[L - 1]);
-        scratch.len[s] = std::uint32_t(L);
-    }
-    finishRound(scratch.buf.data(), scratch, stats);
-    const bool again = halveLengths(scratch.len);
+        resizeExact(scratch.buf, scratch.off[nb]);
+        resizeExact(scratch.len, nb);
 
-    reduceSegments(scratch.buf, scratch.off, again, scratch, stats);
-    for (std::size_t s = 0; s < num_segs; ++s)
-        out[s] = scratch.len[s] ? scratch.buf[scratch.off[s]] : G1Affine{};
+        reserveRounds(scratch, (off[s1] - off[s0]) / 2);
+        beginRound(scratch);
+        for (std::size_t s = 0; s < nb; ++s) {
+            const std::uint32_t *e = enc.data() + off[s0 + s];
+            const std::size_t L = off[s0 + s + 1] - off[s0 + s];
+            G1Affine *dst = scratch.buf.data() + scratch.off[s];
+            const std::uint32_t slot0 = scratch.off[s];
+            for (std::size_t j = 0; j < L / 2; ++j) {
+                if (const std::size_t k = off[s0 + s] + 2 * j + kAhead;
+                    k + 1 < enc.size()) {
+                    prefetch(k);
+                    prefetch(k + 1);
+                }
+                stagePair(decodeEntry(points, e[2 * j]),
+                          decodeEntry(points, e[2 * j + 1]),
+                          scratch.buf.data(), slot0 + std::uint32_t(j),
+                          scratch);
+            }
+            if (L % 2 == 1)
+                dst[L / 2] = decodeEntry(points, e[L - 1]);
+            scratch.len[s] = std::uint32_t(L);
+        }
+        finishRound(scratch.buf.data(), scratch, stats);
+        const bool again = halveLengths(scratch.len);
+
+        reduceSegments(scratch.buf, scratch.off, again, scratch, stats);
+        for (std::size_t s = 0; s < nb; ++s)
+            out[s0 + s] =
+                scratch.len[s] ? scratch.buf[scratch.off[s]] : G1Affine{};
+    }
 }
 
 namespace detail {

@@ -11,17 +11,25 @@
  * additions whose slope denominators can be inverted together.
  *
  * batchAffineSegmentSums reduces many independent point lists ("segments",
- * one per MSM bucket) to their sums with pairwise halving rounds. Each
- * round reads every pair once: a staging pass classifies it (identity /
- * cancellation / doubling / generic add) and writes its output slot —
- * the sum itself, or the first operand plus a staged slope numerator and
- * denominator and the slot's index. One batch inversion then resolves all
- * denominators, and one fused pass computes each slope and completes its
- * slot (eight pairs at a time on an AVX-512 IFMA host,
+ * one per MSM bucket) to their sums with pairwise halving rounds, in
+ * blocks: contiguous runs of segments whose entries fit
+ * kSegmentBlockEntries, each reduced to the end before the next starts.
+ * Each round of a block reads every pair once: a staging pass classifies
+ * it (identity / cancellation / doubling / generic add) and writes its
+ * output slot — the sum itself, or the first operand plus a staged slope
+ * numerator and denominator and the slot's index. One batch inversion
+ * then resolves all denominators, and one fused pass computes each slope
+ * and completes its slot (eight pairs at a time on an AVX-512 IFMA host,
  * ec/bucket_ifma_x86.hpp). The pairing order is fixed by the segment
- * layout, so results are deterministic regardless of thread count, and
- * inverses are canonical field values, so the output is bit-identical to
- * a serial affine evaluation on every kernel.
+ * layout, so results are deterministic regardless of thread count and
+ * block cut, and inverses are canonical field values, so the output is
+ * bit-identical to a serial affine evaluation on every kernel.
+ *
+ * The block bounds the round's working set: at 2^13 entries the staged
+ * slots, numerators, denominators, inverses and slot indices take about
+ * 1 MiB, half of one core's L2 on the IFMA host. The price is one true
+ * inversion per block and round instead of one per round, which the
+ * constant-time safegcd inversion (ff/safegcd.hpp) keeps small.
  *
  * aggregateBuckets then turns one chain of bucket sums into its window
  * sum in Jacobian coordinates, cut into tiles that run side by side.
@@ -46,13 +54,23 @@ namespace zkphire::ec {
 /** Op counts from a batched-affine reduction and bucket aggregation. */
 struct BatchAffineStats {
     std::uint64_t affineAdds = 0;      ///< Slope-based pair additions.
-    std::uint64_t batchInversions = 0; ///< Batch-inversion rounds (1 true
-                                       ///< field inversion each).
+    std::uint64_t batchInversions = 0; ///< Batch inversions, one per
+                                       ///< block and round (1 true field
+                                       ///< inversion each).
     std::uint64_t pointAdds = 0;       ///< Jacobian aggregation additions.
     std::uint64_t pointDoubles = 0;    ///< Jacobian aggregation doublings.
 };
 
-/** Reusable scratch for the segment-sum reductions (grown once, reused). */
+/**
+ * Entry budget of one reduction block. A block holds at most this many
+ * entries and fewer segments; a longer segment is a block of its own.
+ */
+inline constexpr std::size_t kSegmentBlockEntries = std::size_t(1) << 13;
+
+/** Reusable scratch for the segment-sum reductions (grown once, reused).
+ *  Every vector is sized by one block, so below kSegmentBlockEntries
+ *  capacity however many entries a call reduces, unless a single segment
+ *  outgrows the budget. */
 struct BatchAffineScratch {
     std::vector<std::uint32_t> len;
     /** One per slope pair of the current round, in staging order: the
@@ -61,7 +79,7 @@ struct BatchAffineScratch {
     std::vector<ff::Fq> numer; ///< Slope numerators, per slope pair.
     std::vector<ff::Fq> denom; ///< Slope denominators, left intact.
     std::vector<ff::Fq> inv;   ///< denom^{-1} (prefix products first).
-    std::vector<G1Affine> buf;      ///< Indexed round-0 output buffer.
+    std::vector<G1Affine> buf;      ///< Indexed round-0 output of a block.
     std::vector<std::uint32_t> off; ///< Its compacted segment offsets.
 };
 
@@ -72,7 +90,8 @@ inline constexpr std::uint32_t kSlotDoubling = std::uint32_t(1) << 31;
  * Sum each segment of `buf` down to one affine point.
  *
  * Segment s occupies buf[off[s] .. off[s+1]); out[s] receives its sum
- * (the identity for empty segments). `buf` is clobbered. All the special
+ * (the identity for empty segments). `buf` is clobbered. Each block costs
+ * one batch inversion per halving round it needs. All the special
  * cases of the affine group law are handled (identity operands, P + (-P),
  * doubling), so duplicated points and identity entries are fine.
  *
@@ -92,9 +111,9 @@ void batchAffineSegmentSums(std::span<G1Affine> buf,
  * once and writes its (half-size, compacted) results into scratch.buf, so
  * the caller's scatter pass moves 4-byte indices instead of ~100-byte
  * points — the MSM bucket scatter is bandwidth-bound and this is what
- * makes the shared point walk pay off. Results and stats are identical to
- * materializing the points into a buffer and calling
- * batchAffineSegmentSums.
+ * makes the shared point walk pay off. It cuts the same blocks, so results
+ * and stats are identical to materializing the points into a buffer and
+ * calling batchAffineSegmentSums.
  */
 void batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
                                    std::span<const std::uint32_t> enc,

@@ -112,20 +112,23 @@ msSince(std::chrono::steady_clock::time_point t0)
  * aggregation tiled), of which the scatter is 6-10 ns and the
  * aggregation 12-31.
  *
- * Phase 2 passes a contiguous group of windows: all of them on one
- * thread, a share per worker otherwise, one at a time above the entry
- * cap. A group ROUND-SYNCHRONIZES the batch inversion across its windows:
- * every pairwise round resolves all their slopes with ONE true inversion,
- * cutting the inversion count by ~the group size (decisive on the small
- * MSMs of mKZG opening chains, where inversions are a large fraction of
- * total work). Per-segment
- * reduction order is fixed by the segment layout, so bucket sums — and
- * every downstream value — are bit-identical either way.
+ * Phase 2 passes a contiguous group of windows whose entries fit one
+ * reduction block (kSegmentBlockEntries), at most a worker's share of
+ * them, or a single larger window. A group ROUND-SYNCHRONIZES the batch
+ * inversion across its windows: every pairwise round resolves all their
+ * slopes with ONE true inversion, cutting the inversion count by ~the
+ * group size (decisive on the small MSMs of mKZG opening chains, where
+ * inversions are a large fraction of total work). The reduction cuts a
+ * larger window into bucket-range blocks, one true inversion per block
+ * and round. Per-segment reduction order is fixed by the segment layout,
+ * so bucket sums — and every downstream value — are bit-identical either
+ * way.
  *
  * Scratch lives in thread-locals: pool workers process many windows (and
- * many MSMs), so steady state allocates nothing; buffers whose capacity
- * exceeds ~4x the current job are released so one huge MSM doesn't pin
- * peak-size buffers per worker forever.
+ * many MSMs), so steady state allocates nothing. The reduction scratch is
+ * one block's; scatter buffers whose capacity exceeds ~4x the current job
+ * are released so one huge MSM doesn't pin peak-size buffers per worker
+ * forever.
  */
 void
 windowSumBatchAffine(std::span<const G1Affine> points,
@@ -405,19 +408,15 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     // Round-synchronize the batch inversion across windows: one segmented
     // batched-affine call over a contiguous group of windows pays a single
     // true inversion per pairwise round for the whole group instead of one
-    // per window (bit-identical; see windowSumBatchAffine). Below the entry
-    // cap the groups are all windows on one thread and a contiguous share
-    // of them per worker otherwise: a measured 1.2-1.6x on the small MSMs
-    // of mKZG opening chains (n <= ~2^11: ~200 inversions collapse to ~7).
-    // Above it the combined scatter's working set outgrows the cache and
-    // the per-round inversions are noise next to the bucket adds, so
-    // windows reduce one per call.
-    constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
+    // per window (bit-identical; see windowSumBatchAffine). A group takes
+    // the windows whose entries (at most dense points x columns each) fit
+    // one reduction block, and no more than a worker's share of them: on
+    // the small MSMs of mKZG opening chains ~200 inversions collapse to ~7.
+    // A window past the budget reduces alone, in bucket-range blocks.
     const std::size_t workers = std::max<std::size_t>(rt::currentThreads(), 1);
-    const std::size_t group =
-        num_windows * dense_idx.size() * k <= kCombineMaxEntries
-            ? (num_windows + workers - 1) / workers
-            : 1;
+    const std::size_t group = std::clamp<std::size_t>(
+        kSegmentBlockEntries / std::max<std::size_t>(dense_idx.size() * k, 1),
+        1, (num_windows + workers - 1) / workers);
     rt::parallelFor(
         0, (num_windows + group - 1) / group,
         [&](std::size_t g) {

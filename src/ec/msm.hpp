@@ -36,8 +36,9 @@ struct MsmStats {
     std::uint64_t trivialScalars = 0; ///< Scalars in {0, 1} skipped/fast-pathed.
     std::uint64_t denseScalars = 0;   ///< Full-width scalars.
     std::uint64_t affineAdds = 0;     ///< Batched-affine bucket additions.
-    std::uint64_t batchInversions = 0;///< Batch-inversion rounds (1 true
-                                      ///< field inversion each).
+    std::uint64_t batchInversions = 0;///< Batch inversions, one per
+                                      ///< block and round (1 true field
+                                      ///< inversion each).
     double recodeMs = 0; ///< Scalar classify + signed-digit recoding.
     double bucketMs = 0; ///< Bucket accumulation + per-window aggregation.
     double foldMs = 0;   ///< Window fold (doublings + adds).

@@ -3,6 +3,10 @@
  * Batched modular inversion (Montgomery's trick).
  *
  * Inverts n field elements with one true inversion and 3(n-1) multiplications.
+ * The true inversion is PrimeField::inverse(), the constant-time safegcd of
+ * ff/safegcd.hpp, several times cheaper than the Fermat power it replaced,
+ * so the MSM bucket rounds can pay one per L2-sized block
+ * (ec/batch_add.hpp).
  * This is the algorithm the Permutation Quotient Generator implements in
  * hardware (paper §IV-B5): zkSpeed used batch size 64 with per-inverse
  * multipliers; zkPHIRE uses batch size 2 with shared multipliers and 266
@@ -218,11 +222,11 @@ batchInverseInPlace(std::span<F> xs)
 /**
  * Out-of-place batched inversion into a caller-owned buffer, for hot loops
  * that invert many small batches (the batched-affine MSM bucket adder
- * resolves one batch per reduction round): `out` is grown once and reused,
- * so repeated rounds allocate nothing, and `xs` is left intact for callers
- * that still need the denominators. out[0 .. xs.size()) receives the
- * inverses. Always runs the serial sweep — callers sit inside an
- * already-parallel region.
+ * resolves one batch per block and reduction round): `out` is grown once
+ * and reused, so repeated rounds allocate nothing, and `xs` is left intact
+ * for callers that still need the denominators. out[0 .. xs.size())
+ * receives the inverses. Always runs the serial sweep — callers sit inside
+ * an already-parallel region.
  */
 template <class F>
 void

@@ -31,6 +31,7 @@
 #include "ff/mul_asm_x86.hpp"
 #include "ff/mul_impl.hpp"
 #include "ff/rng.hpp"
+#include "ff/safegcd.hpp"
 
 namespace zkphire::ff {
 
@@ -66,7 +67,6 @@ class PrimeField
 
     struct Consts {
         Big mod;       // p
-        Big modMinus2; // p - 2 (Fermat inversion exponent)
         Big r;         // R = 2^(64*numLimbs) mod p (Montgomery one)
         Big r2;        // R^2 mod p
         u64 inv;       // -p^{-1} mod 2^64
@@ -88,8 +88,6 @@ class PrimeField
         Consts c{};
         c.mod = kMod;
         c.bits = c.mod.bitLength();
-        c.modMinus2 = c.mod;
-        c.modMinus2.subInPlace(Big(2));
         c.inv = kInv;
         // R mod p by 64*numLimbs modular doublings of 1.
         Big acc(1);
@@ -453,12 +451,11 @@ class PrimeField
      * Exponentiation by a canonical BigInt exponent in fixed 4-bit
      * windows: a table of this^0 .. this^15 (14 multiplies), then four
      * squarings and one table multiply per window, most significant
-     * first (a zero window skips its multiply). The Fq inverse costs 485
-     * multiplies this way against 610 bit by bit, the Fr inverse 325
-     * against 419; the bit-by-bit ladder is the test oracle
-     * (tests/field_oracle.hpp).
+     * first (a zero window skips its multiply): 485 multiplies against
+     * 610 bit by bit for a 381-bit exponent such as Fq's p - 2. The
+     * bit-by-bit ladder is the test oracle (tests/field_oracle.hpp).
      */
-    // zkphire-lint: ct-exempt(every call site passes a public modulus-derived exponent: inversion, sqrt, subgroup checks)
+    // zkphire-lint: ct-exempt(every call site passes a public exponent: Euler's criterion, Tonelli-Shanks, the GLV root of unity, Rescue's inverse S-box and fixed gate degrees)
     PrimeField
     pow(const Big &e) const
     {
@@ -486,14 +483,19 @@ class PrimeField
     PrimeField pow(u64 e) const { return pow(Big(e)); }
 
     /**
-     * Multiplicative inverse via Fermat's little theorem (a^(p-2)).
+     * Multiplicative inverse in constant time: the safegcd of
+     * ff/safegcd.hpp on the Montgomery limbs xR, scaled by R^2, returns
+     * x^{-1} R, the inverse in Montgomery form. It equals the Fermat power
+     * x^(p-2), the test oracle.
      * @pre *this != 0 (asserted).
      */
     PrimeField
     inverse() const
     {
         assert(!isZero() && "inverse of zero");
-        return pow(consts().modMinus2);
+        PrimeField f;
+        f.v = safegcd::inverse<Big, kMod>(v, consts().r2);
+        return f;
     }
 
     /** Euler criterion: is this element a square? (zero counts as one). */

@@ -1,11 +1,12 @@
 /**
  * @file
  * Bit-by-bit square-and-multiply exponentiation: the oracle for
- * PrimeField::pow (fixed 4-bit windows) and so for inverse().
+ * PrimeField::pow (fixed 4-bit windows), and, as the Fermat power
+ * x^(p-2), for inverse() (the safegcd of ff/safegcd.hpp).
  *
  * One squaring per exponent bit and one multiply per set bit, most
  * significant bit first; it shares no table or window logic with the
- * library.
+ * library and no step with the safegcd. BM_{Fr,Fq}Inverse_Fermat time it.
  */
 #ifndef ZKPHIRE_TESTS_FIELD_ORACLE_HPP
 #define ZKPHIRE_TESTS_FIELD_ORACLE_HPP

@@ -421,15 +421,32 @@ TEST(BatchAffine, IndexedSegmentSumsMatchMaterialized)
         {pos(p), pos(q), pos(id), pos(id), neg(p), neg(q), neg(id),
          pos(id)},                                         // round-2 cancel
     };
+    const auto randomSegment = [&](std::size_t len) {
+        std::vector<std::uint32_t> seg;
+        for (std::size_t j = 0; j < len; ++j)
+            seg.push_back(std::uint32_t(rng.next() % (2 * points.size())));
+        return seg;
+    };
     // Long random segments put enough slopes in one round for the laned
     // batch inversion, with every entry kind mixed in.
-    for (int i = 0; i < 24; ++i) {
-        std::vector<std::uint32_t> seg;
-        const int len = 5 + (i * 7) % 23;
-        for (int j = 0; j < len; ++j)
-            seg.push_back(std::uint32_t(rng.next() % (2 * points.size())));
-        segments.push_back(std::move(seg));
+    for (int i = 0; i < 24; ++i)
+        segments.push_back(randomSegment(5 + (i * 7) % 23));
+    // Past one block: runs of segments whose entries cross the budget, so
+    // a segment that would straddle a boundary opens the next block; one
+    // segment longer than a block; a run of empty segments longer than a
+    // block's segment count, and empty runs between full segments.
+    const std::size_t B = kSegmentBlockEntries;
+    for (std::size_t total = 0; total < 2 * B + B / 2;) {
+        const std::size_t len = 1 + rng.next() % 700;
+        segments.push_back(randomSegment(len));
+        total += len;
+        if (rng.next() % 4 == 0)
+            segments.resize(segments.size() + rng.next() % 40);
     }
+    segments.push_back(randomSegment(B + 37));
+    segments.resize(segments.size() + B + 5);
+    segments.push_back(randomSegment(B - 3));
+    segments.push_back(randomSegment(5));
 
     std::vector<std::uint32_t> enc;
     std::vector<std::uint32_t> off = {0};
@@ -471,6 +488,50 @@ TEST(BatchAffine, IndexedSegmentSumsMatchMaterialized)
         }
     }
     EXPECT_GE(want_stats.batchInversions, 4u);
+}
+
+TEST(BatchAffine, ScratchStaysWithinOneBlock)
+{
+    // 2^17 entries in segments of up to 64, reduced through the encoded
+    // entries on one caller-owned scratch: every vector stays one block's.
+    Rng rng(89);
+    std::vector<G1Affine> points;
+    for (int i = 0; i < 64; ++i)
+        points.push_back(randomG1(rng));
+    std::vector<std::uint32_t> enc, off = {0};
+    while (enc.size() < (std::size_t(1) << 17)) {
+        const std::size_t len = rng.next() % 65;
+        for (std::size_t j = 0; j < len; ++j)
+            enc.push_back(std::uint32_t(rng.next() % (2 * points.size())));
+        off.push_back(std::uint32_t(enc.size()));
+    }
+    std::vector<G1Affine> buf;
+    for (std::uint32_t e : enc)
+        buf.push_back((e & 1) ? G1Affine{points[e >> 1].x,
+                                         points[e >> 1].y.neg(), false}
+                              : points[e >> 1]);
+
+    BatchAffineScratch scratch;
+    std::vector<G1Affine> got(off.size() - 1), want(off.size() - 1);
+    batchAffineSegmentSumsIndexed(points, enc, off, got, scratch);
+    const std::size_t B = kSegmentBlockEntries;
+    EXPECT_LE(scratch.len.capacity(), B);
+    EXPECT_LE(scratch.slot.capacity(), B);
+    EXPECT_LE(scratch.numer.capacity(), B);
+    EXPECT_LE(scratch.denom.capacity(), B);
+    EXPECT_LE(scratch.inv.capacity(), B);
+    EXPECT_LE(scratch.buf.capacity(), B);
+    EXPECT_LE(scratch.off.capacity(), B);
+
+    BatchAffineScratch want_scratch;
+    batchAffineSegmentSums(buf, off, want, want_scratch);
+    EXPECT_LE(want_scratch.len.capacity(), B);
+    EXPECT_LE(want_scratch.slot.capacity(), B);
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].infinity, want[k].infinity) << "segment " << k;
+        ASSERT_EQ(got[k].x, want[k].x) << "segment " << k;
+        ASSERT_EQ(got[k].y, want[k].y) << "segment " << k;
+    }
 }
 
 TEST(Msm, ModesAgreeWithNaive)

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ff/batch_inverse.hpp"
 #include "ff/bigint.hpp"
 #include "ff/fq.hpp"
@@ -270,6 +273,210 @@ TEST(Fr, PowMatchesBitLadder)
 TEST(Fq, PowMatchesBitLadder)
 {
     expectPowMatchesLadder<Fq>(92);
+}
+
+namespace {
+
+template <class F>
+class Inverse : public ::testing::Test
+{
+};
+
+/** Names the typed tests by field: Inverse/Fr, Inverse/Fq. */
+struct FieldName {
+    template <class F>
+    static std::string
+    GetName(int)
+    {
+        return F::name();
+    }
+};
+
+using InverseFields = ::testing::Types<Fr, Fq>;
+TYPED_TEST_SUITE(Inverse, InverseFields, FieldName);
+
+} // namespace
+
+/**
+ * inverse() (the safegcd) against the Fermat power x^(p-2) of the
+ * bit-by-bit ladder, on the edges of its signed-62 and Montgomery
+ * representations and on 10^4 random values; x * x^{-1} must be 1.
+ */
+TYPED_TEST(Inverse, MatchesFermatOracle)
+{
+    using F = TypeParam;
+    using Big = typename F::Big;
+    const Big p = F::modulus();
+    Big pm2 = p;
+    pm2.subInPlace(Big(2));
+    const auto fermat = [&](const F &x) {
+        return zkphire::oracle::powLadder(x, pm2);
+    };
+
+    Big half_down = p, half_up = p; // (p - 1) / 2 and (p + 1) / 2
+    half_down.shr1InPlace();
+    half_up.shr1InPlace();
+    half_up.addInPlace(Big(1));
+    const F r_mod_p = F::fromBig(F::one().raw()); // R mod p
+    const F r_inv = fermat(r_mod_p);              // Montgomery limbs 1
+    ASSERT_EQ(r_inv.raw(), Big(1));
+    std::vector<F> xs = {F::one(),
+                         F::one().neg(),
+                         F::fromU64(2),
+                         F::fromBig(half_down),
+                         F::fromBig(half_up),
+                         r_mod_p,
+                         r_inv};
+    // 2^k and p - 2^k at the 62- and 64-bit limb edges, as canonical
+    // values and as Montgomery limbs (2^k R^{-1} has limbs 2^k).
+    for (const std::size_t width : {62, 64}) {
+        for (std::size_t edge = width; edge + 2 < F::modulusBits();
+             edge += width) {
+            for (const std::size_t k : {edge - 1, edge, edge + 1}) {
+                Big two_k;
+                two_k.limb[k / 64] = std::uint64_t(1) << (k % 64);
+                Big p_minus = p;
+                p_minus.subInPlace(two_k);
+                for (const F &x : {F::fromBig(two_k), F::fromBig(p_minus)}) {
+                    xs.push_back(x);
+                    xs.push_back(x * r_inv);
+                }
+            }
+        }
+    }
+    const std::size_t edges = xs.size();
+    Rng rng(97);
+    for (int i = 0; i < 10000; ++i)
+        xs.push_back(F::random(rng));
+
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const F inv = xs[i].inverse();
+        ASSERT_EQ(inv, fermat(xs[i]))
+            << F::name() << (i < edges ? " edge " : " random ") << i
+            << ": x = " << xs[i].toHexString();
+        ASSERT_EQ(inv * xs[i], F::one()) << F::name() << " x = "
+                                         << xs[i].toHexString();
+    }
+}
+
+namespace {
+
+/** The value of signed-62 limbs in W-limb two's complement. */
+template <std::size_t W, std::size_t L>
+BigInt<W>
+twosComplement(safegcd::Signed62<L> d)
+{
+    safegcd::carry62(d);
+    BigInt<W> acc;
+    for (auto &limb : acc.limb)
+        limb = d.v[L - 1] < 0 ? ~u64(0) : 0;
+    acc.limb[0] = u64(d.v[L - 1]);
+    for (std::size_t i = L - 1; i-- > 0;) {
+        for (int b = 0; b < 62; ++b)
+            acc.shl1InPlace();
+        acc.addInPlace(BigInt<W>(u64(d.v[i])));
+    }
+    return acc;
+}
+
+/** Sign of a W-limb two's complement value: -1, 0 or 1. */
+template <std::size_t W>
+int
+signOf(const BigInt<W> &x)
+{
+    if (x.limb[W - 1] >> 63)
+        return -1;
+    return x.isZero() ? 0 : 1;
+}
+
+} // namespace
+
+/**
+ * One Bezout update of the safegcd, (d, e) <- (t (d, e) + p (md, me)) /
+ * 2^62, from the edges of its input range (-2p, p) and of the transition
+ * matrices (|u| + |v| <= 2^62): the outputs stay in (-2p, p) with limbs
+ * below the top one in [0, 2^62), and 2^62 d' = u d + v e mod p. Without
+ * either sign term of md or me, an input near -2p leaves the range.
+ */
+TYPED_TEST(Inverse, BezoutUpdateStaysInRange)
+{
+    using F = TypeParam;
+    using Big = typename F::Big;
+    constexpr std::size_t N = F::numLimbs, L = (64 * N + 61) / 62;
+    constexpr std::size_t W = N + 1;
+    using S = safegcd::Signed62<L>;
+    const safegcd::Modulus<L> m = safegcd::makeModulus<L>(F::modulus());
+    const F two62 = F::fromU64(u64(1) << 62);
+    const auto toField = [&](const S &d) {
+        F acc = F::zero();
+        for (std::size_t i = L; i-- > 0;)
+            acc = acc * two62 + F::fromI64(d.v[i]);
+        return acc;
+    };
+    // a - k p for a canonical a, with the limbs carried back into range.
+    const auto shifted = [&](const Big &a, int k) {
+        S d = safegcd::toSigned62<L>(a);
+        for (std::size_t i = 0; i < L; ++i)
+            d.v[i] -= k * m.mod.v[i];
+        safegcd::carry62(d);
+        return d;
+    };
+    BigInt<W> p_w, two_p_w;
+    for (std::size_t i = 0; i < N; ++i)
+        p_w.limb[i] = F::modulus().limb[i];
+    two_p_w = p_w;
+    two_p_w.addInPlace(p_w);
+    const auto inRange = [&](const S &d) {
+        const BigInt<W> v = twosComplement<W>(d);
+        BigInt<W> below_p = p_w, above = v;
+        below_p.subInPlace(v); // p - d > 0
+        above.addInPlace(two_p_w); // d + 2p > 0
+        for (std::size_t i = 0; i + 1 < L; ++i)
+            if (d.v[i] < 0 || u64(d.v[i]) > safegcd::kMask62)
+                return false;
+        return signOf(below_p) > 0 && signOf(above) > 0;
+    };
+
+    Big pm1 = F::modulus();
+    pm1.subInPlace(Big(1));
+    Rng rng(101);
+    std::vector<S> ds = {shifted(Big(1), 2), shifted(pm1, 2),
+                         shifted(pm1, 0), shifted(Big(0), 0),
+                         shifted(Big(0), 1), shifted(Big(1), 1)};
+    for (int i = 0; i < 60; ++i)
+        ds.push_back(shifted(F::random(rng).raw(), int(rng.next() % 3)));
+    const std::int64_t top = std::int64_t(1) << 62;
+    std::vector<std::pair<std::int64_t, std::int64_t>> rows = {
+        {top, 0}, {-top, 0}, {0, top}, {0, -top}, {top / 2, top / 2},
+        {top / 2, -top / 2}, {-top / 2, -top / 2}, {1, 0}, {0, 0}};
+    for (int i = 0; i < 12; ++i) {
+        const std::int64_t a = std::int64_t(rng.next() % u64(top));
+        const std::int64_t b = std::int64_t(rng.next() % u64(top - a + 1));
+        rows.push_back({rng.next() & 1 ? a : -a, rng.next() & 1 ? b : -b});
+    }
+
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+        for (std::size_t j = 0; j < ds.size(); j += 7) {
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                const auto &[u, v] = rows[r];
+                const auto &[q, rr] = rows[(r + i) % rows.size()];
+                const safegcd::Trans t{u, v, q, rr};
+                S d = ds[i], e = ds[j];
+                ASSERT_TRUE(inRange(d) && inRange(e));
+                safegcd::updateDE(d, e, t, m);
+                const F fd = toField(ds[i]), fe = toField(ds[j]);
+                ASSERT_TRUE(inRange(d) && inRange(e))
+                    << F::name() << " d " << i << " e " << j << " row " << r;
+                ASSERT_EQ(toField(d) * two62,
+                          F::fromI64(u) * fd + F::fromI64(v) * fe);
+                ASSERT_EQ(toField(e) * two62,
+                          F::fromI64(q) * fd + F::fromI64(rr) * fe);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 1000u);
 }
 
 TEST(Rng, Deterministic)
